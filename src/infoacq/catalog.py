@@ -158,7 +158,16 @@ def multitask_encoder() -> Encoder:
 
 
 def random_problem(rng, n_states: int, n_actions: int, prior_floor: float = 0.05) -> DecisionProblem:
-    """Payoffs uniform on [-1, 1]; prior drawn from the simplex interior."""
+    """Payoffs uniform on [-1, 1]; prior drawn from the simplex interior.
+
+    Priors are drawn uniformly and rejected until every coordinate reaches
+    ``prior_floor``, which requires ``prior_floor * n_states < 1``.
+    """
+    if prior_floor * n_states >= 1.0:
+        raise ValidationError(
+            f"prior_floor {prior_floor:g} is infeasible for {n_states} states: "
+            "the floor times the state count must stay below 1"
+        )
     while True:
         prior = rng.dirichlet(np.ones(n_states))
         if prior.min() >= prior_floor:

@@ -91,7 +91,10 @@ class Entropy:
 
     Either closed-form conjugate evaluators are supplied, or the conjugate is
     computed numerically by entropic mirror ascent; numeric solutions are
-    memoized per instance with the query rounded at 1e-12.
+    memoized per instance with the query rounded at 1e-12.  Closed forms may
+    also come row-batched: ``conj_rows_fn``, ``conj_grad_rows_fn`` and
+    ``conj_hess_rows_fn`` map an ``(m, n)`` matrix of posterior-space vectors
+    to ``(m,)`` values, ``(m, n)`` gradients and ``(m, n, n)`` Hessians.
     """
 
     family: str
@@ -105,6 +108,9 @@ class Entropy:
     gap_fn: Callable[[np.ndarray, np.ndarray], float] | None = None
     # optional structure-aware support guesses for the conjugate refinement
     faces_fn: Callable[[np.ndarray, np.ndarray], list] | None = None
+    conj_rows_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    conj_grad_rows_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    conj_hess_rows_fn: Callable[[np.ndarray], np.ndarray] | None = None
     numeric_tol: float = 1e-9
     numeric_cap: int = 100000
     _memo: dict = field(default_factory=dict, repr=False)
@@ -284,7 +290,35 @@ def shannon_kl_entropy(prior, kappa: float = 1.0) -> Entropy:
         w = np.exp(z)
         return w / w.sum()
 
-    return Entropy("shannon_kl", prior, value, conj, conj_grad, grad)
+    def conj_rows(Y):
+        z = logpi[None, :] + Y / k
+        zmax = z.max(axis=1)
+        return k * (zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1)))
+
+    def conj_grad_rows(Y):
+        z = logpi[None, :] + Y / k
+        z -= z.max(axis=1, keepdims=True)
+        w = np.exp(z)
+        return w / w.sum(axis=1, keepdims=True)
+
+    def conj_hess_rows(Y):
+        q = conj_grad_rows(Y)
+        H = -q[:, :, None] * q[:, None, :]
+        diag = np.arange(q.shape[1])
+        H[:, diag, diag] += q
+        return H / k
+
+    return Entropy(
+        "shannon_kl",
+        prior,
+        value,
+        conj,
+        conj_grad,
+        grad,
+        conj_rows_fn=conj_rows,
+        conj_grad_rows_fn=conj_grad_rows,
+        conj_hess_rows_fn=conj_hess_rows,
+    )
 
 
 def nested_shannon_entropy(encoder: Encoder, zeta: float, etas) -> Entropy:
@@ -480,6 +514,15 @@ class CostModel:
     def grad_rows(self, X) -> np.ndarray:
         return np.array([self.grad_f_star(x) for x in np.asarray(X, dtype=float)])
 
+    def hess_rows(self, X) -> np.ndarray | None:
+        """Conjugate Hessians of the rows of X, or None without a closed form.
+
+        A family returns either an ``(m, n)`` array, read as the diagonals of
+        diagonal Hessians, or a full ``(m, n, n)`` stack.  With None the
+        Newton polish falls back to finite-difference Jacobians.
+        """
+        return None
+
 
 def conjugate_value(model: CostModel, x) -> float:
     """f*(x) on a payoff-space vector; raises on overflow, naming the state."""
@@ -529,6 +572,12 @@ class CsiszarCost(CostModel):
         ratios = np.asarray(X, dtype=float) / self.prior[None, :]
         return np.asarray(self.transform.psi_prime(ratios), dtype=float)
 
+    def hess_rows(self, X):
+        if self.transform.psi_pp is None:
+            return None
+        ratios = np.asarray(X, dtype=float) / self.prior[None, :]
+        return np.asarray(self.transform.psi_pp(ratios), dtype=float) / self.prior[None, :]
+
     def divergence_spec(self):
         return divergence.csiszar_spec(self.prior, self.transform)
 
@@ -565,6 +614,24 @@ class PosteriorSeparableCost(CostModel):
 
     def grad_f_star(self, x):
         return self.entropy.grad_h_star(np.asarray(x, dtype=float) / self.prior) / self.prior
+
+    def f_star_rows(self, X):
+        if self.entropy.conj_rows_fn is None:
+            return super().f_star_rows(X)
+        return self.entropy.conj_rows_fn(np.asarray(X, dtype=float) / self.prior[None, :])
+
+    def grad_rows(self, X):
+        if self.entropy.conj_grad_rows_fn is None:
+            return super().grad_rows(X)
+        Y = np.asarray(X, dtype=float) / self.prior[None, :]
+        return self.entropy.conj_grad_rows_fn(Y) / self.prior[None, :]
+
+    def hess_rows(self, X):
+        if self.entropy.conj_hess_rows_fn is None:
+            return None
+        Y = np.asarray(X, dtype=float) / self.prior[None, :]
+        inv = 1.0 / self.prior
+        return self.entropy.conj_hess_rows_fn(Y) * inv[None, :, None] * inv[None, None, :]
 
     def primal_cost(self, rule: ChoiceRule) -> float:
         rows = rule.rows
@@ -689,6 +756,7 @@ def scale(model: CostModel, kappa: float) -> CostModel:
 
 def scale_entropy(h: Entropy, kappa: float) -> Entropy:
     k = float(kappa)
+    rows, grad_rows, hess_rows = h.conj_rows_fn, h.conj_grad_rows_fn, h.conj_hess_rows_fn
     return Entropy(
         family=h.family,
         prior=h.prior,
@@ -696,6 +764,9 @@ def scale_entropy(h: Entropy, kappa: float) -> Entropy:
         conj_fn=(lambda x: k * h.h_star(np.asarray(x, dtype=float) / k)),
         conj_grad_fn=(lambda x: h.grad_h_star(np.asarray(x, dtype=float) / k)),
         grad_fn=(lambda p: k * np.asarray(h.grad_fn(p), dtype=float)) if h.grad_fn else None,
+        conj_rows_fn=(lambda Y: k * rows(Y / k)) if rows else None,
+        conj_grad_rows_fn=(lambda Y: grad_rows(Y / k)) if grad_rows else None,
+        conj_hess_rows_fn=(lambda Y: hess_rows(Y / k) / k) if hess_rows else None,
         numeric_tol=h.numeric_tol,
         numeric_cap=h.numeric_cap,
     )

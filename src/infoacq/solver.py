@@ -135,6 +135,19 @@ def saddle_value(problem, model, alpha, lam) -> float:
     return float(alpha @ v + lam.sum())
 
 
+def _has_hessian(problem, model) -> bool:
+    """Whether the model supplies closed-form conjugate Hessians."""
+    return model.hess_rows(payoff_arguments(problem, np.zeros(problem.n_states))[:1]) is not None
+
+
+def _weighted_hessian(model, X, w) -> np.ndarray | None:
+    """sum_a w_a * Hessian of f* at row a of X as an (n, n) matrix; None without a closed form."""
+    H = model.hess_rows(X)
+    if H is None:
+        return None
+    return np.diag(w @ H) if H.ndim == 2 else np.tensordot(w, H, axes=1)
+
+
 # ---------------------------------------------------------------------------
 # multiplier bounds
 
@@ -314,9 +327,17 @@ def _inner_minimize(problem, model, alpha, lam0, box, inner_tol=1e-11, max_sweep
         r = residual(l)
         return basis.T @ r if basis is not None else r
 
+    live = alpha > 0
+
+    def J(z):
+        l = basis @ z if basis is not None else z
+        H = _weighted_hessian(model, payoff_arguments(problem, l)[live], alpha[live])
+        return -(basis.T @ H @ basis) if basis is not None else -H
+
     z0 = basis.T @ lam if basis is not None else lam
+    jac = J if _has_hessian(problem, model) else None
     try:
-        res = scipy_root(F, z0, method="hybr", options={"xtol": 1e-13})
+        res = scipy_root(F, z0, jac=jac, method="hybr", options={"xtol": 1e-13})
         cand = basis @ res.x if basis is not None else res.x
         if np.all(np.isfinite(cand)) and float(np.max(np.abs(residual(cand)))) <= inner_tol:
             return cand
@@ -359,12 +380,49 @@ def _slice_basis(n: int) -> np.ndarray:
     return u[:, : n - 1]
 
 
+def _support_system(problem, model, S, z, basis=None, jac=False):
+    """Residual F and Jacobian J of the optimality system on the support S.
+
+    The unknowns are ``z = (alpha_S, lambda)``, with ``lambda = basis @ w``
+    on the sum-zero slice when a basis is given.  F stacks the mass
+    conditions ``sum_a alpha_a G_a - 1``, the equal-value conditions
+    ``v_a - v_{S[0]}`` and, off the slice, ``sum alpha_S - 1``.  J is built
+    from closed-form Hessians only when ``jac`` is set and the model has
+    them; otherwise it is None.
+    """
+    k = S.size
+    a_s = z[:k]
+    lam = basis @ z[k:] if basis is not None else z[k:]
+    alpha = np.zeros(problem.n_actions)
+    alpha[S] = a_s
+    v, G = evaluate(problem, model, lam)
+    r1 = alpha @ G - 1.0
+    r2 = v[S[1:]] - v[S[0]]
+    if basis is not None:
+        F = np.concatenate([r1, r2])
+    else:
+        F = np.concatenate([r1, r2, [a_s.sum() - 1.0]])
+    H = _weighted_hessian(model, payoff_arguments(problem, lam)[S], a_s) if jac else None
+    if H is None:
+        return F, None
+    G_S = G[S]
+    J_alpha = np.vstack([G_S.T, np.zeros((k - 1, k))])
+    J_lam = np.vstack([-H, -(G_S[1:] - G_S[0])])
+    if basis is not None:
+        J_lam = J_lam @ basis
+    else:
+        J_alpha = np.vstack([J_alpha, np.ones((1, k))])
+        J_lam = np.vstack([J_lam, np.zeros((1, J_lam.shape[1]))])
+    return F, np.hstack([J_alpha, J_lam])
+
+
 def _polish_once(problem, model, alpha0, lam0, support, tol):
     """One active-set Newton pass over a candidate support; None on failure."""
     n = problem.n_states
     m = problem.n_actions
     ps = model.translation_invariant
     basis = _slice_basis(n) if ps else None
+    has_hessian = _has_hessian(problem, model)
     support = sorted(set(support))
     for _ in range(2 * m + 2):
         S = np.array(support, dtype=int)
@@ -378,19 +436,15 @@ def _polish_once(problem, model, alpha0, lam0, support, tol):
             z0 = np.concatenate([a0, lam0])
 
         def F(z):
-            a_s = z[:k]
-            lam = basis @ z[k:] if ps else z[k:]
-            alpha = np.zeros(m)
-            alpha[S] = a_s
-            v, G = evaluate(problem, model, lam)
-            r1 = alpha @ G - 1.0
-            r2 = v[S[1:]] - v[S[0]]
-            if ps:
-                return np.concatenate([r1, r2])
-            return np.concatenate([r1, r2, [a_s.sum() - 1.0]])
+            return _support_system(problem, model, S, z, basis)[0]
+
+        def J(z):
+            return _support_system(problem, model, S, z, basis, jac=True)[1]
 
         try:
-            res = scipy_root(F, z0, method="hybr", options={"xtol": 1e-13})
+            res = scipy_root(
+                F, z0, jac=J if has_hessian else None, method="hybr", options={"xtol": 1e-13}
+            )
             failed = (not res.success) and np.max(np.abs(F(res.x))) > 1e-9
         except Exception:
             failed = True
@@ -748,10 +802,15 @@ def solve_mutual_information(
         ppi = prior @ P
         alpha = np.exp(log_alpha)
         alpha /= alpha.sum()
-        if float(np.abs(ppi - alpha).max()) <= fp_tol:
+        ratio = ppi / np.maximum(alpha, 1e-300)
+        # kappa (max ratio - 1) is residual_alpha at lam = kappa prior lse,
+        # where residual_lambda vanishes by construction
+        if (
+            float(np.abs(ppi - alpha).max()) <= fp_tol
+            and kappa * (float(ratio.max()) - 1.0) <= opts.tol
+        ):
             converged = True
             break
-        ratio = ppi / np.maximum(alpha, 1e-300)
         cand = log_alpha + (ratio - 1.0)
         cand -= _lse_vec(cand)
         cand_obj, cand_lse = reduced_objective(cand)

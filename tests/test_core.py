@@ -40,6 +40,22 @@ class TestValidation:
         with pytest.raises(ValidationError):
             Simplex.build(["x", "y"], [0.6, 0.5])
 
+    def test_random_problem_rejects_infeasible_prior_floor(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValidationError, match="prior_floor"):
+            random_problem(rng, 20, 20)  # default floor 0.05 needs n < 20
+        with pytest.raises(ValidationError, match="prior_floor"):
+            random_problem(rng, 4, 4, prior_floor=0.25)
+
+    def test_random_problem_feasible_floor_keeps_draws(self):
+        p = random_problem(np.random.default_rng(5), 4, 3)
+        rng = np.random.default_rng(5)
+        prior = rng.dirichlet(np.ones(4))
+        while prior.min() < 0.05:
+            prior = rng.dirichlet(np.ones(4))
+        np.testing.assert_allclose(p.prior, prior / prior.sum(), rtol=1e-15)
+        np.testing.assert_array_equal(p.payoffs, rng.uniform(-1.0, 1.0, size=(3, 4)))
+
     def test_small_negative_entries_clipped(self):
         s = Simplex.build(["x", "y"], [1.0 + 1e-15, -1e-15])
         assert s.weights[1] == 0.0

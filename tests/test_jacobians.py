@@ -1,0 +1,179 @@
+"""Closed-form conjugate Hessians and the exact Jacobians of the Newton polish."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from infoacq import solver
+from infoacq.catalog import random_problem
+from infoacq.costs import (
+    build_encoder,
+    chi2_cost,
+    csiszar_cost,
+    mutual_information_cost,
+    perceptual_csiszar_cost,
+    posterior_separable_cost,
+    scale,
+    shannon_kl_entropy,
+)
+from infoacq.solver import SolveOptions, _slice_basis, _support_system, solve
+from infoacq.transform import chi2, tabulated
+
+
+def _prior(rng, n):
+    prior = rng.dirichlet(np.ones(n)) * 0.8 + 0.2 / n
+    return prior / prior.sum()
+
+
+def _full_hessians(H):
+    """(m, n, n) Hessians from either hess_rows layout."""
+    return H[:, :, None] * np.eye(H.shape[1])[None] if H.ndim == 2 else H
+
+
+def _fd_hessians(model, X):
+    """Central differences of grad_rows, one state coordinate at a time."""
+    m, n = X.shape
+    out = np.empty((m, n, n))
+    for j in range(n):
+        h = 1e-6 * model.prior[j]
+        E = np.zeros_like(X)
+        E[:, j] = h
+        out[:, :, j] = (model.grad_rows(X + E) - model.grad_rows(X - E)) / (2 * h)
+    return out
+
+
+def _fd_jacobian(F, z, h=1e-7):
+    cols = []
+    for i in range(z.size):
+        e = np.zeros_like(z)
+        e[i] = h
+        cols.append((F(z + e) - F(z - e)) / (2 * h))
+    return np.column_stack(cols)
+
+
+def _hessian_models(prior):
+    shannon_table = np.column_stack([np.linspace(-3.0, 3.0, 61), np.exp(np.linspace(-3.0, 3.0, 61))])
+    ps_kl = posterior_separable_cost(prior, shannon_kl_entropy(prior, 1.2))
+    return {
+        "mutual_information": mutual_information_cost(prior, 0.8),
+        "chi2": chi2_cost(prior, 1.0),
+        "tabulated": csiszar_cost(prior, tabulated(shannon_table)),
+        "ps_kl": ps_kl,
+        "ps_kl_scaled": scale(ps_kl, 2.0),
+    }
+
+
+class TestHessRows:
+    @pytest.mark.parametrize("name", ["mutual_information", "chi2", "tabulated", "ps_kl", "ps_kl_scaled"])
+    def test_matches_central_differences_of_gradients(self, name):
+        rng = np.random.default_rng(41)
+        prior = _prior(rng, 5)
+        model = _hessian_models(prior)[name]
+        # payoff-space arguments (a - lam_pi) * prior with a - lam_pi in
+        # [-0.9, 1.5]: away from the chi2 kink at -kappa
+        X = rng.uniform(-0.9, 1.5, size=(6, 5)) * prior[None, :]
+        H = _full_hessians(model.hess_rows(X))
+        fd = _fd_hessians(model, X)
+        assert H.shape == (6, 5, 5)
+        np.testing.assert_allclose(H, fd, rtol=1e-6, atol=1e-6 * np.abs(H).max())
+
+    def test_families_without_closed_form_return_none(self):
+        rng = np.random.default_rng(42)
+        prior = _prior(rng, 3)
+        encoder = build_encoder(np.eye(3), prior)
+        X = rng.normal(size=(2, 3)) * prior
+        assert perceptual_csiszar_cost(prior, chi2(1.0), encoder).hess_rows(X) is None
+        assert csiszar_cost(prior, replace(chi2(1.0), psi_pp=None)).hess_rows(X) is None
+
+
+class TestVectorizedPosteriorSeparableRows:
+    @pytest.mark.parametrize("kappa", [1.0, 2.0])
+    def test_rows_equal_per_row_conjugates(self, kappa):
+        rng = np.random.default_rng(43)
+        prior = _prior(rng, 6)
+        model = scale(posterior_separable_cost(prior, shannon_kl_entropy(prior, 0.7)), kappa)
+        X = rng.normal(scale=2.0, size=(9, 6)) * prior
+        per_row_v = np.array([model.f_star(x) for x in X])
+        per_row_g = np.array([model.grad_f_star(x) for x in X])
+        np.testing.assert_allclose(model.f_star_rows(X), per_row_v, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(model.grad_rows(X), per_row_g, rtol=0, atol=1e-13)
+
+
+class TestSupportSystem:
+    def _point(self, rng, k, n_lam):
+        a_s = rng.dirichlet(np.ones(k))
+        return np.concatenate([a_s, 0.1 * rng.normal(size=n_lam)])
+
+    def test_plain_jacobian_matches_finite_differences(self):
+        rng = np.random.default_rng(44)
+        p = random_problem(rng, 5, 6)
+        model = mutual_information_cost(p.prior, 0.9)
+        S = np.array([0, 2, 3, 5])
+        z = self._point(rng, S.size, p.n_states)
+        F, J = _support_system(p, model, S, z, jac=True)
+        assert F.shape == (p.n_states + S.size,) and J.shape == (F.size, z.size)
+        fd = _fd_jacobian(lambda w: _support_system(p, model, S, w)[0], z)
+        np.testing.assert_allclose(J, fd, rtol=1e-6, atol=1e-6 * np.abs(J).max())
+
+    def test_sum_zero_slice_jacobian_matches_finite_differences(self):
+        rng = np.random.default_rng(45)
+        p = random_problem(rng, 5, 6)
+        model = posterior_separable_cost(p.prior, shannon_kl_entropy(p.prior, 1.3))
+        basis = _slice_basis(p.n_states)
+        S = np.array([1, 2, 4])
+        z = self._point(rng, S.size, p.n_states - 1)
+        F, J = _support_system(p, model, S, z, basis, jac=True)
+        assert F.shape == (p.n_states + S.size - 1,) and J.shape == (F.size, z.size)
+        fd = _fd_jacobian(lambda w: _support_system(p, model, S, w, basis)[0], z)
+        np.testing.assert_allclose(J, fd, rtol=1e-6, atol=1e-6 * np.abs(J).max())
+
+    def test_no_jacobian_without_closed_form(self):
+        rng = np.random.default_rng(46)
+        p = random_problem(rng, 3, 3)
+        model = perceptual_csiszar_cost(p.prior, chi2(1.0), build_encoder(np.eye(3), p.prior))
+        z = self._point(rng, 2, 3)
+        F, J = _support_system(p, model, np.array([0, 1]), z, jac=True)
+        assert J is None and F.shape == (5,)
+
+
+_COSTS = {
+    "chi2": chi2_cost,
+    "mutual_information": mutual_information_cost,
+    "ps_kl": lambda prior: posterior_separable_cost(prior, shannon_kl_entropy(prior)),
+}
+
+
+class TestExactJacobianPolish:
+    @pytest.mark.parametrize("n", [3, 8, 20])
+    @pytest.mark.parametrize("family", sorted(_COSTS))
+    def test_agrees_with_finite_difference_path(self, n, family):
+        p = random_problem(np.random.default_rng(n), n, n, prior_floor=0.1 / n)
+        opts = SolveOptions(backend="best_response")
+        exact = solve(p, _COSTS[family](p.prior), opts)
+        fd_model = _COSTS[family](p.prior)
+        fd_model.hess_rows = lambda X: None
+        fd = solve(p, fd_model, opts)
+        for sol in (exact, fd):
+            assert sol.converged
+            assert max(sol.residual_alpha, sol.residual_lambda) <= opts.tol
+        assert exact.value == pytest.approx(fd.value, abs=1e-12)
+
+    def test_polish_root_work_stays_bounded(self, monkeypatch):
+        # chi2 multipliers are statewise closed forms, so every root call of
+        # this solve belongs to the polish; finite-difference Jacobians need
+        # about 7,100 evaluations here and the exact ones about 1,400
+        nfev = []
+        real_root = solver.scipy_root
+
+        def counting_root(*args, **kwargs):
+            res = real_root(*args, **kwargs)
+            nfev.append(int(res.nfev))
+            return res
+
+        monkeypatch.setattr(solver, "scipy_root", counting_root)
+        p = random_problem(np.random.default_rng(20), 20, 20, prior_floor=0.1 / 20)
+        sol = solve(p, chi2_cost(p.prior))
+        assert sol.converged
+        assert 0 < sum(nfev) < 2000
+

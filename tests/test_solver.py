@@ -284,6 +284,16 @@ class TestMutualInformationRoute:
                         a.rule.posterior(idx), b.rule.posterior(idx), atol=1e-6
                     )
 
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    def test_converged_means_residuals_within_tol(self, tol):
+        rng = np.random.default_rng(7)
+        problems = [random_problem(np.random.default_rng(30), 30, 30, prior_floor=0.2 / 30)]
+        problems += [random_problem(rng, n, n) for n in (3, 5, 8)]
+        for p in problems:
+            sol = solve_mutual_information(p, 1.0, SolveOptions(tol=tol))
+            assert sol.converged
+            assert max(sol.residual_alpha, sol.residual_lambda) <= tol
+
     def test_modified_logit_identity(self):
         rng = np.random.default_rng(12)
         p = random_problem(rng, 3, 3)
