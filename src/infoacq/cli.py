@@ -7,6 +7,7 @@ import csv
 import io as _io
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -14,7 +15,7 @@ from . import analysis, io
 from .catalog import distance_encoder, one_dim_binary
 from .core import ValidationError
 from .oracle import brute_force_solve, verify_focs
-from .solver import multiplier_bounds, replace_options, solve
+from .solver import duality_certificate, multiplier_bounds, solve
 from .transform import shift_transform
 
 EXIT_OK = 0
@@ -34,7 +35,7 @@ def cmd_solve(args) -> int:
     model = io.load_cost(args.cost, problem)
     opts = io.load_options(args.opts)
     if args.seed is not None:
-        opts = replace_options(opts, seed=args.seed)
+        opts = replace(opts, seed=args.seed)
     sol = solve(problem, model, opts)
     text = io.dumps(io.solution_to_dict(sol)) + "\n"
     _write_out(text, args.out)
@@ -55,8 +56,6 @@ def cmd_verify(args) -> int:
         raise ValidationError(f"solution file: missing entry {exc}") from exc
     box = multiplier_bounds(problem, model)
     report = verify_focs(problem, model, alpha, lam, box)
-    from .solver import duality_certificate
-
     gap = duality_certificate(problem, model, alpha, lam, box)
     tol = data.get("tol", 1e-8)
     lines = {
@@ -217,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="tabulate an application curve as CSV")
     p_sweep.add_argument("--spec", required=True)
     p_sweep.add_argument("--out")
-    p_sweep.add_argument("--seed", type=int)
     p_sweep.add_argument("--parallel", type=int, default=0)
     p_sweep.set_defaults(func=cmd_sweep)
     return parser

@@ -195,7 +195,7 @@ def load_cost(path: str, problem: DecisionProblem) -> CostModel:
 
 
 def options_from_dict(data: dict) -> SolveOptions:
-    known = {"backend", "tol", "max_iter", "seed", "box_override", "exploit_symmetry", "polish"}
+    known = {"backend", "tol", "max_iter", "seed", "box_override", "polish"}
     unknown = set(data) - known
     if unknown:
         raise ValidationError(f"unknown option keys: {sorted(unknown)}")

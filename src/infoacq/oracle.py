@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ChoiceRule, DecisionProblem, ValidationError
-from .costs import CostModel, CsiszarCost, PosteriorSeparableCost
+from .costs import CostModel, CsiszarCost
 from .solver import MultiplierBox, foc_residuals
 
 EVAL_CAP = 100_000_000
@@ -135,11 +135,6 @@ def _chunk_costs(chunk: np.ndarray, problem: DecisionProblem, model: CostModel) 
         return out
     if isinstance(model, CsiszarCost) and m == 2:
         return _golden_reference_min(chunk, prior, model.transform)
-    if isinstance(model, PosteriorSeparableCost):
-        out = np.empty(B)
-        for b in range(B):
-            out[b] = model.primal_cost(ChoiceRule.build(problem, chunk[b]))
-        return out
     out = np.empty(B)
     for b in range(B):
         out[b] = model.primal_cost(ChoiceRule.build(problem, chunk[b]))

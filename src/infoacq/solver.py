@@ -31,8 +31,6 @@ from .core import (
     ChoiceRule,
     DecisionProblem,
     ValidationError,
-    detect_symmetries,
-    is_transitive_on_states,
     validate_problem,
 )
 from .costs import (
@@ -57,7 +55,6 @@ class SolveOptions:
     max_iter: int = 200000
     box_override: float | None = None
     seed: int = 0
-    exploit_symmetry: bool = True
     polish: bool = True
 
     def __post_init__(self):
@@ -720,19 +717,14 @@ def solve(problem: DecisionProblem, model: CostModel, opts: SolveOptions | None 
         raise ValidationError("cost model and problem must share the prior")
     if isinstance(model, PerceptualCsiszarCost) and opts.backend == "closed_form_auto":
         return solve_perceptual(problem, model.transform, model.encoder, opts)
-    box = multiplier_bounds(problem, model)
-    if opts.box_override is not None:
-        box = replace(box, bound=float(opts.box_override), detail="user override")
-    symmetric = False
-    if opts.exploit_symmetry and problem.n_states <= 8:
-        group = detect_symmetries(problem)
-        symmetric = len(group) > 1 and is_transitive_on_states(group, problem.n_states)
-
     backend = opts.backend
     if backend == "closed_form_auto":
         if isinstance(model, CsiszarCost) and model.transform.family == "shannon":
             return solve_mutual_information(problem, model.transform.params["kappa"], opts)
         backend = "best_response"
+    box = multiplier_bounds(problem, model)
+    if opts.box_override is not None:
+        box = replace(box, bound=float(opts.box_override), detail="user override")
 
     for attempt in range(2):
         if backend == "best_response":
@@ -745,17 +737,7 @@ def solve(problem: DecisionProblem, model: CostModel, opts: SolveOptions | None 
         if attempt == 1:
             raise SolverError("multiplier escaped the enlarged search box")
         box = replace(box, bound=box.bound * 10.0, detail="enlarged after box violation")
-    return _assemble(
-        problem,
-        model,
-        alpha,
-        lam,
-        iters,
-        converged,
-        backend,
-        box,
-        extra={"symmetric_problem": symmetric},
-    )
+    return _assemble(problem, model, alpha, lam, iters, converged, backend, box)
 
 
 # ---------------------------------------------------------------------------
@@ -880,7 +862,7 @@ def solve_perceptual(
     opts = opts or SolveOptions()
     reduced, groups, _ = _reduced_problem(problem, encoder)
     inner_model = csiszar_cost(reduced.prior, transform)
-    inner_opts = replace_options(opts, backend="best_response")
+    inner_opts = replace(opts, backend="best_response")
     rsol = solve(reduced, inner_model, inner_opts)
 
     m = problem.n_actions
@@ -952,20 +934,6 @@ def _continuity_ok(rows, K):
             if np.max(np.abs(rows[s] - rows[t])) > bound + 1e-9:
                 return False
     return True
-
-
-def replace_options(opts: SolveOptions, **kw) -> SolveOptions:
-    data = {
-        "backend": opts.backend,
-        "tol": opts.tol,
-        "max_iter": opts.max_iter,
-        "box_override": opts.box_override,
-        "seed": opts.seed,
-        "exploit_symmetry": opts.exploit_symmetry,
-        "polish": opts.polish,
-    }
-    data.update(kw)
-    return SolveOptions(**data)
 
 
 # ---------------------------------------------------------------------------
@@ -1048,5 +1016,4 @@ __all__ = [
     "payoff_arguments",
     "saddle_value",
     "evaluate",
-    "replace_options",
 ]

@@ -6,7 +6,7 @@ import pytest
 
 from infoacq import io
 from infoacq.cli import main
-from infoacq.core import validate_problem
+from infoacq.core import ValidationError, validate_problem
 
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
 
@@ -367,3 +367,7 @@ class TestFileFormats:
         path.write_text('{"tol": 1e-8, "bogus": 1}')
         with pytest.raises(Exception, match="bogus"):
             io.load_options(str(path))
+
+    def test_removed_symmetry_option_rejected(self):
+        with pytest.raises(ValidationError, match="exploit_symmetry"):
+            io.options_from_dict({"exploit_symmetry": True})

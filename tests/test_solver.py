@@ -233,7 +233,11 @@ class TestSolve:
         from infoacq.core import detect_symmetries
 
         p = guess_the_state(3, 1.3)
-        for m in (mutual_information_cost(p.prior, 1.0), chi2_cost(p.prior, 1.0)):
+        for m in (
+            mutual_information_cost(p.prior, 1.0),
+            chi2_cost(p.prior, 1.0),
+            posterior_separable_cost(p.prior, shannon_kl_entropy(p.prior, 1.0)),
+        ):
             sol = solve(p, m)
             group = detect_symmetries(p)
             P = sol.rule.rows
@@ -241,6 +245,19 @@ class TestSolve:
                 for s in range(p.n_states):
                     for a in range(p.n_actions):
                         assert P[g[s], a] == pytest.approx(P[s, sigma[a]], abs=1e-7)
+
+    def test_solve_runs_no_symmetry_search(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("solve searched for problem symmetries")
+
+        monkeypatch.setattr("infoacq.core._match_actions", fail)
+        p = guess_the_state(4, 1.0)
+        for m in (
+            mutual_information_cost(p.prior, 1.0),
+            chi2_cost(p.prior, 1.0),
+            posterior_separable_cost(p.prior, shannon_kl_entropy(p.prior, 1.0)),
+        ):
+            assert solve(p, m).converged
 
     def test_binary_choice_bolder_with_higher_stakes(self):
         rng = np.random.default_rng(10)
