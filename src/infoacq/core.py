@@ -272,20 +272,6 @@ def detect_symmetries(
     return out
 
 
-def is_transitive_on_states(group, n_states: int) -> bool:
-    """True when the detected permutations act transitively on state indices."""
-    reach = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for g, _ in group:
-            j = g[i]
-            if j not in reach:
-                reach.add(j)
-                frontier.append(j)
-    return len(reach) == n_states
-
-
 def normalize_binary(problem: DecisionProblem) -> DecisionProblem:
     """Rewrite a two-action problem so the second action pays zero everywhere.
 

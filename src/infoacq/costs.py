@@ -11,6 +11,9 @@ once, in :func:`scale`, and never re-implemented by a family.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -85,16 +88,73 @@ def build_encoder(rows, prior, attributes=None) -> Encoder:
 # entropies over posteriors
 
 
+# numeric-conjugate results kept per entropy; least recently used go first
+MEMO_CAPACITY = 1024
+
+
+class _ConjugateMemo(Mapping):
+    """LRU map from rounded queries to ``(H*(x), argmax)``, safe across threads.
+
+    Keys are the bytes of the query rounded at 1e-12, so the stored queries
+    can be read back for the nearest-neighbour warm start.
+    """
+
+    def __init__(self):
+        self._data: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __getitem__(self, key):
+        with self._lock:
+            return self._data[key]
+
+    def __iter__(self):
+        with self._lock:
+            return iter(list(self._data))
+
+    def __len__(self):
+        return len(self._data)
+
+    def get(self, key, default=None):
+        with self._lock:
+            out = self._data.get(key)
+            if out is None:
+                return default
+            self._data.move_to_end(key)
+            return out
+
+    def put(self, key, value) -> None:
+        with self._lock:
+            self._data[key] = value
+            self._data.move_to_end(key)
+            while len(self._data) > MEMO_CAPACITY:
+                self._data.popitem(last=False)
+
+    def nearest_argmax(self, x: np.ndarray):
+        """Argmax stored for the query closest to x in sup norm modulo constants."""
+        with self._lock:
+            if not self._data:
+                return None
+            keys = list(self._data)
+            Y = np.frombuffer(b"".join(keys), dtype=float).reshape(len(keys), -1)
+            D = x[None, :] - Y
+            best = keys[int(np.argmin(D.max(axis=1) - D.min(axis=1)))]
+            return self._data[best][1]
+
+
 @dataclass
 class Entropy:
     """A convex entropy over posteriors with H(prior) = 0.
 
     Either closed-form conjugate evaluators are supplied, or the conjugate is
-    computed numerically by entropic mirror ascent; numeric solutions are
-    memoized per instance with the query rounded at 1e-12.  Closed forms may
-    also come row-batched: ``conj_rows_fn``, ``conj_grad_rows_fn`` and
-    ``conj_hess_rows_fn`` map an ``(m, n)`` matrix of posterior-space vectors
-    to ``(m,)`` values, ``(m, n)`` gradients and ``(m, n, n)`` Hessians.
+    computed numerically by :func:`numeric_conjugate`, whose results are
+    kept per instance in an LRU memo of ``MEMO_CAPACITY`` entries keyed on
+    the query rounded at 1e-12.  Closed forms may also come row-batched:
+    ``conj_rows_fn``, ``conj_grad_rows_fn`` and ``conj_hess_rows_fn`` map an
+    ``(m, n)`` matrix of posterior-space vectors to ``(m,)`` values,
+    ``(m, n)`` gradients and ``(m, n, n)`` Hessians.  ``hess_fn`` is the
+    Hessian of H itself; it gives the numeric conjugate exact Newton steps,
+    and an entropy with it but no closed-form conjugate gets
+    ``conj_hess_rows_fn`` from the implicit function theorem.
     """
 
     family: str
@@ -111,9 +171,14 @@ class Entropy:
     conj_rows_fn: Callable[[np.ndarray], np.ndarray] | None = None
     conj_grad_rows_fn: Callable[[np.ndarray], np.ndarray] | None = None
     conj_hess_rows_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    hess_fn: Callable[[np.ndarray], np.ndarray] | None = None
     numeric_tol: float = 1e-9
     numeric_cap: int = 100000
-    _memo: dict = field(default_factory=dict, repr=False)
+    _memo: _ConjugateMemo = field(default_factory=_ConjugateMemo, repr=False)
+
+    def __post_init__(self):
+        if self.conj_fn is None and self.hess_fn is not None and self.conj_hess_rows_fn is None:
+            self.conj_hess_rows_fn = lambda Y: _implicit_conj_hess_rows(self, Y)
 
     def value(self, p) -> float:
         return float(self.value_fn(np.asarray(p, dtype=float)))
@@ -131,13 +196,38 @@ class Entropy:
         return numeric_conjugate(self, x)[1]
 
 
+def _implicit_conj_hess_rows(h: Entropy, Y) -> np.ndarray:
+    """Conjugate Hessians of the rows of Y by the implicit function theorem.
+
+    At the argmax p the stationarity system ``y_f - dH(p)_f = c 1``,
+    ``1.p_f = 1`` holds on the face ``f = {p > 1e-10}``; differentiating it
+    gives dp_f/dy_f as the top-left block of ``[[d2H(p)_ff, 1], [1^T, 0]]^-1``.
+    Coordinates off the face stay at zero.
+    """
+    Y = np.asarray(Y, dtype=float)
+    m, n = Y.shape
+    out = np.zeros((m, n, n))
+    for r in range(m):
+        p = numeric_conjugate(h, Y[r])[1]
+        f = np.flatnonzero(p > 1e-10)
+        k = f.size
+        B = np.zeros((k + 1, k + 1))
+        B[:k, :k] = np.asarray(h.hess_fn(np.maximum(p, 1e-300)), dtype=float)[np.ix_(f, f)]
+        B[:k, k] = 1.0
+        B[k, :k] = 1.0
+        # pinv: the bordered matrix is singular where H is linear on the face
+        out[r][np.ix_(f, f)] = np.linalg.pinv(B)[:k, :k]
+    return out
+
+
 def _stationarity_polish(h: Entropy, x: np.ndarray, p0: np.ndarray, face=None):
     """Stationarity refinement: x - dH(p) constant on the optimal face.
 
     Positivity is kept through a log parametrization.  When ``face`` marks a
     strict subset of coordinates, the rest are pinned at zero (a boundary
-    argmax is possible only where the entropy keeps a finite slope).  Returns
-    the refined point or None when the root search fails.
+    argmax is possible only where the entropy keeps a finite slope).  With a
+    ``hess_fn`` the Newton steps use the exact Jacobian.  Returns the refined
+    point or None when the root search fails.
     """
     from scipy.optimize import root as scipy_root
 
@@ -161,8 +251,21 @@ def _stationarity_polish(h: Entropy, x: np.ndarray, p0: np.ndarray, face=None):
         grad = np.asarray(h.grad_fn(np.maximum(q, 1e-300)), dtype=float)
         return np.concatenate([x[idx] - grad[idx] - z[-1], [q.sum() - 1.0]])
 
+    def J(z):
+        q = assemble(z)
+        q_f = q[idx]
+        hess = np.asarray(h.hess_fn(np.maximum(q, 1e-300)), dtype=float)[np.ix_(idx, idx)]
+        k = idx.size
+        out = np.zeros((k + 1, k + 1))
+        out[:k, :k] = -hess * q_f[None, :]
+        out[:k, k] = -1.0
+        out[k, :k] = q_f
+        return out
+
     try:
-        res = scipy_root(F, z0, method="hybr", options={"xtol": 1e-13})
+        res = scipy_root(
+            F, z0, jac=J if h.hess_fn is not None else None, method="hybr", options={"xtol": 1e-13}
+        )
     except Exception:
         return None
     if not np.all(np.isfinite(res.x)):
@@ -177,11 +280,17 @@ def _stationarity_polish(h: Entropy, x: np.ndarray, p0: np.ndarray, face=None):
 def numeric_conjugate(h: Entropy, x, tol=None, max_iter=None):
     """(H*(x), argmax p) for the supremum of p.x - H(p) over the simplex.
 
-    Entropic mirror ascent from the prior with backtracking steps, plus an
-    interior stationarity refinement once the iterate is close; stops when
-    the simplex stationarity gap max(g) - p.g of the gradient g = x - dH(p)
-    falls below tolerance.  The argmax equals the conjugate gradient.
-    Raises on non-convergence within the iteration cap.
+    Certified by the simplex stationarity gap max(g) - p.g of the gradient
+    g = x - dH(p) falling below tolerance; the argmax equals the conjugate
+    gradient.  Results are memoized in ``h._memo`` (LRU, ``MEMO_CAPACITY``
+    entries).  On a miss whose prior is not already certified, a Newton
+    solve of the stationarity system starts from the memoized argmax of the
+    nearest stored query (sup norm modulo constants).  Only when that fails
+    does entropic mirror ascent with backtracking steps run from the prior,
+    with periodic Newton attempts.  Every certified point is finished by the
+    same Newton refinement on its support, so the argmax is accurate to
+    rounding whichever path reached it.  Raises on non-convergence within
+    the iteration cap.
     """
     x = np.asarray(x, dtype=float)
     tol = h.numeric_tol if tol is None else tol
@@ -216,24 +325,35 @@ def numeric_conjugate(h: Entropy, x, tol=None, max_iter=None):
                 return refined
         return None
 
+    def finish(p, refine=True):
+        if refine:
+            refined = _stationarity_polish(h, x, p, p > 1e-10)
+            if refined is not None and gap_at(refined) <= tol:
+                p = refined
+        out = (float(p @ x) - h.value(p), p)
+        h._memo.put(key, out)
+        return out
+
     p = h.prior.copy()
+    if gap_at(p) <= tol:
+        return finish(p)
+    start = h._memo.nearest_argmax(x)
+    if start is not None:
+        refined = try_polish(start)
+        if refined is not None:
+            return finish(refined, refine=False)
     obj = float(p @ x) - h.value(p)
     eta = 1.0
     polish_at = 50
     for it in range(1, cap + 1):
         g = x - np.asarray(h.grad_fn(p), dtype=float)
-        gap = gap_at(p)
-        if gap <= tol:
-            out = (obj, p)
-            h._memo[key] = out
-            return out
+        if gap_at(p) <= tol:
+            return finish(p)
         if it >= polish_at:
             polish_at = 2 * polish_at
             refined = try_polish(p)
             if refined is not None:
-                out = (float(refined @ x) - h.value(refined), refined)
-                h._memo[key] = out
-                return out
+                return finish(refined, refine=False)
         stepped = False
         for _ in range(60):
             cand = p * np.exp(eta * (g - g.max()))
@@ -252,9 +372,7 @@ def numeric_conjugate(h: Entropy, x, tol=None, max_iter=None):
             break
     refined = try_polish(p)
     if refined is not None:
-        out = (float(refined @ x) - h.value(refined), refined)
-        h._memo[key] = out
-        return out
+        return finish(refined, refine=False)
     raise RuntimeError(
         f"numeric conjugate did not reach gap {tol:.1e} within {cap} iterations"
     )
@@ -396,7 +514,9 @@ def neighborhood_hw_entropy(prior, neighborhoods) -> Entropy:
     """Weighted sum of within-neighborhood divergences from the conditional prior.
 
     ``neighborhoods`` is an iterable of ``(state_indices, weight)`` pairs;
-    the conjugate has no closed form and is computed numerically.
+    the conjugate has no closed form and is computed numerically, with the
+    closed-form Hessian of H driving its Newton steps and the implicit
+    conjugate Hessian.
     """
     prior = clean_weights(prior, "prior")
     blocks = []
@@ -427,6 +547,14 @@ def neighborhood_hw_entropy(prior, neighborhoods) -> Entropy:
             cond = np.maximum(p[idx] / max(mass, 1e-300), 1e-300)
             g[idx] += kap * np.log(cond / pi_b)
         return g
+
+    def hess(p):
+        # each block adds kap (diag(1 / p_b) - 1 1^T / m_b), m_b its mass
+        H = np.zeros((p.size, p.size))
+        for idx, kap, _ in blocks:
+            p_b = np.maximum(p[idx], 1e-300)
+            H[np.ix_(idx, idx)] += kap * (np.diag(1.0 / p_b) - 1.0 / p_b.sum())
+        return H
 
     def gap(x, p):
         """Stationarity gap that prices entry into empty neighborhoods.
@@ -479,7 +607,7 @@ def neighborhood_hw_entropy(prior, neighborhoods) -> Entropy:
                 winners |= mask
         return [winners, winners | (p > 1e-10), winners | (p > 1e-4)]
 
-    return Entropy("neighborhood_hw", prior, value, None, None, grad, gap, faces)
+    return Entropy("neighborhood_hw", prior, value, None, None, grad, gap, faces, hess_fn=hess)
 
 
 def numeric_entropy(prior, value_fn, grad_fn) -> Entropy:

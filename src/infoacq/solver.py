@@ -314,6 +314,11 @@ def _inner_minimize(problem, model, alpha, lam0, box, inner_tol=1e-11, max_sweep
         _, G = evaluate(problem, model, l)
         return alpha @ G - 1.0
 
+    # a start that already meets the mass conditions is kept: near a
+    # solution the system is close to singular and a root search can walk off
+    if float(np.max(np.abs(residual(lam)))) <= inner_tol:
+        return lam
+
     # fast path: smooth root on the mass conditions (projected to the
     # sum-zero slice for translation-invariant conjugates, where one
     # condition is redundant)

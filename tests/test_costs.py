@@ -1,10 +1,13 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from infoacq.core import ChoiceRule, validate_problem
 from infoacq.costs import (
+    MEMO_CAPACITY,
     build_encoder,
     chi2_cost,
     csiszar_cost,
@@ -249,6 +252,84 @@ class TestNumericConjugate:
         first = numeric_conjugate(h, x)
         second = numeric_conjugate(h, x)
         assert first is second
+
+    def test_memo_is_a_bounded_lru(self):
+        h = neighborhood_hw_entropy(np.array([0.6, 0.4]), [((0, 1), 1.0)])
+        extra = 7
+        # constant queries are certified at the prior, so each miss is cheap
+        queries = [np.full(2, 1e-3 * i) for i in range(MEMO_CAPACITY + extra)]
+        results = [numeric_conjugate(h, x) for x in queries]
+        assert len(h._memo) == MEMO_CAPACITY
+        for x, out in zip(queries[-extra:], results[-extra:]):
+            assert numeric_conjugate(h, x) is out
+        assert numeric_conjugate(h, queries[0]) is not results[0]  # evicted
+        assert len(h._memo) == MEMO_CAPACITY
+
+    def test_memo_shared_across_threads(self):
+        # six threads insert, touch and scan the memo of one entropy; an
+        # unguarded memo evicts a key between lookup and reordering
+        memo = neighborhood_hw_entropy(np.array([0.6, 0.4]), [((0, 1), 1.0)])._memo
+        workers, per_worker = 6, 4 * MEMO_CAPACITY
+        errors = []
+
+        def work(w):
+            try:
+                for i in range(per_worker):
+                    memo.put(np.array([w, i], dtype=float).tobytes(), (float(i), np.ones(2)))
+                    memo.get(np.array([w, max(i - 1, 0)], dtype=float).tobytes())
+                    if i % 512 == 0:
+                        memo.nearest_argmax(np.array([w, i], dtype=float))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(memo) == MEMO_CAPACITY
+
+    def test_entropy_hessian_matches_central_differences_of_gradient(self):
+        prior = np.array([0.2, 0.3, 0.1, 0.4])
+        h = neighborhood_hw_entropy(prior, [((0, 1, 2, 3), 0.07), ((0, 1), 0.7), ((2, 3), 0.5)])
+        rng = np.random.default_rng(14)
+        for _ in range(5):
+            p = rng.dirichlet(np.ones(4))
+            fd = np.column_stack(
+                [(h.grad_fn(p + e) - h.grad_fn(p - e)) / 2e-6 for e in 1e-6 * np.eye(4)]
+            )
+            np.testing.assert_allclose(h.hess_fn(p), fd, rtol=0, atol=1e-7)
+
+    def test_cold_and_warm_memo_agree(self):
+        prior = np.array([0.2, 0.3, 0.1, 0.4])
+        hoods = [((0, 1, 2, 3), 0.07), ((0, 1), 0.7), ((2, 3), 0.5)]
+        rng = np.random.default_rng(15)
+        for _ in range(5):
+            x = rng.normal(size=4)
+            cold = numeric_conjugate(neighborhood_hw_entropy(prior, hoods), x)
+            warm_h = neighborhood_hw_entropy(prior, hoods)
+            numeric_conjugate(warm_h, x + 0.05 * rng.normal(size=4))
+            warm = numeric_conjugate(warm_h, x)
+            assert warm[0] == pytest.approx(cold[0], abs=1e-12)
+            np.testing.assert_allclose(warm[1], cold[1], rtol=0, atol=1e-12)
+
+    def test_mirror_symmetric_inputs_give_mirrored_argmaxes(self):
+        h = neighborhood_hw_entropy(np.full(4, 0.25), [((0, 1, 2, 3), 0.1), ((0, 1), 1.0), ((2, 3), 1.0)])
+        mirror = [1, 0, 3, 2]
+        rng = np.random.default_rng(16)
+        for _ in range(5):
+            x = rng.normal(size=4)
+            val, arg = numeric_conjugate(h, x)
+            val_m, arg_m = numeric_conjugate(h, x[mirror])
+            assert val_m == pytest.approx(val, abs=1e-12)
+            np.testing.assert_allclose(arg_m, arg[mirror], rtol=0, atol=1e-12)
 
 
 class TestPrimalCost:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from infoacq.analysis import multitask_experiment
 from infoacq.catalog import (
     distance_encoder,
     exchangeable_problem,
@@ -15,9 +16,11 @@ from infoacq.costs import (
     chi2_cost,
     csiszar_cost,
     mutual_information_cost,
+    neighborhood_hw_cost,
     posterior_separable_cost,
     shannon_kl_entropy,
 )
+from infoacq.oracle import verify_focs
 from infoacq.solver import (
     SolveOptions,
     chi2_multiplier,
@@ -466,3 +469,46 @@ class TestCertificate:
         sol = solve(p, m)
         assert sol.gap == pytest.approx(0.0, abs=1e-12)
         assert sol.value == pytest.approx(0.05, abs=1e-10)
+
+
+class TestNeighborhoodSolves:
+    """Inputs on which the numeric-conjugate path used to run for minutes."""
+
+    def _assert_solved(self, sol):
+        assert sol.converged
+        rep = verify_focs(sol.problem, sol.model, sol.alpha, sol.lam)
+        assert rep.within(1e-8)
+
+    # 0.2512... ran past 90 s before exact conjugates; 0.05 hangs with them
+    # unless the inner minimization keeps a start that already fits
+    @pytest.mark.parametrize("kappa", [0.25125073093634503, 0.05])
+    def test_multitask_tree_at_a_former_hang(self, kappa):
+        hoods = [((0, 1, 2, 3), kappa / 10), ((0, 1), kappa), ((2, 3), kappa)]
+        rep = multitask_experiment(None, None, model_builder=lambda p: neighborhood_hw_cost(p.prior, hoods))
+        for sol in rep.solutions:
+            self._assert_solved(sol)
+
+    @pytest.mark.parametrize(
+        "reward, hoods",
+        [
+            (0.5, [((1, 2), 0.6), ((0, 1, 2), 0.9)]),
+            (2.0, [((0, 2), 0.8), ((0, 1, 2), 0.4)]),
+        ],
+    )
+    def test_guess_the_state_at_former_hangs(self, reward, hoods):
+        p = guess_the_state(3, reward)
+        self._assert_solved(solve(p, neighborhood_hw_cost(p.prior, hoods)))
+
+    def test_inner_minimize_keeps_a_start_that_fits(self, monkeypatch):
+        from infoacq import solver
+
+        p = guess_the_state(3, 1.0)
+        model = neighborhood_hw_cost(p.prior, [((0, 2), 0.8), ((0, 1, 2), 0.4)])
+        alpha = np.array([0.5, 0.3, 0.2])
+        lam = solver._inner_minimize(p, model, alpha, None, None)
+
+        calls = []
+        monkeypatch.setattr(solver, "scipy_root", lambda *a, **k: calls.append(1))
+        again = solver._inner_minimize(p, model, alpha, lam, None)
+        assert calls == []
+        np.testing.assert_array_equal(again, lam - lam.sum() * p.prior)
