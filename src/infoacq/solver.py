@@ -12,10 +12,12 @@ maximal on the support of alpha, and the reconstructed rows
     P[s, a] = alpha(a) * grad_s f*(a pi - lambda)
 
 sum to one in every state.  Backends: an exact-inner-minimization best
-response with an active-set Newton polish, an extragradient (mirror-prox)
-scheme on the boxed multiplier, and closed-form routes for mutual
-information (multiplicative fixed point) and perceptual costs (reduction to
-the attribute problem).
+response and an extragradient (mirror-prox) scheme on the boxed multiplier,
+both finished by a semismooth Newton polish of the Fischer-Burmeister form
+of these conditions, and closed-form routes for mutual information
+(multiplicative fixed point) and perceptual costs (reduction to the
+attribute problem).  The polish uses exact Jacobians from the conjugate
+Hessians where the model has them, and forward differences otherwise.
 """
 
 from __future__ import annotations
@@ -284,7 +286,7 @@ def _mi_statewise(alpha, payoffs_state, kappa):
     return kappa * (mx + math.log(np.exp(logits - mx).sum()))
 
 
-def _inner_minimize(problem, model, alpha, lam0, box, inner_tol=1e-11, max_sweeps=400):
+def _inner_minimize(problem, model, alpha, lam0, inner_tol=1e-11, max_sweeps=400):
     """Exact best response in the multiplier given alpha.
 
     Statewise for separable costs; cyclic coordinate root finding otherwise,
@@ -372,7 +374,7 @@ def _inner_minimize(problem, model, alpha, lam0, box, inner_tol=1e-11, max_sweep
 
 
 # ---------------------------------------------------------------------------
-# Newton polish on the active set
+# semismooth Newton polish on the Fischer-Burmeister system
 
 
 def _slice_basis(n: int) -> np.ndarray:
@@ -382,142 +384,126 @@ def _slice_basis(n: int) -> np.ndarray:
     return u[:, : n - 1]
 
 
-def _support_system(problem, model, S, z, basis=None, jac=False):
-    """Residual F and Jacobian J of the optimality system on the support S.
+def _kkt_system(problem, model, z, basis=None, jac=False):
+    """Residual F and generalized Jacobian J of the optimality system.
 
-    The unknowns are ``z = (alpha_S, lambda)``, with ``lambda = basis @ w``
-    on the sum-zero slice when a basis is given.  F stacks the mass
-    conditions ``sum_a alpha_a G_a - 1``, the equal-value conditions
-    ``v_a - v_{S[0]}`` and, off the slice, ``sum alpha_S - 1``.  J is built
-    from closed-form Hessians only when ``jac`` is set and the model has
-    them; otherwise it is None.
+    The unknowns are ``z = (alpha, t, lambda)`` over all actions, with
+    ``lambda = basis @ w`` on the sum-zero slice when a basis is given.  F
+    stacks ``phi(alpha_a, t - v_a)`` for every action, where the
+    Fischer-Burmeister function ``phi(a, b) = a + b - sqrt(a^2 + b^2)``
+    vanishes exactly when ``a >= 0``, ``b >= 0`` and ``a b = 0``; the mass
+    conditions ``sum_a alpha_a G_a - 1``; and, off the slice,
+    ``sum alpha - 1``.  J is built from closed-form Hessians only when
+    ``jac`` is set and the model has them; otherwise it is None.  At the
+    kink ``a = b = 0`` it takes the element ``1 - 1/sqrt(2)`` for both
+    partial derivatives of phi.
     """
-    k = S.size
-    a_s = z[:k]
-    lam = basis @ z[k:] if basis is not None else z[k:]
-    alpha = np.zeros(problem.n_actions)
-    alpha[S] = a_s
+    m = problem.n_actions
+    alpha, t = z[:m], z[m]
+    lam = basis @ z[m + 1 :] if basis is not None else z[m + 1 :]
     v, G = evaluate(problem, model, lam)
-    r1 = alpha @ G - 1.0
-    r2 = v[S[1:]] - v[S[0]]
-    if basis is not None:
-        F = np.concatenate([r1, r2])
-    else:
-        F = np.concatenate([r1, r2, [a_s.sum() - 1.0]])
-    H = _weighted_hessian(model, payoff_arguments(problem, lam)[S], a_s) if jac else None
+    b = t - v
+    r = np.hypot(alpha, b)
+    parts = [alpha + b - r, alpha @ G - 1.0]
+    if basis is None:
+        parts.append([alpha.sum() - 1.0])
+    F = np.concatenate(parts)
+    H = _weighted_hessian(model, payoff_arguments(problem, lam), alpha) if jac else None
     if H is None:
         return F, None
-    G_S = G[S]
-    J_alpha = np.vstack([G_S.T, np.zeros((k - 1, k))])
-    J_lam = np.vstack([-H, -(G_S[1:] - G_S[0])])
+    kink = r == 0.0
+    r = np.where(kink, 1.0, r)
+    d_a = np.where(kink, 1.0 - math.sqrt(0.5), 1.0 - alpha / r)
+    d_b = np.where(kink, 1.0 - math.sqrt(0.5), 1.0 - b / r)
+    J_lam = np.vstack([d_b[:, None] * G, -H])
     if basis is not None:
         J_lam = J_lam @ basis
-    else:
-        J_alpha = np.vstack([J_alpha, np.ones((1, k))])
-        J_lam = np.vstack([J_lam, np.zeros((1, J_lam.shape[1]))])
-    return F, np.hstack([J_alpha, J_lam])
+    J_alpha = np.vstack([np.diag(d_a), G.T])
+    J_t = np.concatenate([d_b, np.zeros(G.shape[1])])
+    J = np.hstack([J_alpha, J_t[:, None], J_lam])
+    if basis is None:
+        J = np.vstack([J, np.concatenate([np.ones(m), np.zeros(J.shape[1] - m)])])
+    return F, J
 
 
-def _polish_once(problem, model, alpha0, lam0, support, tol):
-    """One active-set Newton pass over a candidate support; None on failure."""
-    n = problem.n_states
-    m = problem.n_actions
-    ps = model.translation_invariant
-    basis = _slice_basis(n) if ps else None
-    has_hessian = _has_hessian(problem, model)
-    support = sorted(set(support))
-    for _ in range(2 * m + 2):
-        S = np.array(support, dtype=int)
-        k = S.size
-        a0 = np.maximum(alpha0[S], 1e-12)
-        a0 = a0 / a0.sum()
-        if ps:
-            l0 = lam0 - lam0.sum() * problem.prior
-            z0 = np.concatenate([a0, basis.T @ l0])
-        else:
-            z0 = np.concatenate([a0, lam0])
-
-        def F(z):
-            return _support_system(problem, model, S, z, basis)[0]
-
-        def J(z):
-            return _support_system(problem, model, S, z, basis, jac=True)[1]
-
-        try:
-            res = scipy_root(
-                F, z0, jac=J if has_hessian else None, method="hybr", options={"xtol": 1e-13}
-            )
-            failed = (not res.success) and np.max(np.abs(F(res.x))) > 1e-9
-        except Exception:
-            failed = True
-        if failed:
-            # the equal-value system may be infeasible on this support, e.g.
-            # when it includes a dominated action; retry without the lightest
-            if k == 1:
-                return None
-            drop = S[int(np.argmin(a0))]
-            support = [i for i in support if i != drop]
-            continue
-        z = res.x
-        a_s = z[:k]
-        lam = basis @ z[k:] if ps else z[k:]
-        if a_s.min() < -1e-9:
-            drop = S[int(np.argmin(a_s))]
-            support = [i for i in support if i != drop]
-            if not support:
-                return None
-            continue
-        alpha = np.zeros(m)
-        alpha[S] = np.maximum(a_s, 0.0)
-        total = alpha.sum()
-        if total <= 0:
-            return None
-        alpha /= total
-        res_a, res_l, v, _ = foc_residuals(problem, model, alpha, lam)
-        if res_a <= tol and res_l <= tol:
-            return alpha, lam
-        # an off-support action attains a strictly larger conjugate value
-        outside = [i for i in range(m) if i not in support]
-        if outside:
-            j = outside[int(np.argmax(v[outside]))]
-            if v[j] > v[S[0]] + 1e-12:
-                support.append(j)
-                continue
-        return None
-    return None
+def _fd_jacobian(F, z, Fz):
+    """Forward-difference Jacobian of F at z, given ``Fz = F(z)``."""
+    J = np.empty((Fz.size, z.size))
+    for i in range(z.size):
+        h = 1.49e-8 * max(1.0, abs(z[i]))  # square root of the float epsilon
+        e = z.copy()
+        e[i] += h
+        J[:, i] = (F(e) - Fz) / h
+    return J
 
 
-def _polish(problem, model, alpha0, lam0, support, tol):
-    """Active-set Newton polish; prefers boundary solutions over stray masses.
+def _polish_once(problem, model, alpha0, lam0):
+    """Semismooth Newton solve of the Fischer-Burmeister system from (alpha0, lam0).
 
-    Tiny positive weights produced by the square system are usually artifacts
-    of an over-wide support guess; when dropping them still verifies the
-    optimality conditions, the reduced solution wins.
+    Steps are least-squares solutions, since tied or duplicated actions make
+    the Jacobian singular, with Armijo backtracking on ``|F|^2 / 2``.  The
+    solve stops, without taking it, once a step falls below
+    ``1e-13 (1 + |z|_inf)``, so the result is the accepted iterate with the
+    smallest residual norm.  Weights
+    that the complementarity leaves at or below ``t - v_a`` are set to zero.
+    Returns ``(alpha, lam)``, or None when F is not finite at the start,
+    such as at an overflowed iterate, or no weight survives.
     """
-    got = _polish_once(problem, model, alpha0, lam0, support, tol)
+    m = problem.n_actions
+    basis = _slice_basis(problem.n_states) if model.translation_invariant else None
+    if basis is not None:
+        lam0 = lam0 - lam0.sum() * problem.prior
+    v0, _ = evaluate(problem, model, lam0)
+    z = np.concatenate([alpha0, [v0.max()], basis.T @ lam0 if basis is not None else lam0])
+    exact = _has_hessian(problem, model)
+
+    def system(x, jac=False):
+        return _kkt_system(problem, model, x, basis, jac)
+
+    F = system(z)[0]
+    if not np.all(np.isfinite(F)):
+        return None
+    for _ in range(50):
+        J = system(z, jac=True)[1] if exact else _fd_jacobian(lambda x: system(x)[0], z, F)
+        try:
+            step = np.linalg.lstsq(J, -F, rcond=None)[0]
+        except np.linalg.LinAlgError:
+            break
+        if np.max(np.abs(step)) <= 1e-13 * (1.0 + np.max(np.abs(z))):
+            break  # a rounding-level step; F may be noisier there than here
+        merit, slope = 0.5 * (F @ F), F @ (J @ step)
+        if not slope < 0.0:
+            break
+        s = 1.0
+        for _ in range(30):
+            F_new = system(z + s * step)[0]
+            if 0.5 * (F_new @ F_new) <= merit + 1e-4 * s * slope:
+                break
+            s *= 0.5
+        else:
+            break
+        z, F = z + s * step, F_new
+    alpha, t = z[:m], z[m]
+    lam = basis @ z[m + 1 :] if basis is not None else z[m + 1 :]
+    v, _ = evaluate(problem, model, lam)
+    alpha = np.where(alpha > np.maximum(t - v, 0.0), alpha, 0.0)
+    total = alpha.sum()
+    if total <= 0.0:
+        return None
+    return alpha / total, lam
+
+
+def _polish(problem, model, alpha0, lam0, tol):
+    """Newton polish from an iterate; ``(alpha, lam, score)`` when it meets tol, else None.
+
+    ``score`` is the larger FOC residual of the polished pair.
+    """
+    got = _polish_once(problem, model, alpha0, lam0)
     if got is None:
         return None
-    alpha, lam = got
-    for _ in range(problem.n_actions):
-        tiny = np.flatnonzero((alpha > 0) & (alpha < 1e-7))
-        if tiny.size == 0:
-            break
-        kept = [int(i) for i in np.flatnonzero(alpha > 0) if i not in set(tiny.tolist())]
-        if not kept:
-            break
-        retry = _polish_once(problem, model, alpha, lam, kept, tol)
-        if retry is None:
-            break
-        alpha, lam = retry
-    return alpha, lam
-
-
-def _support_guess(alpha, v, rel=1e-7):
-    vmax = float(v.max())
-    scale = max(1.0, abs(vmax))
-    keep = set(np.flatnonzero(alpha > 1e-8 * alpha.max()).tolist())
-    keep |= set(np.flatnonzero(v >= vmax - rel * scale).tolist())
-    return sorted(keep)
+    res_a, res_l, _, _ = foc_residuals(problem, model, *got)
+    score = max(res_a, res_l)
+    return (*got, score) if score <= tol else None
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +519,7 @@ def _init_alpha(m: int, seed: int) -> np.ndarray:
 
 def _best_response_backend(problem, model, opts, box):
     alpha = _init_alpha(problem.n_actions, opts.seed)
-    lam = _inner_minimize(problem, model, alpha, None, box, inner_tol=min(1e-11, opts.tol / 10))
+    lam = _inner_minimize(problem, model, alpha, None, inner_tol=min(1e-11, opts.tol / 10))
     best = (math.inf, alpha.copy(), lam.copy())
     step_scale = None
     polish_at = 3
@@ -548,21 +534,16 @@ def _best_response_backend(problem, model, opts, box):
         if score <= opts.tol:
             converged = True
             if opts.polish and score > 0.0:
-                got = _polish(problem, model, alpha, lam, _support_guess(alpha, v), opts.tol)
-                if got is not None:
-                    ra2, rl2, _, _ = foc_residuals(problem, model, *got)
-                    if max(ra2, rl2) <= score:
-                        alpha, lam = got
-                        best = (max(ra2, rl2), alpha.copy(), lam.copy())
+                got = _polish(problem, model, alpha, lam, opts.tol)
+                if got is not None and got[2] <= score:
+                    alpha, lam, _ = got
             break
         if opts.polish and (k >= polish_at or res_a <= 10 * opts.tol):
             polish_at = min(2 * polish_at + 1, polish_at + 50)
-            got = _polish(problem, model, alpha, lam, _support_guess(alpha, v), opts.tol)
+            got = _polish(problem, model, alpha, lam, opts.tol)
             if got is not None:
-                alpha, lam = got
-                res_a, res_l, v, _ = foc_residuals(problem, model, alpha, lam)
-                best = (max(res_a, res_l), alpha.copy(), lam.copy())
-                converged = max(res_a, res_l) <= opts.tol
+                alpha, lam, _ = got
+                converged = True
                 break
         vmax = float(v.max())
         if step_scale is None:
@@ -574,7 +555,7 @@ def _best_response_backend(problem, model, opts, box):
             alpha = _init_alpha(problem.n_actions, opts.seed + 1)
         else:
             alpha /= total
-        lam = _inner_minimize(problem, model, alpha, lam, box, inner_tol=min(1e-11, opts.tol / 10))
+        lam = _inner_minimize(problem, model, alpha, lam, inner_tol=min(1e-11, opts.tol / 10))
     if not converged:
         _, alpha, lam = best
     return alpha, lam, iters, converged
@@ -631,7 +612,7 @@ def _mirror_prox_backend(problem, model, opts, box):
         alpha = alpha_prox(alpha, eta * v2)
         lam = lam_prox(lam, g_l2)
         if k % 10 == 0 or k == opts.max_iter:
-            res_a, res_l, v3, _ = foc_residuals(problem, model, alpha, lam)
+            res_a, res_l, _, _ = foc_residuals(problem, model, alpha, lam)
             score = max(res_a, res_l)
             if score < best[0]:
                 best = (score, alpha.copy(), lam.copy())
@@ -639,23 +620,17 @@ def _mirror_prox_backend(problem, model, opts, box):
                 converged = True
                 break
             if opts.polish and k % 200 == 0:
-                got = _polish(problem, model, alpha, lam, _support_guess(alpha, v3), opts.tol)
+                got = _polish(problem, model, alpha, lam, opts.tol)
                 if got is not None:
-                    alpha, lam = got
-                    res_a, res_l, _, _ = foc_residuals(problem, model, alpha, lam)
-                    best = (max(res_a, res_l), alpha.copy(), lam.copy())
-                    converged = max(res_a, res_l) <= opts.tol
+                    alpha, lam, _ = got
+                    converged = True
                     break
     if opts.polish and not converged:
         _, alpha, lam = best
-        _, _, v3, _ = foc_residuals(problem, model, alpha, lam)
-        got = _polish(problem, model, alpha, lam, _support_guess(alpha, v3), opts.tol)
+        got = _polish(problem, model, alpha, lam, opts.tol)
         if got is not None:
-            alpha, lam = got
-            res_a, res_l, _, _ = foc_residuals(problem, model, alpha, lam)
-            if max(res_a, res_l) <= opts.tol:
-                converged = True
-                best = (max(res_a, res_l), alpha.copy(), lam.copy())
+            alpha, lam, _ = got
+            converged = True
     if not converged:
         _, alpha, lam = best
     return alpha, lam, iters, converged
@@ -709,7 +684,7 @@ def duality_certificate(problem, model, alpha, lam, box=None) -> float:
     """Upper-minus-lower bound from one exact best response on each side."""
     v, _ = evaluate(problem, model, lam)
     upper = float(v.max() + lam.sum())
-    lam_best = _inner_minimize(problem, model, alpha, lam.copy(), box)
+    lam_best = _inner_minimize(problem, model, alpha, lam.copy())
     v2, _ = evaluate(problem, model, lam_best)
     lower = float(alpha @ v2 + lam_best.sum())
     return upper - lower

@@ -2,6 +2,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from infoacq import io
@@ -324,6 +325,28 @@ class TestSweepCommand:
             ]
         )
         assert code == 2
+
+    def test_overflowing_mirror_prox_solve_exits_with_error_code(self, tmp_path, capsys):
+        opts = tmp_path / "opts.json"
+        opts.write_text('{"backend": "mirror_prox", "max_iter": 2000}')
+        problem = tmp_path / "p.json"
+        problem.write_text(
+            json.dumps(
+                {
+                    "states": ["s0", "s1", "s2"],
+                    "prior": [0.2, 0.35, 0.45],
+                    "actions": [
+                        {"name": "a", "payoffs": [800.0, -160.0, 240.0]},
+                        {"name": "b", "payoffs": [-400.0, 640.0, -80.0]},
+                        {"name": "c", "payoffs": [160.0, 80.0, 480.0]},
+                    ],
+                }
+            )
+        )
+        argv = ["solve", "--problem", str(problem), "--cost", sample("mi_cost.json")]
+        argv += ["--opts", str(opts), "--out", str(tmp_path / "sol.json")]
+        with np.errstate(all="ignore"):
+            assert main(argv) in (1, 2)
 
     def test_parallel_matches_serial(self, tmp_path):
         serial = tmp_path / "s.csv"

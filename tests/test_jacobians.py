@@ -18,7 +18,7 @@ from infoacq.costs import (
     scale,
     shannon_kl_entropy,
 )
-from infoacq.solver import SolveOptions, _has_hessian, _slice_basis, _support_system, solve
+from infoacq.solver import SolveOptions, _has_hessian, _kkt_system, _slice_basis, solve
 from infoacq.transform import chi2, tabulated
 
 
@@ -121,40 +121,65 @@ class TestVectorizedPosteriorSeparableRows:
 
 
 class TestSupportSystem:
-    def _point(self, rng, k, n_lam):
-        a_s = rng.dirichlet(np.ones(k))
-        return np.concatenate([a_s, 0.1 * rng.normal(size=n_lam)])
+    """The Fischer-Burmeister optimality system over all actions."""
+
+    def _point(self, rng, m, n_lam):
+        # two zero weights: action 0 keeps t - v_0 nonzero, a smooth row of
+        # phi, and _on_kink moves t onto v_1, the kink of phi at (0, 0)
+        alpha = rng.dirichlet(np.ones(m))
+        alpha[[0, 1]] = 0.0
+        return np.concatenate([alpha / alpha.sum(), [0.3], 0.1 * rng.normal(size=n_lam)])
+
+    def _on_kink(self, p, model, z, basis=None):
+        """Move t so that action 1 (weight zero) attains it: phi at (0, 0)."""
+        m = p.n_actions
+        lam = basis @ z[m + 1 :] if basis is not None else z[m + 1 :]
+        v = model.f_star_rows(solver.payoff_arguments(p, lam))
+        z = z.copy()
+        z[m] = v[1]
+        return z
+
+    def _check(self, p, model, z, basis=None):
+        m, n = p.n_actions, p.n_states
+        F, J = _kkt_system(p, model, z, basis, jac=True)
+        assert J.shape == (F.size, z.size) == (z.size, z.size)
+        fd = _fd_jacobian(lambda w: _kkt_system(p, model, w, basis)[0], z)
+        # every row but the kink row phi(alpha_1, t - v_1) is smooth at z
+        smooth = np.arange(F.size) != 1
+        np.testing.assert_allclose(J[smooth], fd[smooth], rtol=1e-6, atol=1e-6 * np.abs(J).max())
+        # the kink row takes the element 1 - 1/sqrt(2) for both arguments
+        # of phi: d alpha_1 + d t + G_1 d lambda
+        c = 1.0 - np.sqrt(0.5)
+        g_1 = J[m : m + n, 1]
+        expected = np.zeros(z.size)
+        expected[[1, m]] = c
+        expected[m + 1 :] = c * (g_1 @ basis if basis is not None else g_1)
+        np.testing.assert_allclose(J[1], expected, rtol=1e-12, atol=1e-15)
 
     def test_plain_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(44)
         p = random_problem(rng, 5, 6)
         model = mutual_information_cost(p.prior, 0.9)
-        S = np.array([0, 2, 3, 5])
-        z = self._point(rng, S.size, p.n_states)
-        F, J = _support_system(p, model, S, z, jac=True)
-        assert F.shape == (p.n_states + S.size,) and J.shape == (F.size, z.size)
-        fd = _fd_jacobian(lambda w: _support_system(p, model, S, w)[0], z)
-        np.testing.assert_allclose(J, fd, rtol=1e-6, atol=1e-6 * np.abs(J).max())
+        z = self._on_kink(p, model, self._point(rng, p.n_actions, p.n_states))
+        assert _kkt_system(p, model, z)[0].shape == (p.n_actions + p.n_states + 1,)
+        self._check(p, model, z)
 
     def test_sum_zero_slice_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(45)
         p = random_problem(rng, 5, 6)
         model = posterior_separable_cost(p.prior, shannon_kl_entropy(p.prior, 1.3))
         basis = _slice_basis(p.n_states)
-        S = np.array([1, 2, 4])
-        z = self._point(rng, S.size, p.n_states - 1)
-        F, J = _support_system(p, model, S, z, basis, jac=True)
-        assert F.shape == (p.n_states + S.size - 1,) and J.shape == (F.size, z.size)
-        fd = _fd_jacobian(lambda w: _support_system(p, model, S, w, basis)[0], z)
-        np.testing.assert_allclose(J, fd, rtol=1e-6, atol=1e-6 * np.abs(J).max())
+        z = self._on_kink(p, model, self._point(rng, p.n_actions, p.n_states - 1), basis)
+        assert _kkt_system(p, model, z, basis)[0].shape == (p.n_actions + p.n_states,)
+        self._check(p, model, z, basis)
 
     def test_no_jacobian_without_closed_form(self):
         rng = np.random.default_rng(46)
         p = random_problem(rng, 3, 3)
         model = perceptual_csiszar_cost(p.prior, chi2(1.0), build_encoder(np.eye(3), p.prior))
-        z = self._point(rng, 2, 3)
-        F, J = _support_system(p, model, np.array([0, 1]), z, jac=True)
-        assert J is None and F.shape == (5,)
+        z = self._point(rng, 3, 3)
+        F, J = _kkt_system(p, model, z, jac=True)
+        assert J is None and F.shape == (7,)
 
 
 _COSTS = {
@@ -179,23 +204,38 @@ class TestExactJacobianPolish:
             assert max(sol.residual_alpha, sol.residual_lambda) <= opts.tol
         assert exact.value == pytest.approx(fd.value, abs=1e-12)
 
-    def test_polish_root_work_stays_bounded(self, monkeypatch):
-        # chi2 multipliers are statewise closed forms, so every root call of
-        # this solve belongs to the polish; finite-difference Jacobians need
-        # about 7,100 evaluations here and the exact ones about 1,400
-        nfev = []
-        real_root = solver.scipy_root
+    def _polish_evaluations(self, monkeypatch, p, model, opts):
+        calls = []
+        real_system = solver._kkt_system
 
-        def counting_root(*args, **kwargs):
-            res = real_root(*args, **kwargs)
-            nfev.append(int(res.nfev))
-            return res
+        def counting_system(*args, **kwargs):
+            calls.append(1)
+            return real_system(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "scipy_root", counting_root)
-        p = random_problem(np.random.default_rng(20), 20, 20, prior_floor=0.1 / 20)
-        sol = solve(p, chi2_cost(p.prior))
+        monkeypatch.setattr(solver, "_kkt_system", counting_system)
+        sol = solve(p, model, opts)
         assert sol.converged
-        assert 0 < sum(nfev) < 2000
+        return sol, len(calls)
+
+    def test_polish_root_work_stays_bounded(self, monkeypatch):
+        # evaluations of the optimality system by the Newton polish; the
+        # active-set polish it replaced made about 1,560 on this solve
+        p = random_problem(np.random.default_rng(20), 20, 20, prior_floor=0.1 / 20)
+        _, evaluations = self._polish_evaluations(monkeypatch, p, chi2_cost(p.prior), SolveOptions())
+        assert 0 < evaluations < 2000
+
+    def test_polish_work_stays_bounded_under_mutual_information(self, monkeypatch):
+        # the active-set polish spent about 36,900 evaluations here, nearly
+        # all of them on support guesses that still held dominated actions
+        p = random_problem(np.random.default_rng(20), 20, 20, prior_floor=0.005)
+        model = mutual_information_cost(p.prior)
+        sol, evaluations = self._polish_evaluations(
+            monkeypatch, p, model, SolveOptions(backend="best_response")
+        )
+        assert 0 < evaluations < 2000
+        # the multiplicative fixed point is an independent route to the value
+        reference = solve(p, model, SolveOptions(tol=1e-11))
+        assert sol.value == pytest.approx(reference.value, abs=1e-10)
 
     def test_numeric_conjugate_work_stays_bounded(self):
         # entropy evaluations behind one neighborhood solve: mirror ascent

@@ -1,0 +1,58 @@
+"""Property tests of the convergence contract on random problems."""
+
+import warnings
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from infoacq.catalog import random_problem
+from infoacq.core import ValidationError, validate_problem
+from infoacq.costs import (
+    chi2_cost,
+    mutual_information_cost,
+    posterior_separable_cost,
+    shannon_kl_entropy,
+)
+from infoacq.oracle import verify_focs
+from infoacq.solver import SolveOptions, SolverError, solve
+
+_COSTS = {
+    "mutual_information": mutual_information_cost,
+    "chi2": chi2_cost,
+    "ps_kl": lambda prior: posterior_separable_cost(prior, shannon_kl_entropy(prior)),
+}
+
+
+@st.composite
+def problems(draw):
+    """Random n x m problems, n, m in [2, 8], payoffs scaled by 0.1, 1 or 10,
+    sometimes with the first action duplicated."""
+    n = draw(st.integers(2, 8))
+    m = draw(st.integers(2, 8))
+    payoff_scale = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    duplicate = draw(st.booleans())
+    seed = draw(st.integers(0, 2**32 - 1))
+    p = random_problem(np.random.default_rng(seed), n, m, prior_floor=0.1 / n)
+    payoffs = payoff_scale * p.payoffs
+    actions = list(zip(p.action_names, payoffs))
+    if duplicate:
+        actions.append(("copy", payoffs[0]))
+    return validate_problem(p.states, p.prior, actions)
+
+
+@given(problems())
+def test_converged_solves_meet_tolerance(p):
+    for family, cost in sorted(_COSTS.items()):
+        model = cost(p.prior)
+        for backend in ("best_response", "mirror_prox"):
+            opts = SolveOptions(backend=backend, max_iter=2000)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                try:
+                    sol = solve(p, model, opts)
+                except (ValidationError, SolverError):
+                    continue  # typed failures keep the contract; any other error escapes
+            if sol.converged:
+                report = verify_focs(p, model, sol.alpha, sol.lam)
+                assert max(report.residual_alpha, report.residual_lambda) <= opts.tol, (family, backend)

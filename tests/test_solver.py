@@ -446,6 +446,16 @@ class TestBestEffort:
         assert np.isfinite(sol.value)
         assert sol.rule.rows.shape == (3, 4)
 
+    def test_mirror_prox_overflow_returns_flagged_result(self):
+        # payoffs of 800 overflow the mutual-information conjugate, so every
+        # mirror-prox iterate is NaN; the polish must not be handed them
+        p = random_problem(np.random.default_rng(0), 3, 3)
+        big = validate_problem(p.states, p.prior, list(zip(p.action_names, 800 * p.payoffs)))
+        with np.errstate(all="ignore"):
+            sol = solve(big, mutual_information_cost(big.prior), SolveOptions(backend="mirror_prox", max_iter=2000))
+        assert not sol.converged
+        assert np.all(np.isfinite(sol.alpha)) and np.all(np.isfinite(sol.lam))
+
 
 class TestCertificate:
     def test_converged_solution_has_tiny_gap(self):
@@ -505,10 +515,10 @@ class TestNeighborhoodSolves:
         p = guess_the_state(3, 1.0)
         model = neighborhood_hw_cost(p.prior, [((0, 2), 0.8), ((0, 1, 2), 0.4)])
         alpha = np.array([0.5, 0.3, 0.2])
-        lam = solver._inner_minimize(p, model, alpha, None, None)
+        lam = solver._inner_minimize(p, model, alpha, None)
 
         calls = []
         monkeypatch.setattr(solver, "scipy_root", lambda *a, **k: calls.append(1))
-        again = solver._inner_minimize(p, model, alpha, lam, None)
+        again = solver._inner_minimize(p, model, alpha, lam)
         assert calls == []
         np.testing.assert_array_equal(again, lam - lam.sum() * p.prior)
