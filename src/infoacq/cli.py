@@ -56,7 +56,7 @@ def cmd_verify(args) -> int:
         raise ValidationError(f"solution file: missing entry {exc}") from exc
     box = multiplier_bounds(problem, model)
     report = verify_focs(problem, model, alpha, lam, box)
-    gap = duality_certificate(problem, model, alpha, lam, box)
+    gap = duality_certificate(problem, model, alpha, lam)
     tol = data.get("tol", 1e-8)
     lines = {
         "residual_alpha": report.residual_alpha,

@@ -14,15 +14,19 @@ maximal on the support of alpha, and the reconstructed rows
 sum to one in every state.  Backends: an exact-inner-minimization best
 response and an extragradient (mirror-prox) scheme on the boxed multiplier,
 both finished by a semismooth Newton polish of the Fischer-Burmeister form
-of these conditions, and closed-form routes for mutual information
-(multiplicative fixed point) and perceptual costs (reduction to the
-attribute problem).  The polish uses exact Jacobians from the conjugate
-Hessians where the model has them, and forward differences otherwise.
+of these conditions, and closed-form routes for mutual information and
+perceptual costs (reduction to the attribute problem).  Mutual information
+runs a short Blahut-Arimoto warm start (the multiplicative fixed point)
+finished by the same Newton polish, and falls back to the full fixed point
+only when the polish fails; ``solve_mutual_information`` is the pure fixed
+point.  The polish uses exact Jacobians from the conjugate Hessians where
+the model has them, and forward differences otherwise.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -650,7 +654,7 @@ def _assemble(problem, model, alpha, lam, iters, converged, backend, box, extra=
     sums[sums <= 0.0] = 1.0
     rows = rows / sums
     rule = ChoiceRule.build(problem, rows)
-    gap = duality_certificate(problem, model, alpha, lam, box)
+    gap = duality_certificate(problem, model, alpha, lam)
     diagnostics = {
         "row_sum_error": row_err,
         "alpha_floor": float(alpha.min()),
@@ -681,7 +685,16 @@ def _assemble(problem, model, alpha, lam, iters, converged, backend, box, extra=
 
 
 def duality_certificate(problem, model, alpha, lam, box=None) -> float:
-    """Upper-minus-lower bound from one exact best response on each side."""
+    """Upper-minus-lower bound from one exact best response on each side.
+
+    ``box`` is deprecated and ignored: neither bound depends on it.
+    """
+    if box is not None:
+        warnings.warn(
+            "duality_certificate ignores its box argument, which will be removed",
+            DeprecationWarning,
+            stacklevel=2,
+        )
     v, _ = evaluate(problem, model, lam)
     upper = float(v.max() + lam.sum())
     lam_best = _inner_minimize(problem, model, alpha, lam.copy())
@@ -700,7 +713,7 @@ def solve(problem: DecisionProblem, model: CostModel, opts: SolveOptions | None 
     backend = opts.backend
     if backend == "closed_form_auto":
         if isinstance(model, CsiszarCost) and model.transform.family == "shannon":
-            return solve_mutual_information(problem, model.transform.params["kappa"], opts)
+            return _solve_mi(problem, model, opts)
         backend = "best_response"
     box = multiplier_bounds(problem, model)
     if opts.box_override is not None:
@@ -729,10 +742,14 @@ def _lse_vec(v):
     return mx + math.log(np.exp(v - mx).sum())
 
 
-def solve_mutual_information(
-    problem: DecisionProblem, kappa: float = 1.0, opts: SolveOptions | None = None
-) -> Solution:
-    """Entropy-cost solver via multiplicative updates on the action distribution.
+# Blahut-Arimoto steps run before the Newton polish takes over under mutual
+# information; most problems meet tol only after thousands of these linearly
+# convergent steps, while symmetric ones meet it within a few
+MI_WARM_STEPS = 20
+
+
+def _mi_fixed_point(problem, kappa, alpha, max_iter, tol):
+    """Safeguarded Blahut-Arimoto iteration from alpha; ``(alpha, lam, iters, converged)``.
 
     Iterates ``alpha'(a) proportional to alpha(a) exp(c_a - 1)`` with
     ``c_a = P_pi(a) / alpha(a)`` computed from the exponential-payoff rule,
@@ -740,13 +757,8 @@ def solve_mutual_information(
     objective would not improve.  At the fixed point alpha equals the
     unconditional action distribution.
     """
-    opts = opts or SolveOptions()
-    if kappa <= 0:
-        raise ValidationError("kappa must be positive")
-    n, m = problem.n_states, problem.n_actions
     prior = problem.prior
     logits = problem.payoffs.T / kappa  # (n, m)
-    alpha = _init_alpha(m, opts.seed)
     fp_tol = 1e-10
 
     def reduced_objective(log_a):
@@ -759,7 +771,7 @@ def solve_mutual_information(
     obj, lse = reduced_objective(log_alpha)
     converged = False
     iters = 0
-    for iters in range(1, opts.max_iter + 1):
+    for iters in range(1, max_iter + 1):
         P = np.exp(log_alpha[None, :] + logits - lse[:, None])
         ppi = prior @ P
         alpha = np.exp(log_alpha)
@@ -769,7 +781,7 @@ def solve_mutual_information(
         # where residual_lambda vanishes by construction
         if (
             float(np.abs(ppi - alpha).max()) <= fp_tol
-            and kappa * (float(ratio.max()) - 1.0) <= opts.tol
+            and kappa * (float(ratio.max()) - 1.0) <= tol
         ):
             converged = True
             break
@@ -782,22 +794,68 @@ def solve_mutual_information(
             cand -= _lse_vec(cand)
             cand_obj, cand_lse = reduced_objective(cand)
         log_alpha, obj, lse = cand, cand_obj, cand_lse
+    return alpha, kappa * prior * lse, iters, converged
 
-    lam = kappa * prior * lse
+
+def _mi_solution(problem, kappa, alpha, lam, iters, converged, backend):
+    """Assemble an MI pair, with the gap between alpha and the unconditional
+    distribution of the rule that the pair reconstructs."""
+    prior = problem.prior
+    with np.errstate(divide="ignore"):
+        log_alpha = np.log(alpha)
+    lse = lam / (kappa * prior)
+    ppi = prior @ np.exp(log_alpha[None, :] + problem.payoffs.T / kappa - lse[:, None])
     model = mutual_information_cost(prior, kappa)
-    box = multiplier_bounds(problem, model)
-    sol = _assemble(
+    return _assemble(
         problem,
         model,
         alpha,
         lam,
         iters,
         converged,
-        "blahut_arimoto",
-        box,
-        extra={"alpha_vs_unconditional": float(np.abs(prior @ np.exp(log_alpha[None, :] + logits - lse[:, None]) - alpha).max())},
+        backend,
+        multiplier_bounds(problem, model),
+        extra={"alpha_vs_unconditional": float(np.abs(ppi - alpha).max())},
     )
-    return sol
+
+
+def _solve_mi(problem, model, opts):
+    """Mutual information in ``solve``: a short Blahut-Arimoto warm start
+    finished by the Newton polish.
+
+    A warm start that already meets tol is returned as it is.  The full fixed
+    point runs from scratch only when the polish fails or is switched off.
+    """
+    # costs.scale keeps the Shannon family and records the factor apart
+    params = model.transform.params
+    kappa = params["kappa"] * params.get("scale", 1.0)
+    if opts.polish:
+        alpha0 = _init_alpha(problem.n_actions, opts.seed)
+        steps = min(MI_WARM_STEPS, opts.max_iter)
+        alpha, lam, iters, converged = _mi_fixed_point(problem, kappa, alpha0, steps, opts.tol)
+        if converged:
+            return _mi_solution(problem, kappa, alpha, lam, iters, True, "blahut_arimoto")
+        got = _polish(problem, model, alpha, lam, opts.tol)
+        if got is not None:
+            alpha, lam, _ = got
+            return _mi_solution(problem, kappa, alpha, lam, iters, True, "blahut_arimoto+newton")
+    return solve_mutual_information(problem, kappa, opts)
+
+
+def solve_mutual_information(
+    problem: DecisionProblem, kappa: float = 1.0, opts: SolveOptions | None = None
+) -> Solution:
+    """Entropy-cost solver: the Blahut-Arimoto fixed point run to ``opts.tol``.
+
+    This is the pure multiplicative route of ``_mi_fixed_point``, with no
+    Newton polish, so it stays an independent check of the generic backends.
+    """
+    opts = opts or SolveOptions()
+    if kappa <= 0:
+        raise ValidationError("kappa must be positive")
+    alpha0 = _init_alpha(problem.n_actions, opts.seed)
+    alpha, lam, iters, converged = _mi_fixed_point(problem, kappa, alpha0, opts.max_iter, opts.tol)
+    return _mi_solution(problem, kappa, alpha, lam, iters, converged, "blahut_arimoto")
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,10 @@ def problems(draw):
 def test_converged_solves_meet_tolerance(p):
     for family, cost in sorted(_COSTS.items()):
         model = cost(p.prior)
-        for backend in ("best_response", "mirror_prox"):
+        backends = ("best_response", "mirror_prox")
+        if family == "mutual_information":
+            backends = ("closed_form_auto",) + backends
+        for backend in backends:
             opts = SolveOptions(backend=backend, max_iter=2000)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)

@@ -18,6 +18,7 @@ from infoacq.costs import (
     mutual_information_cost,
     neighborhood_hw_cost,
     posterior_separable_cost,
+    scale,
     shannon_kl_entropy,
 )
 from infoacq.oracle import verify_focs
@@ -325,6 +326,110 @@ class TestMutualInformationRoute:
         np.testing.assert_allclose(sol.rule.rows, expected, atol=1e-8)
 
 
+def _large_suite_problems():
+    """The 20, 30 and 50 state random problems of the solve-large benchmark workload."""
+    suite = np.random.default_rng([0, 1])
+    return {n: random_problem(suite, n, n, prior_floor=0.1 / n) for n in (20, 30, 50)}
+
+
+def _assert_same_solution(a, b):
+    from infoacq.io import dumps, solution_to_dict
+
+    assert dumps(solution_to_dict(a)) == dumps(solution_to_dict(b))
+    np.testing.assert_array_equal(a.alpha, b.alpha)
+    np.testing.assert_array_equal(a.lam, b.lam)
+    assert (a.iterations, a.backend, a.box, a.diagnostics) == (b.iterations, b.backend, b.box, b.diagnostics)
+
+
+class TestMutualInformationInSolve:
+    """``solve`` under MI: a Blahut-Arimoto warm start finished by the Newton polish."""
+
+    def test_backend_names_the_route(self):
+        p = random_problem(np.random.default_rng(30), 30, 30, prior_floor=0.2 / 30)
+        assert solve(p, mutual_information_cost(p.prior, 1.0)).backend == "blahut_arimoto+newton"
+        g = guess_the_state(3, 1.0)
+        sol = solve(g, mutual_information_cost(g.prior, 1.0))
+        assert sol.backend == "blahut_arimoto"
+        assert sol.converged and sol.iterations <= 20
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    def test_converged_means_residuals_within_tol(self, tol):
+        rng = np.random.default_rng(7)
+        problems = [random_problem(np.random.default_rng(30), 30, 30, prior_floor=0.2 / 30)]
+        problems += [random_problem(rng, n, n) for n in (3, 5, 8)]
+        for p in problems:
+            model = mutual_information_cost(p.prior, 1.0)
+            sol = solve(p, model, SolveOptions(tol=tol))
+            assert sol.converged
+            assert max(sol.residual_alpha, sol.residual_lambda) <= tol
+            rep = verify_focs(p, model, sol.alpha, sol.lam)
+            assert max(rep.residual_alpha, rep.residual_lambda) <= tol
+
+    def test_failed_polish_falls_back_to_the_full_fixed_point(self, monkeypatch):
+        from infoacq import solver
+
+        calls = []
+
+        def no_polish(*args, **kwargs):
+            calls.append(1)
+            return None
+
+        monkeypatch.setattr(solver, "_polish", no_polish)
+        p = random_problem(np.random.default_rng(8), 8, 8)
+        sol = solve(p, mutual_information_cost(p.prior, 1.0))
+        assert calls == [1]
+        assert sol.iterations > 20
+        _assert_same_solution(sol, solve_mutual_information(p, 1.0))
+
+    def test_polish_off_runs_the_pure_fixed_point(self, monkeypatch):
+        from infoacq import solver
+
+        def fail(*args, **kwargs):
+            raise AssertionError("polish ran with polish=False")
+
+        monkeypatch.setattr(solver, "_polish", fail)
+        p = random_problem(np.random.default_rng(8), 8, 8)
+        opts = SolveOptions(polish=False)
+        sol = solve(p, mutual_information_cost(p.prior, 1.0), opts)
+        assert sol.backend == "blahut_arimoto" and sol.converged
+        _assert_same_solution(sol, solve_mutual_information(p, 1.0, opts))
+
+    def test_agrees_with_the_shannon_kl_posterior_separable_cost(self):
+        # the same cost on two routes; the fixed point alone stops about 1e-10 off
+        p = _large_suite_problems()[20]
+        mi = solve(p, mutual_information_cost(p.prior, 1.0))
+        kl = solve(p, posterior_separable_cost(p.prior, shannon_kl_entropy(p.prior, 1.0)))
+        assert mi.converged and kl.converged
+        assert mi.value == pytest.approx(kl.value, abs=1e-12)
+
+    def test_warm_start_work_stays_bounded(self, monkeypatch):
+        from infoacq import solver
+
+        steps = []
+        fixed_point = solver._mi_fixed_point
+
+        def counted(*args, **kwargs):
+            out = fixed_point(*args, **kwargs)
+            steps.append(out[2])
+            return out
+
+        monkeypatch.setattr(solver, "_mi_fixed_point", counted)
+        p = _large_suite_problems()[50]
+        sol = solve(p, mutual_information_cost(p.prior, 1.0))
+        assert sol.converged and sol.backend == "blahut_arimoto+newton"
+        assert sum(steps) <= 20
+
+    def test_scaled_cost_is_solved_at_its_own_kappa(self):
+        # costs.scale keeps the Shannon family and records the factor apart
+        p = guess_the_state(3, 2.0)
+        model = scale(mutual_information_cost(p.prior, 1.0), 2.0)
+        sol = solve(p, model)
+        assert sol.converged
+        assert sol.value == pytest.approx(solve_mutual_information(p, 2.0).value, abs=1e-9)
+        rep = verify_focs(p, model, sol.alpha, sol.lam)
+        assert max(rep.residual_alpha, rep.residual_lambda) <= 1e-8
+
+
 class TestPerceptualRoute:
     def test_identity_encoder_reduces_to_plain_solve(self):
         rng = np.random.default_rng(13)
@@ -472,6 +577,18 @@ class TestCertificate:
         lam_bad[0] += 0.1
         gap = duality_certificate(p, m, sol.alpha, lam_bad, sol.box)
         assert gap > 1e-3
+
+    def test_box_argument_is_deprecated_and_ignored(self):
+        import warnings
+
+        p = guess_the_state(2, 1.0)
+        m = mutual_information_cost(p.prior, 1.0)
+        sol = solve(p, m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gap = duality_certificate(p, m, sol.alpha, sol.lam)
+        with pytest.warns(DeprecationWarning):
+            assert duality_certificate(p, m, sol.alpha, sol.lam, sol.box) == gap
 
     def test_single_action_problem_saturates(self):
         p = validate_problem(["s0", "s1"], [0.5, 0.5], [("only", [0.3, -0.2])])
