@@ -135,7 +135,7 @@ def inconclusive_thresholds(t: Transform, n: int, w: float) -> ThresholdReport:
     if n < 2 or w <= 0:
         raise ValidationError("need n >= 2 and w > 0")
     if t.family == "shannon":
-        c_hat = mutual_information_threshold(n, w, t.params["kappa"])
+        c_hat = mutual_information_threshold(n, w, t.kappa)
         return ThresholdReport(c_hat, c_hat, c_hat, "constant")
 
     def upper_eq(c):

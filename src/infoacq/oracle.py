@@ -124,7 +124,7 @@ def _chunk_costs(chunk: np.ndarray, problem: DecisionProblem, model: CostModel) 
     prior = problem.prior
     B, n, m = chunk.shape
     if isinstance(model, CsiszarCost) and model.transform.family == "shannon":
-        kappa = model.transform.params["kappa"]
+        kappa = model.transform.kappa
         p_pi = np.einsum("s,bsa->ba", prior, chunk)
         with np.errstate(divide="ignore", invalid="ignore"):
             logratio = np.log(chunk) - np.log(p_pi[:, None, :])

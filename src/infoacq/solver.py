@@ -79,9 +79,18 @@ class MultiplierBox:
     translation_slice: bool = False
     reduced: bool = False
     detail: str = ""
+    # the bound rests on a sampled entropy spread rather than a proof
+    heuristic: bool = False
 
     def contains(self, lam: np.ndarray, margin: float = 1e-9) -> bool:
         return bool(np.max(np.abs(lam)) <= self.bound * (1 + 1e-12) + margin)
+
+    def holds(self, problem: DecisionProblem, lam: np.ndarray) -> bool | None:
+        """Whether the box contains lam, read on the sum-zero slice for a
+        translation slice; None for a bound on the reduced problem's multiplier."""
+        if self.reduced:
+            return None
+        return self.contains(lam - lam.sum() * problem.prior if self.translation_slice else lam)
 
 
 @dataclass
@@ -155,16 +164,49 @@ def _weighted_hessian(model, X, w) -> np.ndarray | None:
 # multiplier bounds
 
 
-def _ps_entropy_spread(model: PosteriorSeparableCost, eps: float, samples: int = 256) -> float:
-    """Estimated max |H(p) - H(prior)| over the eps-ball around the prior in the simplex."""
-    prior = model.prior
+# detail of a posterior-separable box whose entropy spread is sampled, not proven
+HEURISTIC_BOX = "heuristic: sampled entropy spread, padded 1.5x"
+
+# the table of n 2^(n-1) candidate vertices is built only up to this many states
+_VERTEX_TABLE_MAX_N = 12
+
+
+def _ball_vertices(prior: np.ndarray, eps: float) -> np.ndarray | None:
+    """Distinct vertices of ``{l <= p <= u, sum p = 1}`` as rows, or None above
+    ``_VERTEX_TABLE_MAX_N`` states.
+
+    Here ``l = max(prior - eps, 0)`` and ``u = min(prior + eps, 1)``.  Each
+    vertex holds n - 1 coordinates at a bound and takes the last one from
+    the sum, kept when it lies within its own bounds.  A vertex with every
+    coordinate at a bound arises once per free coordinate; candidates are
+    told apart by which bound each coordinate sits at, and the first is kept.
+    """
     n = prior.size
-    h = model.entropy
-    if h.family == "shannon_kl":
-        kap = h.value(np.eye(n)[0]) / max(-math.log(prior[0]), 1e-300)  # recover scale
-        return kap * math.log(1.0 + eps / prior.min())
+    if n > _VERTEX_TABLE_MAX_N:
+        return None
+    lo, hi = np.maximum(prior - eps, 0.0), np.minimum(prior + eps, 1.0)
+    tol = 1e-12
+    upper = ((np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 1)) & 1).astype(bool)
+    points = []
+    for i in range(n):
+        others = np.delete(np.arange(n), i)
+        P = np.empty((upper.shape[0], n))
+        P[:, others] = np.where(upper, hi[others], lo[others])
+        P[:, i] = 1.0 - P[:, others].sum(axis=1)
+        points.append(P[(P[:, i] >= lo[i] - tol) & (P[:, i] <= hi[i] + tol)])
+    P = np.vstack(points)
+    # 0 at the lower bound, 1 at the upper, 2 strictly between
+    where = np.where(np.abs(P - lo) <= tol, 0, np.where(np.abs(P - hi) <= tol, 1, 2))
+    _, first = np.unique(where, axis=0, return_index=True)
+    return P[np.sort(first)]
+
+
+def _sampled_entropy_spread(h, prior: np.ndarray, eps: float, samples: int = 256) -> float:
+    """Heuristic max |H(p)| over the eps-ball: the largest value at the
+    n (n - 1) pair transfers of size eps and at random sign points in the
+    ball, padded by 1.5 because sampling underestimates a convex max."""
+    n = prior.size
     best = 0.0
-    # pairwise mass transfers of size eps are extreme points of the ball-simplex slice
     for i in range(n):
         for j in range(n):
             if i == j:
@@ -182,7 +224,37 @@ def _ps_entropy_spread(model: PosteriorSeparableCost, eps: float, samples: int =
         p /= p.sum()
         if np.max(np.abs(p - prior)) <= eps + 1e-12:
             best = max(best, abs(h.value(p)))
-    return 1.5 * best  # sampling underestimates a convex max; pad
+    return 1.5 * best
+
+
+def _ps_entropy_spread(model: PosteriorSeparableCost, eps: float) -> tuple[float, bool]:
+    """``(spread, heuristic)``: a bound on max |H(p) - H(prior)| over the
+    eps-ball around the prior in the simplex, and whether it is only sampled.
+
+    ``H(prior) = 0`` is the ``Entropy`` contract.  Shannon-KL has a closed
+    form.  Otherwise the ball is the polytope of ``_ball_vertices``.  H is
+    convex, so its maximum there is the largest value at a vertex.  |H| is
+    not convex, so -min H is bounded apart: by the tangent plane at the prior
+    at the same vertices when the entropy has a gradient, else by
+    Fenchel-Young at zero, ``H(p) >= -H*(0)``.  When there are more vertices
+    than the ``n (n - 1) + 256`` points of the sampled estimate, the spread
+    is that padded sample and only a heuristic.
+    """
+    prior = model.prior
+    n = prior.size
+    h = model.entropy
+    if h.family == "shannon_kl":
+        kap = h.value(np.eye(n)[0]) / max(-math.log(prior[0]), 1e-300)  # recover scale
+        return kap * math.log(1.0 + eps / prior.min()), False
+    V = _ball_vertices(prior, eps)
+    if V is None or len(V) > n * (n - 1) + 256:
+        return _sampled_entropy_spread(h, prior, eps), True
+    if h.grad_fn is not None:
+        lower = float(((V - prior) @ np.asarray(h.grad_fn(prior), dtype=float)).min())
+    else:
+        lower = -h.h_star(np.zeros(n))
+    upper = max(h.value(v) for v in V)
+    return max(upper, -lower), False
 
 
 def multiplier_bounds(
@@ -194,8 +266,13 @@ def multiplier_bounds(
     ``(2/eps + 1) (max_a ||a||_inf + max_{|x-1|<=eps} |f(x)|)`` with the max
     of the separable f taken coordinatewise at the corners.  For
     posterior-separable costs the bound applies on the sum-zero slice and
-    uses the entropy's spread near the prior.  Perceptual costs are bounded
-    through their reduced attribute problem.
+    uses the entropy's spread on the eps-ball around the prior, which is
+    proven by enumerating the ball's vertices (see ``_ps_entropy_spread``).
+    Where the vertices outnumber the sampled estimate's budget, as for a
+    ball of 9 or of more than 10 states at the default radius, the spread is
+    sampled and padded instead, and the box is marked ``heuristic`` with
+    detail ``HEURISTIC_BOX``.  Perceptual costs are bounded through their
+    reduced attribute problem.
     """
     a_inf = problem.payoff_bound()
     if isinstance(model, PerceptualCsiszarCost):
@@ -206,9 +283,15 @@ def multiplier_bounds(
         eps = epsilon if epsilon is not None else min(0.5, problem.prior.min() / 2)
         if eps <= 0:
             raise SolverError("prior on the boundary: no valid ball radius")
-        spread = _ps_entropy_spread(model, eps)
+        spread, heuristic = _ps_entropy_spread(model, eps)
         bound = (2.0 / eps + 1.0 / problem.prior.min()) * (a_inf + spread)
-        return MultiplierBox(bound, eps, translation_slice=True)
+        return MultiplierBox(
+            bound,
+            eps,
+            translation_slice=True,
+            heuristic=heuristic,
+            detail=HEURISTIC_BOX if heuristic else "",
+        )
     if isinstance(model, CsiszarCost):
         eps = epsilon if epsilon is not None else 0.5
         t = model.transform
@@ -305,9 +388,9 @@ def _inner_minimize(problem, model, alpha, lam0, inner_tol=1e-11, max_sweeps=400
         for s in range(n):
             pay = problem.payoffs[:, s]
             if t.family == "shannon":
-                lam_pi[s] = _mi_statewise(alpha, pay, t.params["kappa"])
+                lam_pi[s] = _mi_statewise(alpha, pay, t.kappa)
             elif t.family == "chi2":
-                lam_pi[s] = chi2_multiplier(alpha, pay, t.params["kappa"])
+                lam_pi[s] = chi2_multiplier(alpha, pay, t.kappa)
             else:
                 lam_pi[s] = statewise_multiplier(alpha, pay, t)
         return prior * lam_pi
@@ -662,10 +745,9 @@ def _assemble(problem, model, alpha, lam, iters, converged, backend, box, extra=
     if extra:
         diagnostics.update(extra)
     if box is not None:
-        lam_check = lam - lam.sum() * problem.prior if box.translation_slice else lam
-        diagnostics["box_contains_multiplier"] = (
-            None if box.reduced else box.contains(lam_check)
-        )
+        diagnostics["box_contains_multiplier"] = box.holds(problem, lam)
+        if box.heuristic:
+            diagnostics["box_detail"] = box.detail
     return Solution(
         problem=problem,
         model=model,
@@ -719,17 +801,18 @@ def solve(problem: DecisionProblem, model: CostModel, opts: SolveOptions | None 
     if opts.box_override is not None:
         box = replace(box, bound=float(opts.box_override), detail="user override")
 
-    for attempt in range(2):
-        if backend == "best_response":
-            alpha, lam, iters, converged = _best_response_backend(problem, model, opts, box)
-        else:
-            alpha, lam, iters, converged = _mirror_prox_backend(problem, model, opts, box)
-        lam_check = lam - lam.sum() * problem.prior if box.translation_slice else lam
-        if box.reduced or box.contains(lam_check):
-            break
-        if attempt == 1:
+    if backend == "best_response":
+        # the best response never reads the box: containment is only reported
+        alpha, lam, iters, converged = _best_response_backend(problem, model, opts, box)
+        return _assemble(problem, model, alpha, lam, iters, converged, backend, box)
+    # mirror-prox clips to the box and samples it, so a larger box can help
+    alpha, lam, iters, converged = _mirror_prox_backend(problem, model, opts, box)
+    if box.holds(problem, lam) is False:
+        detail = "; ".join(filter(None, [box.detail, "enlarged after box violation"]))
+        box = replace(box, bound=box.bound * 10.0, detail=detail)
+        alpha, lam, iters, converged = _mirror_prox_backend(problem, model, opts, box)
+        if box.holds(problem, lam) is False:
             raise SolverError("multiplier escaped the enlarged search box")
-        box = replace(box, bound=box.bound * 10.0, detail="enlarged after box violation")
     return _assemble(problem, model, alpha, lam, iters, converged, backend, box)
 
 
@@ -826,9 +909,7 @@ def _solve_mi(problem, model, opts):
     A warm start that already meets tol is returned as it is.  The full fixed
     point runs from scratch only when the polish fails or is switched off.
     """
-    # costs.scale keeps the Shannon family and records the factor apart
-    params = model.transform.params
-    kappa = params["kappa"] * params.get("scale", 1.0)
+    kappa = model.transform.kappa
     if opts.polish:
         alpha0 = _init_alpha(problem.n_actions, opts.seed)
         steps = min(MI_WARM_STEPS, opts.max_iter)

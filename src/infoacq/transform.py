@@ -35,6 +35,12 @@ class Transform:
     # psi'' discontinuity points, where curvature indices are unreliable
     kinks: tuple[float, ...] = ()
 
+    @property
+    def kappa(self) -> float:
+        """Cost scale of a Shannon or chi2 transform: its ``kappa`` times the
+        factor that ``scale_transform`` records apart under ``"scale"``."""
+        return self.params["kappa"] * self.params.get("scale", 1.0)
+
     def near_kink(self, x: float, tol: float = 1e-6) -> bool:
         return any(abs(x - k) < tol for k in self.kinks)
 

@@ -33,7 +33,7 @@ from infoacq.costs import (
     shannon_kl_entropy,
 )
 from infoacq.solver import SolveOptions, solve
-from infoacq.transform import chi2, shannon, shift_transform
+from infoacq.transform import chi2, scale_transform, shannon, shift_transform
 
 
 def _mi_response(gamma, w, kappa=1.0):
@@ -161,6 +161,10 @@ class TestInconclusiveThresholds:
                 got = mutual_information_threshold(n, 1.2, kappa)
                 want = kappa * math.log(math.exp(1.2 / kappa) / n + (n - 1) / n)
                 assert got == pytest.approx(want, rel=1e-12)
+
+    def test_scaled_transform_reads_its_scale(self):
+        scaled = inconclusive_thresholds(scale_transform(shannon(1.0), 2.0), 3, 1.0)
+        assert scaled.c_hat == inconclusive_thresholds(shannon(2.0), 3, 1.0).c_hat
 
     def test_shifted_quadratic_separates_thresholds(self):
         t = shift_transform(chi2(1.0), 2.0)

@@ -3,7 +3,7 @@ import pytest
 
 from infoacq.catalog import exchangeable_problem, random_problem
 from infoacq.core import validate_problem
-from infoacq.costs import chi2_cost, mutual_information_cost
+from infoacq.costs import chi2_cost, mutual_information_cost, scale
 from infoacq.oracle import (
     apu_perturbation_from_transform,
     apu_solve,
@@ -22,6 +22,12 @@ class TestBruteForce:
         m = mutual_information_cost(p.prior, 1.0)
         res = brute_force_solve(p, m, 0.05)
         assert res.value == pytest.approx(float(p.prior @ np.array(pay)), abs=1e-12)
+
+    def test_scaled_entropy_cost_reads_its_scale(self):
+        p = validate_problem(["s0", "s1"], [0.4, 0.6], [("a", [1, 0]), ("b", [0, 1])])
+        scaled = brute_force_solve(p, scale(mutual_information_cost(p.prior), 2.0), 0.05)
+        direct = brute_force_solve(p, mutual_information_cost(p.prior, 2.0), 0.05)
+        assert scaled.value == pytest.approx(direct.value, abs=1e-12)
 
     def test_grid_step_must_divide_one(self):
         p = validate_problem(["s0", "s1"], [0.5, 0.5], [("a", [1, 0]), ("b", [0, 1])])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from infoacq import solver
 from infoacq.analysis import multitask_experiment
 from infoacq.catalog import (
     distance_encoder,
@@ -17,13 +18,18 @@ from infoacq.costs import (
     csiszar_cost,
     mutual_information_cost,
     neighborhood_hw_cost,
+    neighborhood_hw_entropy,
+    nested_shannon_entropy,
+    numeric_entropy,
     posterior_separable_cost,
     scale,
     shannon_kl_entropy,
 )
 from infoacq.oracle import verify_focs
 from infoacq.solver import (
+    HEURISTIC_BOX,
     SolveOptions,
+    SolverError,
     chi2_multiplier,
     duality_certificate,
     multiplier_bounds,
@@ -58,6 +64,129 @@ class TestMultiplierBounds:
         box = multiplier_bounds(p, m)
         assert box.translation_slice
         assert box.bound > 0 and math.isfinite(box.bound)
+
+
+def _spread_entropy(family, prior, rng):
+    n = prior.size
+    if family == "nested_shannon":
+        enc = build_encoder(rng.dirichlet(np.ones(3), size=n), prior)
+        return nested_shannon_entropy(enc, 0.7, [1.0, 1.3, 0.6])
+    if family == "neighborhood_hw":
+        return neighborhood_hw_entropy(prior, [(tuple(range(n)), 0.2), ((0, 1), 1.0), (tuple(range(2, n)), 0.5)])
+    # a quadratic entropy with a gradient and no closed-form conjugate
+    return numeric_entropy(
+        prior, lambda p: 0.5 * float(np.sum((p - prior) ** 2 / prior)), lambda p: (p - prior) / prior
+    )
+
+
+def _ball_points(rng, prior, eps, count):
+    """Seeded points p of the simplex with |p - prior|_inf <= eps, weighted toward the rim."""
+    for _ in range(count):
+        d = rng.uniform(-1.0, 1.0, size=prior.size)
+        d -= d.mean()
+        yield prior + eps * rng.uniform() ** 0.25 * d / np.abs(d).max()
+
+
+class TestEntropySpread:
+    """The posterior-separable box's entropy spread, proven by vertex enumeration."""
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    @pytest.mark.parametrize("family", ["nested_shannon", "neighborhood_hw", "numeric"])
+    def test_enumerated_spread_bounds_the_ball(self, family, n):
+        rng = np.random.default_rng(100 + n)
+        prior = rng.dirichlet(np.ones(n)) * 0.6 + 0.4 / n
+        prior /= prior.sum()
+        h = _spread_entropy(family, prior, rng)
+        model = posterior_separable_cost(prior, h)
+        eps = prior.min() / 2
+        calls = []
+        value_fn = h.value_fn
+        h.value_fn = lambda p: calls.append(1) or value_fn(p)
+        spread, heuristic = solver._ps_entropy_spread(model, eps)
+        assert not heuristic
+        assert len(calls) <= len(solver._ball_vertices(prior, eps))
+        assert spread <= solver._sampled_entropy_spread(h, prior, eps)
+        h_prior = h.value(prior)
+        worst = max(abs(h.value(p) - h_prior) for p in _ball_points(rng, prior, eps, 500))
+        assert worst <= spread * (1 + 1e-9) + 1e-12
+
+    def test_lower_side_binds_on_a_clipped_ball(self):
+        # eps above prior[0] clips the ball at p_0 = 0, so it is not symmetric
+        # about the prior, and the tilted entropy dips lower than it rises
+        prior = np.array([0.1, 0.3, 0.6])
+        g = np.array([-10.0, 0.0, 0.0])
+        h = numeric_entropy(
+            prior,
+            lambda p: float(g @ (p - prior) + 0.5 * np.sum((p - prior) ** 2 / prior)),
+            lambda p: g + (p - prior) / prior,
+        )
+        spread, heuristic = solver._ps_entropy_spread(posterior_separable_cost(prior, h), 0.2)
+        assert not heuristic
+        assert spread >= -h.value(np.array([0.3, 0.3, 0.4]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_vertex_count_of_the_default_ball(self, n):
+        # at the default radius every coordinate has the same room 2 eps, so
+        # vertices pair n // 2 coordinates at each bound (one left free when n is odd)
+        prior = np.random.default_rng(n).dirichlet(np.ones(n)) * 0.5 + 0.5 / n
+        prior /= prior.sum()
+        eps = prior.min() / 2
+        V = solver._ball_vertices(prior, eps)
+        k = n // 2
+        expected = math.comb(n, k) if n % 2 == 0 else n * math.comb(n - 1, k)
+        assert len(V) == expected
+        np.testing.assert_allclose(V.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(np.abs(V - prior) <= eps + 1e-12)
+
+    def test_wide_ball_is_the_simplex(self):
+        prior = np.array([0.2, 0.3, 0.5])
+        V = solver._ball_vertices(prior, 1.0)
+        assert sorted(map(tuple, V)) == sorted(map(tuple, np.eye(3)))
+
+    def test_eleven_states_take_the_labelled_heuristic(self):
+        p = guess_the_state(11, 1.0)
+        model = neighborhood_hw_cost(p.prior, [(tuple(range(11)), 1.0)])
+        box = multiplier_bounds(p, model)
+        assert box.heuristic and box.detail == HEURISTIC_BOX
+        sol = solve(p, model)
+        assert sol.diagnostics["box_detail"] == HEURISTIC_BOX
+
+    def test_proven_box_adds_no_detail(self):
+        p = guess_the_state(4, 1.0)
+        sol = solve(p, neighborhood_hw_cost(p.prior, [((0, 1, 2, 3), 1.0)]))
+        assert not sol.box.heuristic
+        assert "box_detail" not in sol.diagnostics
+
+
+class TestBoxRetry:
+    """Only mirror-prox reads the box, so only mirror-prox reruns in a larger one."""
+
+    def _count(self, monkeypatch, name):
+        calls = []
+        backend = getattr(solver, name)
+        monkeypatch.setattr(solver, name, lambda *a: calls.append(a[-1].bound) or backend(*a))
+        return calls
+
+    def test_best_response_runs_once_and_reports(self, monkeypatch):
+        calls = self._count(monkeypatch, "_best_response_backend")
+        p = guess_the_state(3, 1.0)
+        sol = solve(p, chi2_cost(p.prior, 1.0), SolveOptions(backend="best_response", box_override=1e-6))
+        assert len(calls) == 1
+        assert sol.converged
+        assert sol.diagnostics["box_contains_multiplier"] is False
+
+    def test_mirror_prox_enlarges_the_box(self, monkeypatch):
+        calls = self._count(monkeypatch, "_mirror_prox_backend")
+        p = guess_the_state(3, 1.0)
+        model = chi2_cost(p.prior, 1.0)
+        lam = solve(p, model, SolveOptions(backend="best_response")).lam
+        bound = 0.5 * float(np.max(np.abs(lam)))
+        sol = solve(p, model, SolveOptions(backend="mirror_prox", box_override=bound))
+        assert calls == [bound, 10 * bound]
+        assert sol.box.bound == 10 * bound and "enlarged" in sol.box.detail
+        assert sol.diagnostics["box_contains_multiplier"] is True
+        with pytest.raises(SolverError):
+            solve(p, model, SolveOptions(backend="mirror_prox", box_override=1e-6))
 
 
 class TestStatewiseMultipliers:
@@ -563,6 +692,18 @@ class TestBestEffort:
 
 
 class TestCertificate:
+    @pytest.mark.parametrize("kappa", [0.5, 2.0])
+    @pytest.mark.parametrize("cost", [mutual_information_cost, chi2_cost])
+    def test_scaled_kappa_gives_the_unscaled_certificate(self, cost, kappa):
+        # costs.scale records the factor apart from the transform's kappa
+        p = guess_the_state(3, 2.0)
+        opts = SolveOptions(backend="best_response")
+        scaled = solve(p, scale(cost(p.prior), kappa), opts)
+        direct = solve(p, cost(p.prior, kappa), opts)
+        assert scaled.gap == pytest.approx(0.0, abs=1e-9)
+        assert scaled.gap == pytest.approx(direct.gap, abs=1e-12)
+        assert scaled.value == pytest.approx(direct.value, abs=1e-10)
+
     def test_converged_solution_has_tiny_gap(self):
         rng = np.random.default_rng(17)
         p = random_problem(rng, 2, 3)
