@@ -288,9 +288,9 @@ def numeric_conjugate(h: Entropy, x, tol=None, max_iter=None):
     nearest stored query (sup norm modulo constants).  Only when that fails
     does entropic mirror ascent with backtracking steps run from the prior,
     with periodic Newton attempts.  Every certified point is finished by the
-    same Newton refinement on its support, so the argmax is accurate to
-    rounding whichever path reached it.  Raises on non-convergence within
-    the iteration cap.
+    same Newton refinement on its support, or on the whole simplex when that
+    fails, so the argmax is accurate to rounding whichever path reached it.
+    Raises on non-convergence within the iteration cap.
     """
     x = np.asarray(x, dtype=float)
     tol = h.numeric_tol if tol is None else tol
@@ -327,9 +327,13 @@ def numeric_conjugate(h: Entropy, x, tol=None, max_iter=None):
 
     def finish(p, refine=True):
         if refine:
-            refined = _stationarity_polish(h, x, p, p > 1e-10)
-            if refined is not None and gap_at(refined) <= tol:
-                p = refined
+            # the full face keeps mass that the support threshold would zero
+            support = p > 1e-10
+            for face in (support,) if support.all() else (support, None):
+                refined = _stationarity_polish(h, x, p, face)
+                if refined is not None and gap_at(refined) <= tol:
+                    p = refined
+                    break
         out = (float(p @ x) - h.value(p), p)
         h._memo.put(key, out)
         return out

@@ -26,7 +26,6 @@ the model has them, and forward differences otherwise.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -766,17 +765,8 @@ def _assemble(problem, model, alpha, lam, iters, converged, backend, box, extra=
     )
 
 
-def duality_certificate(problem, model, alpha, lam, box=None) -> float:
-    """Upper-minus-lower bound from one exact best response on each side.
-
-    ``box`` is deprecated and ignored: neither bound depends on it.
-    """
-    if box is not None:
-        warnings.warn(
-            "duality_certificate ignores its box argument, which will be removed",
-            DeprecationWarning,
-            stacklevel=2,
-        )
+def duality_certificate(problem, model, alpha, lam) -> float:
+    """Upper-minus-lower bound from one exact best response on each side."""
     v, _ = evaluate(problem, model, lam)
     upper = float(v.max() + lam.sum())
     lam_best = _inner_minimize(problem, model, alpha, lam.copy())
@@ -877,6 +867,10 @@ def _mi_fixed_point(problem, kappa, alpha, max_iter, tol):
             cand -= _lse_vec(cand)
             cand_obj, cand_lse = reduced_objective(cand)
         log_alpha, obj, lse = cand, cand_obj, cand_lse
+    # the alpha that lse belongs to; when max_iter runs out, the loop has
+    # stepped past the alpha it formed last
+    alpha = np.exp(log_alpha)
+    alpha /= alpha.sum()
     return alpha, kappa * prior * lse, iters, converged
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -124,40 +123,46 @@ def chi2(kappa: float = 1.0) -> Transform:
     )
 
 
-def _adaptive_simpson(f, a, b, tol=1e-10, max_depth=48):
-    """Recursive adaptive Simpson quadrature of f on [a, b]."""
+def _piecewise(x, lo, hi, left, mid, right):
+    """``left`` below ``lo``, ``right`` above ``hi`` and ``mid`` between, elementwise."""
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty_like(arr)
+    below, above = arr < lo, arr > hi
+    inside = ~(below | above)
+    out[below], out[inside], out[above] = left(arr[below]), mid(arr[inside]), right(arr[above])
+    return out if np.asarray(x).ndim else float(out[0])
 
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
 
-    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
-        x1 = 0.5 * (x0 + x2)
-        lm, rm = 0.5 * (x0 + x1), 0.5 * (x1 + x2)
-        flm, frm = f(lm), f(rm)
-        left = simpson(x0, x1, f0, flm, f1)
-        right = simpson(x1, x2, f1, frm, f2)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(x0, x1, f0, flm, f1, left, eps / 2, depth + 1) + recurse(
-            x1, x2, f1, frm, f2, right, eps / 2, depth + 1
-        )
-
-    if a == b:
-        return 0.0
-    fa, fb = f(a), f(b)
-    fm = f(0.5 * (a + b))
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
+def _increasing_cubic_inverse(c, width, y):
+    """x in [0, width] with c0 x^3 + c1 x^2 + c2 x = y for each column of an
+    increasing cubic.  Newton steps, replaced by the midpoint of the sign
+    bracket whenever they leave it, stop for each column once its residual
+    is within the rounding error of its terms."""
+    lo, hi = np.zeros_like(y), width.copy()
+    x = np.clip(y / ((c[0] * width + c[1]) * width + c[2]), 0.0, width)  # secant start
+    for _ in range(100):
+        f = ((c[0] * x + c[1]) * x + c[2]) * x - y
+        # NaN queries count as done and stay NaN
+        done = ~(np.abs(f) > 8e-16 * (np.abs(c * x ** [[3], [2], [1]]).sum(axis=0) + np.abs(y)))
+        if done.all():
+            break
+        lo, hi = np.where(f < 0, x, lo), np.where(f > 0, x, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x - f / ((3.0 * c[0] * x + 2.0 * c[1]) * x + c[2])
+        x = np.where(done, x, np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi)))
+    return x
 
 
 def tabulated(psi_prime_table) -> Transform:
     """Transform from a strictly increasing table of (t, psi'(t)) pairs.
 
-    The table is interpolated with a shape-preserving monotone cubic,
-    extrapolated log-linearly on the right and linearly toward zero on the
-    left; ``psi`` is recovered by adaptive quadrature anchored at
-    ``psi(0) = 0`` and ``phi`` through the conjugacy identity
-    ``phi(s) = s t - psi(t)`` at ``t = phi'(s)``.
+    The table is interpolated with a shape-preserving monotone cubic
+    (Fritsch & Carlson 1980), extrapolated log-linearly on the right and
+    linearly toward zero on the left.  Every map is exact for that
+    interpolant: ``psi`` is its closed-form integral (the cubic's
+    antiderivative, the ramp clipped at ``t_zero``, the exponential tail)
+    anchored at ``psi(0) = 0``, ``psi''`` its derivative, ``phi'`` its
+    piecewise inverse, and ``phi(s) = s t - psi(t)`` at ``t = phi'(s)``.
     """
     pts = np.asarray(psi_prime_table, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
@@ -169,64 +174,50 @@ def tabulated(psi_prime_table) -> Transform:
         raise ValueError("psi' values must be positive and strictly increasing")
     interp = PchipInterpolator(ts, vs, extrapolate=False)
     d = interp.derivative()
+    area = interp.antiderivative()  # integral of psi' from t0
     t0, tN = float(ts[0]), float(ts[-1])
     v0, vN = float(vs[0]), float(vs[-1])
     slope_left = max(float(d(t0)), (vs[1] - vs[0]) / (ts[1] - ts[0]) * 1e-3)
     rate_right = max(float(d(tN)) / vN, (np.log(vs[-1]) - np.log(vs[-2])) / (ts[-1] - ts[-2]) * 1e-3)
     t_zero = t0 - v0 / slope_left
+    area_table = float(area(tN))
+    tail = lambda u: vN * np.exp(rate_right * (u - tN))
 
     def psi_prime(t):
-        arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty_like(arr)
-        left = arr < t0
-        right = arr > tN
-        mid = ~(left | right)
-        out[mid] = interp(arr[mid])
-        out[left] = np.maximum(v0 + slope_left * (arr[left] - t0), 0.0)
-        out[right] = vN * np.exp(rate_right * (arr[right] - tN))
-        return out if np.asarray(t).ndim else float(out[0])
+        ramp = lambda u: np.maximum(v0 + slope_left * (u - t0), 0.0)
+        return _piecewise(t, t0, tN, ramp, interp, tail)
 
-    scalar_pp = psi_prime  # closed over below
+    def integral(t):  # of psi' from t0
+        def ramp(u):
+            u = np.maximum(u, t_zero) - t0
+            return u * (v0 + 0.5 * slope_left * u)
 
-    @lru_cache(maxsize=16384)
-    def psi_scalar(t: float) -> float:
-        return _adaptive_simpson(lambda s: float(scalar_pp(np.asarray([s]))[0]), 0.0, t)
+        right = lambda u: area_table + vN * np.expm1(rate_right * (u - tN)) / rate_right
+        return _piecewise(t, t0, tN, ramp, area, right)
 
-    def psi(t):
-        arr = np.asarray(t, dtype=float)
-        out = np.array([psi_scalar(float(x)) for x in arr.ravel()]).reshape(arr.shape)
-        return out if arr.ndim else float(out)
-
-    one = float(psi_prime(np.asarray([0.0]))[0])
+    one = float(psi_prime(0.0))
     if abs(one - 1.0) > 1e-8:
         raise ValueError(f"psi'(0) = {one:.6g}, table violates the normalization psi'(0) = 1")
-
-    def _phi_prime_scalar(si: float) -> float:
-        if si <= 0.0:
-            return t_zero
-        f = lambda t: float(scalar_pp(np.asarray([t]))[0]) - si
-        lo, hi = expand_bracket(f, min(t_zero, t0) - 1.0, tN + 1.0)
-        return bracketed_root(f, lo, hi)
-
-    def phi_prime(s):
-        arr = np.asarray(s, dtype=float)
-        out = np.array([_phi_prime_scalar(float(x)) for x in arr.ravel()]).reshape(arr.shape)
-        return out if arr.ndim else float(out)
-
-    def phi(s):
-        arr = np.asarray(s, dtype=float)
-        flat = []
-        for si in arr.ravel():
-            u = _phi_prime_scalar(float(si))
-            flat.append(float(si) * u - psi_scalar(float(u)))
-        out = np.array(flat).reshape(arr.shape)
-        return out if arr.ndim else float(out)
+    at_zero = integral(0.0)
+    psi = lambda t: integral(t) - at_zero
 
     def psi_pp(t):
-        arr = np.atleast_1d(np.asarray(t, dtype=float))
-        h = 1e-6 * np.maximum(1.0, np.abs(arr))
-        out = (psi_prime(arr + h) - psi_prime(arr - h)) / (2 * h)
-        return out if np.asarray(t).ndim else float(out[0])
+        # the ramp's kink at t_zero takes the mean of its one-sided slopes
+        ramp = lambda u: slope_left * ((u > t_zero) + 0.5 * (u == t_zero))
+        return _piecewise(t, t0, tN, ramp, d, lambda u: rate_right * tail(u))
+
+    def phi_prime(s):
+        def table(r):
+            k = np.clip(np.searchsorted(vs, r, side="right") - 1, 0, len(vs) - 2)
+            return ts[k] + _increasing_cubic_inverse(interp.c[:3, k], ts[k + 1] - ts[k], r - vs[k])
+
+        ramp = lambda r: t0 + (np.maximum(r, 0.0) - v0) / slope_left
+        return _piecewise(s, v0, vN, ramp, table, lambda r: tN + np.log(r / vN) / rate_right)
+
+    def phi(s):
+        u = phi_prime(s)
+        out = np.asarray(s, dtype=float) * u - psi(u)
+        return out if np.ndim(out) else float(out)
 
     return Transform(
         family="tabulated",

@@ -9,6 +9,7 @@ from infoacq.catalog import (
     distance_encoder,
     exchangeable_problem,
     guess_the_state,
+    multitask_problems,
     random_problem,
 )
 from infoacq.core import normalize_binary, validate_problem
@@ -444,6 +445,12 @@ class TestMutualInformationRoute:
             assert sol.converged
             assert max(sol.residual_alpha, sol.residual_lambda) <= tol
 
+    def test_exhausted_fixed_point_returns_a_consistent_pair(self):
+        p = random_problem(np.random.default_rng(8), 8, 8)
+        sol = solve_mutual_information(p, 1.0, SolveOptions(max_iter=5))
+        assert not sol.converged
+        assert sol.residual_lambda <= 1e-12
+
     def test_modified_logit_identity(self):
         rng = np.random.default_rng(12)
         p = random_problem(rng, 3, 3)
@@ -716,20 +723,8 @@ class TestCertificate:
         sol = solve(p, m)
         lam_bad = sol.lam.copy()
         lam_bad[0] += 0.1
-        gap = duality_certificate(p, m, sol.alpha, lam_bad, sol.box)
+        gap = duality_certificate(p, m, sol.alpha, lam_bad)
         assert gap > 1e-3
-
-    def test_box_argument_is_deprecated_and_ignored(self):
-        import warnings
-
-        p = guess_the_state(2, 1.0)
-        m = mutual_information_cost(p.prior, 1.0)
-        sol = solve(p, m)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            gap = duality_certificate(p, m, sol.alpha, sol.lam)
-        with pytest.warns(DeprecationWarning):
-            assert duality_certificate(p, m, sol.alpha, sol.lam, sol.box) == gap
 
     def test_single_action_problem_saturates(self):
         p = validate_problem(["s0", "s1"], [0.5, 0.5], [("only", [0.3, -0.2])])
@@ -766,6 +761,16 @@ class TestNeighborhoodSolves:
     def test_guess_the_state_at_former_hangs(self, reward, hoods):
         p = guess_the_state(3, reward)
         self._assert_solved(solve(p, neighborhood_hw_cost(p.prior, hoods)))
+
+    def test_numeric_conjugate_mass_is_exact_near_zero_multiplier(self):
+        # the support face drops 8e-11 of mass that the certified argmax of
+        # one row keeps; only the full-face refinement restores it
+        p = multitask_problems()[0]
+        hoods = [((0, 1, 2, 3), 0.028), ((0, 1), 0.28), ((2, 3), 0.28)]
+        model = neighborhood_hw_cost(p.prior, hoods)
+        alpha = np.array([0.5, 0.5])
+        _, G = solver.evaluate(p, model, 1e-17 * np.ones(4))
+        assert np.max(np.abs(alpha @ G - 1.0)) <= 1e-12
 
     def test_inner_minimize_keeps_a_start_that_fits(self, monkeypatch):
         from infoacq import solver

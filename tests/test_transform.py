@@ -1,8 +1,13 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from infoacq.catalog import guess_the_state
+from infoacq.costs import csiszar_cost
+from infoacq.solver import SolveOptions, solve
 from infoacq.transform import (
     chi2,
     conjugate_check,
@@ -180,3 +185,56 @@ class TestTabulated:
     def test_left_extrapolation_reaches_zero(self):
         t = tabulated(self._shannon_table())
         assert float(t.psi_prime(-50.0)) == 0.0
+
+    def _coarse(self):
+        ts = np.linspace(-3.0, 3.0, 25)
+        return tabulated(np.column_stack([ts, np.exp(ts)]))
+
+    def test_psi_matches_quadrature_beyond_the_table(self):
+        t = self._coarse()
+        knots = np.concatenate([np.linspace(-3.0, 3.0, 25), [t.params["t_zero"]]])
+        for x in (-6.0, -3.5, 6.0, 10.0):
+            points = knots[(knots - x) * knots < 0]  # strictly between 0 and x
+            expected, _ = quad(t.psi_prime, 0.0, x, points=points, epsabs=0, epsrel=1e-13, limit=200)
+            assert t.psi(x) == pytest.approx(expected, rel=1e-9)
+
+    def test_array_calls_match_scalar_calls(self):
+        t = self._coarse()
+        for f, grid in (
+            (t.psi, np.linspace(-8.0, 6.0, 29)),
+            (t.psi_prime, np.linspace(-8.0, 6.0, 29)),
+            (t.psi_pp, np.linspace(-8.0, 6.0, 29)),
+            (t.phi_prime, np.linspace(0.0, 60.0, 31)),
+            (t.phi, np.linspace(0.0, 60.0, 31)),
+        ):
+            out = f(grid)
+            assert out.shape == grid.shape
+            assert [float(v) for v in out] == [f(float(x)) for x in grid]
+            assert all(isinstance(f(float(x)), float) for x in grid[:3])
+
+    def test_phi_prime_inverts_psi_prime_on_every_piece(self):
+        t = self._coarse()
+        t_zero = t.params["t_zero"]
+        for lo, hi in ((t_zero + 1e-3, -3.0), (-3.0, 3.0), (3.0, 9.0)):
+            grid = np.linspace(lo, hi, 41)
+            np.testing.assert_allclose(t.phi_prime(t.psi_prime(grid)), grid, rtol=0, atol=1e-10)
+        assert t.phi_prime(0.0) == t_zero
+
+    def test_psi_pp_matches_central_differences_across_knots(self):
+        t = self._coarse()
+        knots = np.linspace(-3.0, 3.0, 25)
+        grid = np.concatenate([knots, knots[:-1] + 0.1, [-3.5, 4.0, 7.0]])
+        h = 1e-6
+        fd = (t.psi_prime(grid + h) - t.psi_prime(grid - h)) / (2 * h)
+        np.testing.assert_allclose(t.psi_pp(grid), fd, rtol=1e-6)
+
+    def test_mirror_prox_solve_is_fast_and_agrees_with_best_response(self):
+        p = guess_the_state(3, 2.0)
+        m = csiszar_cost(p.prior, self._coarse())
+        start = time.monotonic()
+        sol = solve(p, m, SolveOptions(backend="mirror_prox"))
+        assert time.monotonic() - start < 10.0
+        assert sol.converged
+        assert max(sol.residual_alpha, sol.residual_lambda) <= SolveOptions().tol
+        best = solve(p, m, SolveOptions(backend="best_response"))
+        assert sol.value == pytest.approx(best.value, abs=1e-10)
