@@ -6,7 +6,6 @@ import argparse
 import csv
 import io as _io
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -167,6 +166,8 @@ def _sweep_rows(spec: dict, parallel: int):
 
 def _maybe_parallel(fn, grid, parallel):
     if parallel and parallel > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=parallel) as pool:
             return list(pool.map(fn, grid))
     return [fn(x) for x in grid]

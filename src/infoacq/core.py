@@ -11,7 +11,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 SIMPLEX_SUM_TOL = 1e-12
 SIMPLEX_NEG_CLIP = -1e-14
@@ -232,6 +231,8 @@ def unconditional_distribution(rule, prior) -> Simplex:
 
 def _match_actions(permuted: np.ndarray, payoffs: np.ndarray, tol: float):
     """Bijection sigma with payoffs[sigma[a]] == permuted[a] within tol, or None."""
+    from scipy.optimize import linear_sum_assignment
+
     m = payoffs.shape[0]
     dist = np.abs(permuted[:, None, :] - payoffs[None, :, :]).max(axis=2)
     row, col = linear_sum_assignment(dist)

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize, nnls
 
 from . import divergence
 from .core import ChoiceRule, ValidationError, clean_weights
@@ -496,6 +495,8 @@ def _entropy_value_from_conjugate(conj, conj_grad, p, scale: float = 1.0) -> flo
     box-limited, which truncates the supremum for boundary posteriors by a
     negligible amount.
     """
+    from scipy.optimize import minimize
+
     p = np.asarray(p, dtype=float)
     n = p.size
     bound = 400.0 * max(1.0, scale)
@@ -842,6 +843,8 @@ class PerceptualCsiszarCost(CostModel):
         if self.encoder.full_column_rank:
             Q = np.linalg.pinv(K) @ rows
         else:
+            from scipy.optimize import nnls
+
             Q = np.empty((self.encoder.n_attributes, n_out))
             for w in range(n_out):
                 Q[:, w] = nnls(K, rows[:, w])[0]

@@ -122,14 +122,30 @@ def dump_problem(problem: DecisionProblem, path: str) -> None:
 # transforms and costs
 
 
+def _field(data: dict, key: str, where: str):
+    try:
+        return data[key]
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"{where}: missing field {key!r}") from exc
+
+
+def _number(value, key: str, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{where}: field {key!r} must be a number, got {value!r}") from exc
+
+
 def transform_from_dict(data: dict) -> Transform:
+    if not isinstance(data, dict):
+        raise ValidationError("transform: expected a JSON object")
     family = data.get("family")
     if family == "shannon":
-        return shannon(float(data.get("kappa", 1.0)))
+        return shannon(_number(data.get("kappa", 1.0), "kappa", "shannon transform"))
     if family == "chi2":
-        return chi2(float(data.get("kappa", 1.0)))
+        return chi2(_number(data.get("kappa", 1.0), "kappa", "chi2 transform"))
     if family == "tabulated":
-        return tabulated(data["psi_prime"])
+        return tabulated(_field(data, "psi_prime", "tabulated transform"))
     raise ValidationError(
         f"unknown transform family {family!r}; valid: shannon, chi2, tabulated"
     )
@@ -137,45 +153,55 @@ def transform_from_dict(data: dict) -> Transform:
 
 def _maybe_shift(t: Transform, data: dict) -> Transform:
     if "shift" in data and data["shift"] is not None:
-        return shift_transform(t, float(data["shift"]))
+        return shift_transform(t, _number(data["shift"], "shift", "cost"))
     return t
 
 
 def cost_from_dict(data: dict, problem: DecisionProblem) -> CostModel:
+    if not isinstance(data, dict):
+        raise ValidationError("cost file: expected a JSON object")
     family = data.get("family")
     if family not in COST_FAMILIES:
         raise ValidationError(
             f"unknown cost family {family!r}; valid families: " + ", ".join(COST_FAMILIES)
         )
     prior = problem.prior
-    kappa = float(data.get("kappa", 1.0))
+    where = f"{family} cost"
+    kappa = _number(data.get("kappa", 1.0), "kappa", where)
     if family == "mutual_information":
         return mutual_information_cost(prior, kappa)
     if family == "chi2":
         return chi2_cost(prior, kappa)
     if family == "csiszar":
-        t = _maybe_shift(transform_from_dict(data["transform"]), data)
+        t = _maybe_shift(transform_from_dict(_field(data, "transform", where)), data)
         return scale(csiszar_cost(prior, t), kappa)
     if family == "posterior_separable":
         ent = data.get("entropy", {"family": "shannon_kl"})
-        if ent.get("family") != "shannon_kl":
+        if not isinstance(ent, dict) or ent.get("family") != "shannon_kl":
             raise ValidationError("posterior_separable costs take a shannon_kl entropy here")
         return posterior_separable_cost(
-            prior, shannon_kl_entropy(prior, float(ent.get("kappa", 1.0)) * kappa)
+            prior, shannon_kl_entropy(prior, _number(ent.get("kappa", 1.0), "kappa", "entropy") * kappa)
         )
     if family == "perceptual_csiszar":
-        t = _maybe_shift(transform_from_dict(data["transform"]), data)
-        enc = encoder_from_dict(data["encoder"], problem)
+        t = _maybe_shift(transform_from_dict(_field(data, "transform", where)), data)
+        enc = encoder_from_dict(_field(data, "encoder", where), problem)
         return scale(perceptual_csiszar_cost(prior, t, enc), kappa)
     if family == "nested_shannon":
-        enc = encoder_from_dict(data["encoder"], problem)
+        enc = encoder_from_dict(_field(data, "encoder", where), problem)
+        zeta = _number(_field(data, "zeta", where), "zeta", where)
         etas = data.get("etas", 1.0)
-        return scale(nested_shannon_cost(prior, enc, float(data["zeta"]), etas), kappa)
+        return scale(nested_shannon_cost(prior, enc, zeta, etas), kappa)
     if family == "neighborhood_hw":
+        index = {s: i for i, s in enumerate(problem.states)}
         hoods = []
-        for item in data["neighborhoods"]:
-            idx = [problem.states.index(s) for s in item["states"]]
-            hoods.append((idx, float(item.get("kappa", 1.0))))
+        for item in _field(data, "neighborhoods", where):
+            names = _field(item, "states", "neighborhood")
+            unknown = [s for s in names if s not in index]
+            if unknown:
+                raise ValidationError(
+                    f"neighborhood names unknown state(s) {unknown}; problem states: {list(problem.states)}"
+                )
+            hoods.append(([index[s] for s in names], _number(item.get("kappa", 1.0), "kappa", "neighborhood")))
         return scale(neighborhood_hw_cost(prior, hoods), kappa)
     raise AssertionError("unreachable")
 
@@ -194,11 +220,28 @@ def load_cost(path: str, problem: DecisionProblem) -> CostModel:
 # options and solutions
 
 
+# JSON types each option key accepts
+_OPTION_TYPES = {
+    "backend": ("a string", str),
+    "tol": ("a number", (int, float)),
+    "max_iter": ("an integer", int),
+    "seed": ("an integer", int),
+    "box_override": ("a number or null", (int, float, type(None))),
+    "polish": ("a boolean", bool),
+}
+
+
 def options_from_dict(data: dict) -> SolveOptions:
-    known = {"backend", "tol", "max_iter", "seed", "box_override", "polish"}
-    unknown = set(data) - known
+    if not isinstance(data, dict):
+        raise ValidationError("options file: expected a JSON object")
+    unknown = set(data) - set(_OPTION_TYPES)
     if unknown:
         raise ValidationError(f"unknown option keys: {sorted(unknown)}")
+    for key, value in data.items():
+        what, types = _OPTION_TYPES[key]
+        # bool is an int subclass, but true/false is no number in an option file
+        if not isinstance(value, types) or (isinstance(value, bool) and key != "polish"):
+            raise ValidationError(f"option {key!r} must be {what}, got {value!r}")
     return SolveOptions(**data)
 
 

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import root as scipy_root
 
 from ._rootfind import BracketError, bracketed_root, expand_bracket
 from .core import (
@@ -370,6 +369,13 @@ def _mi_statewise(alpha, payoffs_state, kappa):
     logits = np.where(alpha > 0, np.log(np.maximum(alpha, 1e-300)) + payoffs_state / kappa, -np.inf)
     mx = logits.max()
     return kappa * (mx + math.log(np.exp(logits - mx).sum()))
+
+
+def scipy_root(*args, **kwargs):
+    """``scipy.optimize.root``, imported on first call: MI and chi2 solves never load SciPy."""
+    from scipy.optimize import root
+
+    return root(*args, **kwargs)
 
 
 def _inner_minimize(problem, model, alpha, lam0, inner_tol=1e-11, max_sweeps=400):

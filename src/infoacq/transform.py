@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from ._rootfind import BracketError, bracketed_root, expand_bracket
+from .core import ValidationError
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class Transform:
 def shannon(kappa: float = 1.0) -> Transform:
     """phi(t) = kappa (t log t - t + 1); psi(t) = kappa (e^{t/kappa} - 1)."""
     if kappa <= 0:
-        raise ValueError("kappa must be positive")
+        raise ValidationError("kappa must be positive")
     k = float(kappa)
 
     def phi(t):
@@ -84,7 +84,7 @@ def chi2(kappa: float = 1.0) -> Transform:
     curvature indices are unreliable within ~1e-6 of the kink.
     """
     if kappa <= 0:
-        raise ValueError("kappa must be positive")
+        raise ValidationError("kappa must be positive")
     k = float(kappa)
 
     def psi(t):
@@ -164,14 +164,16 @@ def tabulated(psi_prime_table) -> Transform:
     anchored at ``psi(0) = 0``, ``psi''`` its derivative, ``phi'`` its
     piecewise inverse, and ``phi(s) = s t - psi(t)`` at ``t = phi'(s)``.
     """
+    from scipy.interpolate import PchipInterpolator
+
     pts = np.asarray(psi_prime_table, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
-        raise ValueError("expected at least three (t, value) rows")
+        raise ValidationError("expected at least three (t, value) rows")
     ts, vs = pts[:, 0], pts[:, 1]
     if np.any(np.diff(ts) <= 0):
-        raise ValueError("table abscissae must be strictly increasing")
+        raise ValidationError("table abscissae must be strictly increasing")
     if np.any(vs <= 0) or np.any(np.diff(vs) <= 0):
-        raise ValueError("psi' values must be positive and strictly increasing")
+        raise ValidationError("psi' values must be positive and strictly increasing")
     interp = PchipInterpolator(ts, vs, extrapolate=False)
     d = interp.derivative()
     area = interp.antiderivative()  # integral of psi' from t0
@@ -197,7 +199,7 @@ def tabulated(psi_prime_table) -> Transform:
 
     one = float(psi_prime(0.0))
     if abs(one - 1.0) > 1e-8:
-        raise ValueError(f"psi'(0) = {one:.6g}, table violates the normalization psi'(0) = 1")
+        raise ValidationError(f"psi'(0) = {one:.6g}, table violates the normalization psi'(0) = 1")
     at_zero = integral(0.0)
     psi = lambda t: integral(t) - at_zero
 
@@ -236,7 +238,7 @@ def tabulated(psi_prime_table) -> Transform:
 def scale_transform(t: Transform, kappa: float) -> Transform:
     """Transform of the cost scaled by kappa: phi_k = kappa phi, psi_k = kappa psi(t/kappa)."""
     if kappa <= 0:
-        raise ValueError("kappa must be positive")
+        raise ValidationError("kappa must be positive")
     if kappa == 1.0:
         return t
     k = float(kappa)
@@ -310,7 +312,7 @@ def shift_transform(t: Transform, k: float) -> Transform:
     """
     lo, hi = t.psi_prime_range
     if not (lo < k < hi):
-        raise ValueError(f"k={k:.6g} outside the image ({lo:.3g}, {hi:.3g}) of psi'")
+        raise ValidationError(f"k={k:.6g} outside the image ({lo:.3g}, {hi:.3g}) of psi'")
     f = lambda x: float(t.psi_prime(x)) - k
     blo, bhi = expand_bracket(f, -1.0, 1.0)
     t_k = bracketed_root(f, blo, bhi)

@@ -56,6 +56,46 @@ class TestSolveCommand:
         assert "mutual_information" in err
         assert "csiszar" in err
 
+    ENCODER = {"rows": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]}
+
+    @pytest.mark.parametrize(
+        "cost, name",
+        [
+            ({"family": "neighborhood_hw", "neighborhoods": [{"states": ["s0", "s9"]}]}, "s9"),
+            ({"family": "csiszar"}, "transform"),
+            ({"family": "csiszar", "transform": "shannon"}, "transform"),
+            ({"family": "posterior_separable", "entropy": "shannon_kl"}, "entropy"),
+            ({"family": "perceptual_csiszar", "encoder": ENCODER}, "transform"),
+            ({"family": "nested_shannon", "zeta": 0.5}, "encoder"),
+            ({"family": "nested_shannon", "encoder": ENCODER}, "zeta"),
+            ({"family": "mutual_information", "kappa": -1.0}, "kappa"),
+            ({"family": "mutual_information", "kappa": "big"}, "kappa"),
+            ([1, 2], "object"),
+            ({"family": "csiszar", "transform": {"family": "tabulated", "psi_prime": [[0, 1], [1, 2]]}}, "three"),
+        ],
+    )
+    def test_malformed_cost_is_an_input_error(self, tmp_path, capsys, cost, name):
+        path = tmp_path / "cost.json"
+        path.write_text(json.dumps(cost))
+        code = main(["solve", "--problem", sample("guess3_problem.json"), "--cost", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert name in err
+
+    @pytest.mark.parametrize(
+        "opts, name", [({"tol": "small"}, "tol"), ({"max_iter": "many"}, "max_iter"), ([1], "object")]
+    )
+    def test_malformed_option_is_an_input_error(self, tmp_path, capsys, opts, name):
+        path = tmp_path / "opts.json"
+        path.write_text(json.dumps(opts))
+        argv = ["solve", "--problem", sample("guess3_problem.json"), "--cost", sample("mi_cost.json")]
+        code = main(argv + ["--opts", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert name in err
+
     def test_missing_file_is_an_input_error(self, capsys):
         code = main(
             ["solve", "--problem", "nope.json", "--cost", sample("mi_cost.json")]
@@ -364,6 +404,15 @@ class TestSweepCommand:
             ]
         )
         assert serial.read_bytes() == parallel.read_bytes()
+
+    def test_parallel_multitask_sweep_matches_serial(self, tmp_path):
+        outs = []
+        for parallel in ("0", "2"):
+            out = tmp_path / f"mt{parallel}.csv"
+            argv = ["sweep", "--spec", sample("multitask_sweep.json"), "--parallel", parallel]
+            assert main(argv + ["--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
 
 class TestFileFormats:
