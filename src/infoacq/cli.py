@@ -48,15 +48,21 @@ def cmd_verify(args) -> int:
     problem = io.load_problem(args.problem)
     model = io.load_cost(args.cost, problem)
     data = io.load_json(args.solution)
+    if not isinstance(data, dict):
+        raise ValidationError("solution file: expected an object with 'alpha' and 'lambda' maps")
     try:
-        alpha = np.array([data["alpha"][a] for a in problem.action_names])
-        lam = np.array([data["lambda"][s] for s in problem.states])
+        alpha = np.array([float(data["alpha"][a]) for a in problem.action_names])
+        lam = np.array([float(data["lambda"][s]) for s in problem.states])
+        tol = float(data.get("tol", 1e-8))
     except KeyError as exc:
         raise ValidationError(f"solution file: missing entry {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"solution file: 'alpha', 'lambda' and 'tol' must map to numbers ({exc})"
+        ) from exc
     box = multiplier_bounds(problem, model)
     report = verify_focs(problem, model, alpha, lam, box)
     gap = duality_certificate(problem, model, alpha, lam)
-    tol = data.get("tol", 1e-8)
     lines = {
         "residual_alpha": report.residual_alpha,
         "residual_lambda": report.residual_lambda,

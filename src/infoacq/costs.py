@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import divergence
+from ._rootfind import newton
 from .core import ChoiceRule, ValidationError, clean_weights
 from .transform import Transform, scale_transform, shannon, chi2
 
@@ -219,17 +220,24 @@ def _implicit_conj_hess_rows(h: Entropy, Y) -> np.ndarray:
     return out
 
 
+# backtracking halvings per Newton step of the stationarity refinement; more
+# only grind on faces that hold no root, which the caller then rejects
+_POLISH_HALVINGS = 10
+
+
 def _stationarity_polish(h: Entropy, x: np.ndarray, p0: np.ndarray, face=None):
     """Stationarity refinement: x - dH(p) constant on the optimal face.
 
-    Positivity is kept through a log parametrization.  When ``face`` marks a
-    strict subset of coordinates, the rest are pinned at zero (a boundary
-    argmax is possible only where the entropy keeps a finite slope).  With a
-    ``hess_fn`` the Newton steps use the exact Jacobian.  Returns the refined
-    point or None when the root search fails.
+    Solves ``x_f - dH(p)_f = c``, ``sum p = 1`` for ``(log p_f, c)`` by the
+    damped Newton of ``_rootfind.newton``; the log parametrization keeps p
+    positive.  When ``face`` marks a strict subset of coordinates, the rest
+    are pinned at zero (a boundary argmax is possible only where the entropy
+    keeps a finite slope).  With a ``hess_fn`` the Newton steps use the
+    exact Jacobian, else forward differences.  A step is halved at most
+    ``_POLISH_HALVINGS`` times: faces that hold no root are given up early.
+    Returns the refined point, or None when the solve ends at a non-finite
+    or unnormalizable point; callers certify it by the stationarity gap.
     """
-    from scipy.optimize import root as scipy_root
-
     n = x.size
     if face is None:
         face = np.ones(n, dtype=bool)
@@ -261,15 +269,10 @@ def _stationarity_polish(h: Entropy, x: np.ndarray, p0: np.ndarray, face=None):
         out[k, :k] = q_f
         return out
 
-    try:
-        res = scipy_root(
-            F, z0, jac=J if h.hess_fn is not None else None, method="hybr", options={"xtol": 1e-13}
-        )
-    except Exception:
+    z, Fz = newton(F, z0, J if h.hess_fn is not None else None, max_halvings=_POLISH_HALVINGS)
+    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(Fz))):
         return None
-    if not np.all(np.isfinite(res.x)):
-        return None
-    q = assemble(res.x)
+    q = assemble(z)
     total = q.sum()
     if not (0.5 < total < 2.0):
         return None
@@ -283,12 +286,15 @@ def numeric_conjugate(h: Entropy, x, tol=None, max_iter=None):
     g = x - dH(p) falling below tolerance; the argmax equals the conjugate
     gradient.  Results are memoized in ``h._memo`` (LRU, ``MEMO_CAPACITY``
     entries).  On a miss whose prior is not already certified, a Newton
-    solve of the stationarity system starts from the memoized argmax of the
-    nearest stored query (sup norm modulo constants).  Only when that fails
-    does entropic mirror ascent with backtracking steps run from the prior,
-    with periodic Newton attempts.  Every certified point is finished by the
-    same Newton refinement on its support, or on the whole simplex when that
+    solve of the stationarity system (``_stationarity_polish``, on the
+    in-library ``_rootfind.newton``, so no SciPy is loaded) starts from the
+    memoized argmax of the nearest stored query (sup norm modulo constants),
+    trying the faces of ``faces_fn`` too.  Only when that fails does
+    entropic mirror ascent with backtracking steps run from the prior, with
+    periodic Newton attempts.  Every certified point is finished by the same
+    Newton refinement on its support, or on the whole simplex when that
     fails, so the argmax is accurate to rounding whichever path reached it.
+    A refinement counts only when its stationarity gap is within tolerance.
     Raises on non-convergence within the iteration cap.
     """
     x = np.asarray(x, dtype=float)
@@ -447,8 +453,11 @@ def nested_shannon_entropy(encoder: Encoder, zeta: float, etas) -> Entropy:
 
     ``zeta`` prices learning across attributes, ``etas`` (scalar or one per
     attribute) prices learning within.  The conjugate is the generalized
-    nested-logit surplus; its gradient splits into a nest distribution and a
-    within-nest conditional.
+    nested-logit surplus; its gradient ``g = sum_i r_i q_i`` splits into a
+    nest distribution r and within-nest conditionals q_i, and its Hessian is
+    ``sum_i (r_i / eta_i)(diag q_i - q_i q_i^T) + (sum_i r_i q_i q_i^T - g g^T) / zeta``.
+    The conjugate and its gradient serve both one vector and a matrix of
+    rows; the Hessian comes row-batched.
     """
     if zeta <= 0:
         raise ValidationError("zeta must be positive")
@@ -462,30 +471,55 @@ def nested_shannon_entropy(encoder: Encoder, zeta: float, etas) -> Entropy:
     with np.errstate(divide="ignore"):
         logmu = np.log(mu)
 
-    def _inner_lse(x):
-        # m_i = log sum_s mu[i,s] exp(x_s / eta_i), stabilized rowwise
-        z = logmu + x[None, :] / etas[:, None]
-        zmax = z.max(axis=1)
-        return zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1)), z
+    # the maps take one posterior-space vector (n,) or a matrix of rows
+    # (m, n); nests run along the second-to-last axis of z and q
+    def _inner(Y):
+        """Within-nest log conditionals log q (..., A, n) and outer logits (..., A)."""
+        # m_i = log sum_s mu[i,s] exp(y_s / eta_i), stabilized per nest
+        z = logmu + np.asarray(Y, dtype=float)[..., None, :] / etas[:, None]
+        zmax = z.max(axis=-1, keepdims=True)
+        m = zmax + np.log(np.exp(z - zmax).sum(axis=-1, keepdims=True))
+        return z - m, lognu + (etas / zeta) * m[..., 0]
 
-    def conj(x):
-        m, _ = _inner_lse(x)
-        outer = lognu + (etas / zeta) * m
-        return zeta * _logsumexp(outer)
+    def _split(Y):
+        """Nest weights r (..., A), within-nest conditionals q (..., A, n) and
+        the gradient g = sum_i r_i q_i (..., n)."""
+        log_q, outer = _inner(Y)
+        r = np.exp(outer - outer.max(axis=-1, keepdims=True))
+        r /= r.sum(axis=-1, keepdims=True)
+        q = np.exp(log_q)
+        return r, q, (r[..., None, :] @ q)[..., 0, :]
 
-    def conj_grad(x):
-        m, z = _inner_lse(x)
-        outer = lognu + (etas / zeta) * m
-        outer -= outer.max()
-        r = np.exp(outer)
-        r /= r.sum()  # nest weights
-        q = np.exp(z - m[:, None])  # within-nest conditionals, rows sum to 1
-        return r @ q
+    def conj(Y):
+        outer = _inner(Y)[1]
+        omax = outer.max(axis=-1, keepdims=True)
+        return zeta * (omax + np.log(np.exp(outer - omax).sum(axis=-1, keepdims=True)))[..., 0]
+
+    def conj_grad(Y):
+        return _split(Y)[2]
+
+    def conj_hess_rows(Y):
+        r, q, g = _split(Y)
+        H = (q.transpose(0, 2, 1) * (r * (1.0 / zeta - 1.0 / etas))[:, None, :]) @ q
+        H -= g[:, :, None] * g[:, None, :] / zeta
+        diag = np.arange(g.shape[1])
+        H[:, diag, diag] += ((r / etas)[:, None, :] @ q)[:, 0, :]
+        return H
 
     def value(p):
         return _entropy_value_from_conjugate(conj, conj_grad, p, scale=float(max(zeta, etas.max())))
 
-    return Entropy("nested_shannon", prior, value, conj, conj_grad, None)
+    return Entropy(
+        "nested_shannon",
+        prior,
+        value,
+        conj,
+        conj_grad,
+        None,
+        conj_rows_fn=conj,
+        conj_grad_rows_fn=conj_grad,
+        conj_hess_rows_fn=conj_hess_rows,
+    )
 
 
 def _entropy_value_from_conjugate(conj, conj_grad, p, scale: float = 1.0) -> float:

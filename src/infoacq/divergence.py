@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._rootfind import newton
 from .core import clean_weights
 from .transform import Transform
 
@@ -107,9 +108,9 @@ def _fmean_polish(spec, rows, alpha, active):
     The reference-minimization objective has infinite slope toward zero mass
     on any outcome that carries experiment mass, so the minimizer is interior
     on the active face and satisfies 'subgradient constant across outcomes'.
+    The system in ``(log alpha, c)`` is solved by ``_rootfind.newton`` with
+    forward differences.
     """
-    from scipy.optimize import root as scipy_root
-
     act = np.flatnonzero(active)
     u0 = np.log(np.maximum(alpha[act], 1e-300))
     g0 = _csiszar_mean_subgradient(spec, rows, alpha, active)
@@ -121,14 +122,11 @@ def _fmean_polish(spec, rows, alpha, active):
         g = _csiszar_mean_subgradient(spec, rows, a, active)
         return np.concatenate([g[act] - z[-1], [a[act].sum() - 1.0]])
 
-    try:
-        res = scipy_root(F, z0, method="hybr", options={"xtol": 1e-13})
-    except Exception:
-        return None
-    if not np.all(np.isfinite(res.x)):
+    z, Fz = newton(F, z0)
+    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(Fz))):
         return None
     out = np.zeros_like(alpha)
-    out[act] = np.exp(np.minimum(res.x[:-1], 50.0))
+    out[act] = np.exp(np.minimum(z[:-1], 50.0))
     total = out.sum()
     if not (0.5 < total < 2.0):
         return None

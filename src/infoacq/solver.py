@@ -19,8 +19,10 @@ perceptual costs (reduction to the attribute problem).  Mutual information
 runs a short Blahut-Arimoto warm start (the multiplicative fixed point)
 finished by the same Newton polish, and falls back to the full fixed point
 only when the polish fails; ``solve_mutual_information`` is the pure fixed
-point.  The polish uses exact Jacobians from the conjugate Hessians where
-the model has them, and forward differences otherwise.
+point.  Every vector root, in the polish and in the inner minimization,
+is the damped Newton of ``_rootfind.newton``, with exact Jacobians from the
+conjugate Hessians where the model has them, and forward differences
+otherwise.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._rootfind import BracketError, bracketed_root, expand_bracket
+from ._rootfind import BracketError, bracketed_root, descend, newton
 from .core import (
     ChoiceRule,
     DecisionProblem,
@@ -372,18 +374,27 @@ def _mi_statewise(alpha, payoffs_state, kappa):
 
 
 def scipy_root(*args, **kwargs):
-    """``scipy.optimize.root``, imported on first call: MI and chi2 solves never load SciPy."""
+    """``scipy.optimize.root``, imported on first call.
+
+    Nothing in the library calls it: every vector root goes through
+    ``_rootfind.newton``.  It is kept only because ``bench/tracer.py`` binds
+    this name when it installs, until the in-library solve trace of ROADMAP
+    item 3 replaces that tracer.
+    """
     from scipy.optimize import root
 
     return root(*args, **kwargs)
 
 
-def _inner_minimize(problem, model, alpha, lam0, inner_tol=1e-11, max_sweeps=400):
+def _inner_minimize(problem, model, alpha, lam0, inner_tol=1e-11):
     """Exact best response in the multiplier given alpha.
 
-    Statewise for separable costs; cyclic coordinate root finding otherwise,
-    with the multiplier recentered to the sum-zero slice for translation-
-    invariant conjugates.
+    Statewise for separable costs.  Otherwise the mass conditions
+    ``alpha @ G(lam) = 1`` are solved on the sum-zero slice for translation-
+    invariant conjugates: by ``_rootfind.newton`` from lam0, and when that
+    misses ``inner_tol``, by minimizing the convex ``L(alpha, .)`` with
+    ``_rootfind.descend``.  The result of the latter is returned even when
+    it misses ``inner_tol``.
     """
     prior = problem.prior
     n = problem.n_states
@@ -413,7 +424,7 @@ def _inner_minimize(problem, model, alpha, lam0, inner_tol=1e-11, max_sweeps=400
     if float(np.max(np.abs(residual(lam)))) <= inner_tol:
         return lam
 
-    # fast path: smooth root on the mass conditions (projected to the
+    # fast path: damped Newton on the mass conditions (projected to the
     # sum-zero slice for translation-invariant conjugates, where one
     # condition is redundant)
     basis = _slice_basis(n) if model.translation_invariant else None
@@ -430,39 +441,24 @@ def _inner_minimize(problem, model, alpha, lam0, inner_tol=1e-11, max_sweeps=400
         H = _weighted_hessian(model, payoff_arguments(problem, l)[live], alpha[live])
         return -(basis.T @ H @ basis) if basis is not None else -H
 
-    z0 = basis.T @ lam if basis is not None else lam
     jac = J if _has_hessian(problem, model) else None
-    try:
-        res = scipy_root(F, z0, jac=jac, method="hybr", options={"xtol": 1e-13})
-        cand = basis @ res.x if basis is not None else res.x
-        if np.all(np.isfinite(cand)) and float(np.max(np.abs(residual(cand)))) <= inner_tol:
-            return cand
-    except Exception:
-        pass
+    z0 = basis.T @ lam if basis is not None else lam
+    z, _ = newton(F, z0, jac)
+    cand = basis @ z if basis is not None else z
+    if np.all(np.isfinite(cand)) and float(np.max(np.abs(residual(cand)))) <= inner_tol:
+        return cand
 
-    # fallback: cyclic coordinate root finding
-    spread = max(1.0, problem.payoff_bound())
-    for _ in range(max_sweeps):
-        if float(np.max(np.abs(residual(lam)))) <= inner_tol:
-            break
-        for s in range(n):
-            def g(ls, s=s):
-                trial = lam.copy()
-                trial[s] = ls
-                _, G = evaluate(problem, model, trial)
-                return float(alpha @ G[:, s]) - 1.0
+    # fallback: the mass conditions are the stationarity of the convex
+    # L(alpha, .), which is minimized by regularized Newton steps; they move
+    # along the nearly linear directions where the conjugates saturate, at
+    # overflow-scale payoffs, on which Newton's own steps stall.  Newton
+    # then finishes below the rounding level of L
+    def objective(z):
+        l = basis @ z if basis is not None else z
+        return float(alpha @ model.f_star_rows(payoff_arguments(problem, l)) + l.sum())
 
-            lo, hi = lam[s] - spread, lam[s] + spread
-            try:
-                lo, hi = expand_bracket(g, lo, hi)
-            except BracketError:
-                continue
-            lam[s] = bracketed_root(g, lo, hi, xtol=1e-13)
-        if model.translation_invariant:
-            lam = lam - lam.sum() * prior
-    if model.translation_invariant:
-        lam = lam - lam.sum() * prior
-    return lam
+    z, _ = newton(F, descend(objective, F, z0, jac, tol=inner_tol), jac)
+    return basis @ z if basis is not None else z
 
 
 # ---------------------------------------------------------------------------
@@ -518,25 +514,13 @@ def _kkt_system(problem, model, z, basis=None, jac=False):
     return F, J
 
 
-def _fd_jacobian(F, z, Fz):
-    """Forward-difference Jacobian of F at z, given ``Fz = F(z)``."""
-    J = np.empty((Fz.size, z.size))
-    for i in range(z.size):
-        h = 1.49e-8 * max(1.0, abs(z[i]))  # square root of the float epsilon
-        e = z.copy()
-        e[i] += h
-        J[:, i] = (F(e) - Fz) / h
-    return J
-
-
 def _polish_once(problem, model, alpha0, lam0):
     """Semismooth Newton solve of the Fischer-Burmeister system from (alpha0, lam0).
 
-    Steps are least-squares solutions, since tied or duplicated actions make
-    the Jacobian singular, with Armijo backtracking on ``|F|^2 / 2``.  The
-    solve stops, without taking it, once a step falls below
-    ``1e-13 (1 + |z|_inf)``, so the result is the accepted iterate with the
-    smallest residual norm.  Weights
+    The solve is ``_rootfind.newton``: least-squares steps, since tied or
+    duplicated actions make the Jacobian singular, with Armijo backtracking
+    on ``|F|^2 / 2``, stopping before a rounding-level step, so the result is
+    the accepted iterate with the smallest residual norm.  Weights
     that the complementarity leaves at or below ``t - v_a`` are set to zero.
     Returns ``(alpha, lam)``, or None when F is not finite at the start,
     such as at an overflowed iterate, or no weight survives.
@@ -546,35 +530,17 @@ def _polish_once(problem, model, alpha0, lam0):
     if basis is not None:
         lam0 = lam0 - lam0.sum() * problem.prior
     v0, _ = evaluate(problem, model, lam0)
-    z = np.concatenate([alpha0, [v0.max()], basis.T @ lam0 if basis is not None else lam0])
-    exact = _has_hessian(problem, model)
+    z0 = np.concatenate([alpha0, [v0.max()], basis.T @ lam0 if basis is not None else lam0])
 
-    def system(x, jac=False):
-        return _kkt_system(problem, model, x, basis, jac)
+    def system(x):
+        return _kkt_system(problem, model, x, basis)[0]
 
-    F = system(z)[0]
+    def jacobian(x):
+        return _kkt_system(problem, model, x, basis, jac=True)[1]
+
+    z, F = newton(system, z0, jacobian if _has_hessian(problem, model) else None)
     if not np.all(np.isfinite(F)):
         return None
-    for _ in range(50):
-        J = system(z, jac=True)[1] if exact else _fd_jacobian(lambda x: system(x)[0], z, F)
-        try:
-            step = np.linalg.lstsq(J, -F, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            break
-        if np.max(np.abs(step)) <= 1e-13 * (1.0 + np.max(np.abs(z))):
-            break  # a rounding-level step; F may be noisier there than here
-        merit, slope = 0.5 * (F @ F), F @ (J @ step)
-        if not slope < 0.0:
-            break
-        s = 1.0
-        for _ in range(30):
-            F_new = system(z + s * step)[0]
-            if 0.5 * (F_new @ F_new) <= merit + 1e-4 * s * slope:
-                break
-            s *= 0.5
-        else:
-            break
-        z, F = z + s * step, F_new
     alpha, t = z[:m], z[m]
     lam = basis @ z[m + 1 :] if basis is not None else z[m + 1 :]
     v, _ = evaluate(problem, model, lam)
@@ -739,7 +705,11 @@ def _assemble(problem, model, alpha, lam, iters, converged, backend, box, extra=
     row_err = float(np.max(np.abs(raw_rows.sum(axis=1) - 1.0)))
     rows = np.maximum(raw_rows, 0.0)
     sums = rows.sum(axis=1, keepdims=True)
-    sums[sums <= 0.0] = 1.0
+    # a state whose row has no finite positive mass, as where conjugate
+    # gradients underflow or overflow at an unconverged overflow-scale
+    # iterate, gets alpha as a stand-in row
+    degenerate = ~(np.isfinite(sums[:, 0]) & (sums[:, 0] > 0.0))
+    rows[degenerate], sums[degenerate] = alpha, alpha.sum()
     rows = rows / sums
     rule = ChoiceRule.build(problem, rows)
     gap = duality_certificate(problem, model, alpha, lam)
@@ -747,6 +717,9 @@ def _assemble(problem, model, alpha, lam, iters, converged, backend, box, extra=
         "row_sum_error": row_err,
         "alpha_floor": float(alpha.min()),
     }
+    if degenerate.any():
+        converged = False
+        diagnostics["degenerate_rows"] = [problem.states[i] for i in np.flatnonzero(degenerate)]
     if extra:
         diagnostics.update(extra)
     if box is not None:

@@ -221,6 +221,27 @@ class TestVerifyCommand:
         assert code == 1
 
 
+    @pytest.mark.parametrize(
+        "edit, name",
+        [
+            (lambda data: [data], "object"),
+            (lambda data: {**data, "alpha": {a: "heavy" for a in data["alpha"]}}, "alpha"),
+            (lambda data: {**data, "alpha": list(data["alpha"].values())}, "alpha"),
+        ],
+        ids=["list", "text-weight", "weight-list"],
+    )
+    def test_malformed_solution_is_an_input_error(self, tmp_path, capsys, edit, name):
+        out = self._solved(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(json.loads(out.read_text()))))
+        argv = ["verify", "--problem", sample("guess3_problem.json"), "--cost", sample("mi_cost.json")]
+        code = main(argv + ["--solution", str(bad)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: solution file: ")
+        assert name in err
+
+
 class TestOracleCommand:
     def test_oracle_agrees_with_solver(self, tmp_path):
         problem = tmp_path / "p.json"

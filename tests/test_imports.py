@@ -1,4 +1,5 @@
-"""Cold-path contract: the package, the CLI and MI/chi2 solves load no SciPy.
+"""Cold-path contract: the package, the CLI, and MI, chi2 and
+posterior-separable solves load no SciPy.
 
 SciPy is imported inside the functions that use it. The check runs in a fresh
 interpreter, because the test session itself has long since imported SciPy.
@@ -28,12 +29,22 @@ SCRIPT = textwrap.dedent(
         assert main(["solve", *args, "--opts", "samples/opts.json", "--out", sol]) == 0
         assert main(["verify", *args, "--solution", sol, "--out", f"{out}/{cost}_verify.json"]) == 0
 
-    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-    assert not loaded, loaded[:5]
 
-    # the deferred imports still load on first use
+    def scipy_modules():
+        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+    assert not scipy_modules(), scipy_modules()[:5]
+
+    # posterior-separable solves: the inner minimization, the polish and
+    # the numeric conjugate all run on the in-library Newton
+    from infoacq.analysis import multitask_experiment
     from infoacq.catalog import guess_the_state
-    from infoacq.costs import mutual_information_cost, posterior_separable_cost, shannon_kl_entropy
+    from infoacq.costs import (
+        mutual_information_cost,
+        neighborhood_hw_cost,
+        posterior_separable_cost,
+        shannon_kl_entropy,
+    )
 
     p = guess_the_state(3, 2.0)
     opts = infoacq.SolveOptions(backend="best_response")
@@ -42,11 +53,20 @@ SCRIPT = textwrap.dedent(
     assert ps.converged, ps.diagnostics
     assert abs(ps.value - mi.value) < 1e-7, (ps.value, mi.value)
 
+    p = guess_the_state(3, 1.0)
+    hw = infoacq.solve(p, neighborhood_hw_cost(p.prior, [((0, 1), 0.8), ((0, 1, 2), 0.4)]))
+    assert hw.converged, hw.diagnostics
+    hoods = [((0, 1, 2, 3), 0.01), ((0, 1), 0.1), ((2, 3), 0.1)]
+    rep = multitask_experiment(None, None, model_builder=lambda p: neighborhood_hw_cost(p.prior, hoods))
+    assert all(sol.converged for sol in rep.solutions)
+    assert not scipy_modules(), scipy_modules()[:5]
+
+    # the deferred imports still load on first use
     ts = np.linspace(-3.0, 3.0, 61)
     t = infoacq.tabulated(np.column_stack([ts, np.exp(ts)]))
     grid = np.linspace(-2.0, 2.0, 11)
     assert np.max(np.abs(t.psi(grid) - np.expm1(grid))) < 1e-5
-    assert "scipy.optimize" in sys.modules and "scipy.interpolate" in sys.modules
+    assert "scipy.interpolate" in sys.modules
     print("ok")
     """
 )

@@ -13,6 +13,7 @@ from infoacq.costs import (
     csiszar_cost,
     mutual_information_cost,
     neighborhood_hw_cost,
+    nested_shannon_cost,
     perceptual_csiszar_cost,
     posterior_separable_cost,
     scale,
@@ -58,6 +59,9 @@ def _hessian_models(prior):
     ps_kl = posterior_separable_cost(prior, shannon_kl_entropy(prior, 1.2))
     # numeric conjugate; Hessians by the implicit function theorem
     hw = neighborhood_hw_cost(prior, [(tuple(range(prior.size)), 0.3), ((0, 1), 0.8), ((2, 3, 4), 0.6)])
+    # three overlapping nests over five states, one of them without state 0
+    kernel = np.array([[0.6, 0.4, 0.0], [0.2, 0.5, 0.3], [0.1, 0.1, 0.8], [0.3, 0.3, 0.4], [0.5, 0.2, 0.3]])
+    nested = nested_shannon_cost(prior, build_encoder(kernel, prior), 0.7, [0.4, 1.1, 2.0])
     return {
         "mutual_information": mutual_information_cost(prior, 0.8),
         "chi2": chi2_cost(prior, 1.0),
@@ -66,6 +70,8 @@ def _hessian_models(prior):
         "ps_kl_scaled": scale(ps_kl, 2.0),
         "neighborhood_hw": hw,
         "neighborhood_hw_scaled": scale(hw, 2.0),
+        "nested_shannon": nested,
+        "nested_shannon_scaled": scale(nested, 2.0),
     }
 
 
@@ -80,6 +86,8 @@ class TestHessRows:
             "ps_kl_scaled",
             "neighborhood_hw",
             "neighborhood_hw_scaled",
+            "nested_shannon",
+            "nested_shannon_scaled",
         ],
     )
     def test_matches_central_differences_of_gradients(self, name):
@@ -197,6 +205,20 @@ class TestExactJacobianPolish:
         opts = SolveOptions(backend="best_response")
         exact = solve(p, _COSTS[family](p.prior), opts)
         fd_model = _COSTS[family](p.prior)
+        fd_model.hess_rows = lambda X: None
+        fd = solve(p, fd_model, opts)
+        for sol in (exact, fd):
+            assert sol.converged
+            assert max(sol.residual_alpha, sol.residual_lambda) <= opts.tol
+        assert exact.value == pytest.approx(fd.value, abs=1e-12)
+
+    @pytest.mark.parametrize("zeta", [0.1, 1.0])
+    def test_nested_shannon_agrees_with_finite_difference_path(self, zeta):
+        p = random_problem(np.random.default_rng(7), 4, 5, prior_floor=0.05)
+        encoder = build_encoder(np.array([[0.7, 0.3], [0.6, 0.4], [0.2, 0.8], [0.1, 0.9]]), p.prior)
+        opts = SolveOptions(backend="best_response")
+        exact = solve(p, nested_shannon_cost(p.prior, encoder, zeta, [0.5, 1.5]), opts)
+        fd_model = nested_shannon_cost(p.prior, encoder, zeta, [0.5, 1.5])
         fd_model.hess_rows = lambda X: None
         fd = solve(p, fd_model, opts)
         for sol in (exact, fd):

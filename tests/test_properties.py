@@ -89,17 +89,23 @@ def test_multiplier_inside_the_box_is_reported(p):
 
 @given(problems())
 def test_overflow_scale_payoffs_fail_typed_or_flagged(p):
-    # posterior-separable KL is left out: at this scale its inner
-    # minimization falls back to cyclic root finding, which takes seconds to
-    # minutes per solve (see the FOUND line on _inner_minimize in CHANGES.md)
+    # the problem is valid, so only a SolverError counts as a typed failure:
+    # a ValidationError here would come from the solver's own assembly.
+    # Posterior-separable KL is left out for time: at this scale its best
+    # response can run all 200 iterations, up to 10 s a solve
     big = validate_problem(p.states, p.prior, list(zip(p.action_names, 800 * p.payoffs)))
     for family in ("chi2", "mutual_information"):
         model = _COSTS[family](big.prior)
         for backend in ("closed_form_auto", "best_response", "mirror_prox"):
             opts = SolveOptions(backend=backend, max_iter=200)
-            sol = _solve_or_typed_failure(big, model, opts)
-            if sol is None or not sol.converged:
-                assert sol is None or np.all(np.isfinite(sol.alpha)), (family, backend)
+            with warnings.catch_warnings(), np.errstate(all="ignore"):
+                warnings.simplefilter("ignore", RuntimeWarning)
+                try:
+                    sol = solve(big, model, opts)
+                except SolverError:
+                    continue
+            if not sol.converged:
+                assert np.all(np.isfinite(sol.alpha)), (family, backend)
                 continue
             report = verify_focs(big, model, sol.alpha, sol.lam)
             assert max(report.residual_alpha, report.residual_lambda) <= opts.tol, (family, backend)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -698,6 +699,52 @@ class TestBestEffort:
         assert np.all(np.isfinite(sol.alpha)) and np.all(np.isfinite(sol.lam))
 
 
+    @pytest.mark.parametrize("family", ["chi2", "ps_kl"])
+    def test_mirror_prox_rows_without_mass_are_flagged(self, family):
+        # the last iterate's conjugate gradients underflow in two states, so
+        # their rows have no mass; the result names them instead of failing
+        # the choice-rule check with a ValidationError
+        p = random_problem(np.random.default_rng(1), 8, 3)
+        big = validate_problem(p.states, p.prior, list(zip(p.action_names, 800 * p.payoffs)))
+        if family == "chi2":
+            model = chi2_cost(big.prior)
+        else:
+            model = posterior_separable_cost(big.prior, shannon_kl_entropy(big.prior))
+        with np.errstate(all="ignore"):
+            sol = solve(big, model, SolveOptions(backend="mirror_prox", max_iter=2000))
+        assert not sol.converged
+        assert sol.diagnostics["degenerate_rows"]
+        for state in sol.diagnostics["degenerate_rows"]:
+            row = sol.rule.rows[big.states.index(state)]
+            np.testing.assert_allclose(row, sol.alpha / sol.alpha.sum(), rtol=0, atol=1e-15)
+
+
+class TestInnerMinimization:
+    def test_overflow_scale_posterior_separable_best_response(self):
+        # Newton's least-squares steps stall where the softmax posteriors
+        # saturate; the inner minimization must still meet inner_tol there,
+        # in milliseconds, for the whole solve to fit the bound
+        p = random_problem(np.random.default_rng(2), 8, 3)
+        big = validate_problem(p.states, p.prior, list(zip(p.action_names, 800 * p.payoffs)))
+        model = posterior_separable_cost(big.prior, shannon_kl_entropy(big.prior))
+        start = time.perf_counter()
+        with np.errstate(all="ignore"):
+            sol = solve(big, model, SolveOptions(backend="best_response", max_iter=200))
+        assert time.perf_counter() - start < 3.0
+        assert sol.converged
+        rep = verify_focs(big, model, sol.alpha, sol.lam)
+        assert rep.within(1e-8)
+
+    def test_uniform_start_at_overflow_scale_meets_inner_tol(self):
+        p = random_problem(np.random.default_rng(2), 8, 3)
+        big = validate_problem(p.states, p.prior, list(zip(p.action_names, 800 * p.payoffs)))
+        model = posterior_separable_cost(big.prior, shannon_kl_entropy(big.prior))
+        alpha = np.full(3, 1.0 / 3.0)
+        lam = solver._inner_minimize(big, model, alpha, None)
+        _, G = solver.evaluate(big, model, lam)
+        assert np.max(np.abs(alpha @ G - 1.0)) <= 1e-11
+
+
 class TestCertificate:
     @pytest.mark.parametrize("kappa", [0.5, 2.0])
     @pytest.mark.parametrize("cost", [mutual_information_cost, chi2_cost])
@@ -781,7 +828,7 @@ class TestNeighborhoodSolves:
         lam = solver._inner_minimize(p, model, alpha, None)
 
         calls = []
-        monkeypatch.setattr(solver, "scipy_root", lambda *a, **k: calls.append(1))
+        monkeypatch.setattr(solver, "newton", lambda *a, **k: calls.append(1))
         again = solver._inner_minimize(p, model, alpha, lam)
         assert calls == []
         np.testing.assert_array_equal(again, lam - lam.sum() * p.prior)
