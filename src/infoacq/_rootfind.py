@@ -1,5 +1,8 @@
 """Root finding: bracketed scalar roots (bisection first, then safeguarded
-secant steps) and a damped Newton method for smooth vector systems."""
+secant steps), a damped Newton method for smooth vector systems, and the
+simplex maximization behind the numeric conjugate, the f-mean and the
+per-state perturbed-utility oracle: exponentiated-gradient ascent finished
+by a Newton solve of the stationarity conditions on a face."""
 
 from __future__ import annotations
 
@@ -189,3 +192,127 @@ def descend(
         z = z + s * d
         Fz, fz = np.asarray(F(z), dtype=float), f_new
     return z
+
+
+# backtracking halvings per Newton step of a stationarity solve; more only
+# grind on faces that hold no root, which the caller then rejects
+_POLISH_HALVINGS = 10
+
+
+def stationary_point(grad, p0, face=None, jac=None) -> np.ndarray | None:
+    """Point of the simplex face where ``grad`` is constant, by Newton from p0.
+
+    Solves ``grad(q)_f = c``, ``sum q = 1`` for ``(log q_f, c)`` with
+    ``q`` zero off the face ``f`` (a mask; None is the whole simplex), so
+    the log parametrization keeps q positive on it.  ``grad`` is the
+    gradient of the objective (or its negative: the sign does not matter)
+    and ``jac`` the Jacobian of ``grad``; without it forward differences
+    are used.  A Newton step is halved at most ``_POLISH_HALVINGS`` times,
+    so faces that hold no root are given up early.  A coordinate whose
+    stationary mass underflows keeps its residual however far Newton sends
+    it, which fails every line search; when the solve ends short of a
+    root, the coordinates that the next Newton step sends below 1e-300 are
+    dropped and the rest solved again.  Returns the normalized solution, or
+    None when the solve ends at a non-finite or unnormalizable point;
+    callers certify it by their stationarity gap.
+    """
+    n = p0.size
+    idx = np.arange(n) if face is None else np.flatnonzero(face)
+    if idx.size == 0:
+        return None
+    z0 = np.concatenate([np.log(np.maximum(p0[idx], 1e-300)), [float(p0 @ grad(p0))]])
+
+    def assemble(z):
+        q = np.zeros(n)
+        q[idx] = np.exp(np.minimum(z[:-1], 50.0))
+        return q
+
+    def F(z):
+        q = assemble(z)
+        return np.concatenate([grad(q)[idx] - z[-1], [q.sum() - 1.0]])
+
+    def J(z):
+        q = assemble(z)
+        q_f = q[idx]
+        k = idx.size
+        out = np.zeros((k + 1, k + 1))
+        out[:k, :k] = jac(q)[np.ix_(idx, idx)] * q_f[None, :]
+        out[:k, k] = -1.0
+        out[k, :k] = q_f
+        return out
+
+    z, Fz = newton(F, z0, J if jac is not None else None, max_halvings=_POLISH_HALVINGS)
+    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(Fz))):
+        return None
+    if idx.size > 1 and np.max(np.abs(Fz)) > 1e-9 * (1.0 + abs(z[-1])):
+        J_z = J(z) if jac is not None else fd_jacobian(F, z, Fz)
+        low = z[:-1] + np.linalg.lstsq(J_z, -Fz, rcond=None)[0][:-1] < math.log(1e-300)
+        if low.any() and not low.all():
+            keep = np.zeros(n, dtype=bool)
+            keep[idx[~low]] = True
+            return stationary_point(grad, p0, keep, jac)
+    q = assemble(z)
+    total = q.sum()
+    if not (0.5 < total < 2.0):
+        return None
+    return q / total
+
+
+# exponentiated-gradient steps of a simplex maximization before it gives up
+SIMPLEX_STEPS = 1000
+
+
+def maximize_on_simplex(objective, gradient, gap, p0, *, tol: float, refine):
+    """Maximize a concave ``objective`` over the simplex face where ``p0 > 0``.
+
+    Returns ``(p, certified)``: a point with ``gap(p) <= tol``, the caller's
+    stationarity certificate, or else the iterate with the smallest gap and
+    False.  ``refine(p)`` returns a candidate point (a Newton solve of the
+    stationarity conditions, say) or None, and a candidate counts only when
+    it certifies.  It is tried before the first step, after steps 1, 2, 4,
+    8, ..., on the first iterate that certifies (whose candidate is returned
+    instead when it certifies too, so the point is accurate to the refine's
+    precision whichever way it was reached) and once more from the best
+    iterate when the ascent ends.  Each step is exponentiated gradient
+    ascent ``p <- p exp(eta (g - max g))`` renormalized, with ``g`` the
+    gradient and mass floored at 1e-300 on the face; eta is halved until the
+    objective does not fall and grows by 1.25 after every accepted step.
+    The ascent ends after ``SIMPLEX_STEPS`` steps, or when 60 halvings find
+    no step.
+    """
+    p = np.array(p0, dtype=float)
+    face = p > 0.0
+    value, eta = float(objective(p)), 1.0
+    best, best_gap = p, math.inf
+    for step in range(SIMPLEX_STEPS + 1):
+        gap_p = float(gap(p))
+        if gap_p <= tol or step & (step - 1) == 0:  # 0 and the powers of two
+            q = refine(p)
+            if q is not None and gap(q) <= tol:
+                return q, True
+            if gap_p <= tol:
+                return p, True
+        if gap_p < best_gap:
+            best, best_gap = p, gap_p
+        if step == SIMPLEX_STEPS:
+            break
+        g = np.asarray(gradient(p), dtype=float)[face]
+        for _ in range(60):
+            cand = np.zeros_like(p)
+            cand[face] = p[face] * np.exp(eta * (g - g.max()))
+            s = cand.sum()
+            if s > 0 and np.all(np.isfinite(cand)):
+                cand[face] = np.maximum(cand[face] / s, 1e-300)
+                cand /= cand.sum()
+                cand_value = float(objective(cand))
+                if cand_value >= value - 1e-15:
+                    p, value = cand, cand_value
+                    eta *= 1.25
+                    break
+            eta *= 0.5
+        else:
+            break
+    q = refine(best)
+    if q is not None and gap(q) <= tol:
+        return q, True
+    return best, False

@@ -22,6 +22,10 @@ class ValidationError(ValueError):
     """An input object violates a structural invariant."""
 
 
+class SolverError(RuntimeError):
+    """A solve or an inner maximization failed to reach its certificate."""
+
+
 def clean_weights(weights, what: str = "distribution") -> np.ndarray:
     """Validate a probability vector: entries >= -1e-14, sum within 1e-12 of 1.
 

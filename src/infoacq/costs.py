@@ -20,8 +20,8 @@ from typing import Callable
 import numpy as np
 
 from . import divergence
-from ._rootfind import newton
-from .core import ChoiceRule, ValidationError, clean_weights
+from ._rootfind import SIMPLEX_STEPS, maximize_on_simplex, stationary_point
+from .core import ChoiceRule, SolverError, ValidationError, clean_weights
 from .transform import Transform, scale_transform, shannon, chi2
 
 COST_FAMILIES = (
@@ -146,9 +146,13 @@ class Entropy:
     """A convex entropy over posteriors with H(prior) = 0.
 
     Either closed-form conjugate evaluators are supplied, or the conjugate is
-    computed numerically by :func:`numeric_conjugate`, whose results are
-    kept per instance in an LRU memo of ``MEMO_CAPACITY`` entries keyed on
-    the query rounded at 1e-12.  Closed forms may also come row-batched:
+    computed numerically by :func:`numeric_conjugate` to a stationarity gap
+    of ``numeric_tol`` within a fixed step cap, raising ``SolverError``
+    past it; its results are kept per instance in an LRU memo of
+    ``MEMO_CAPACITY`` entries keyed on the query rounded at 1e-12.
+    ``gap_fn`` replaces the plain stationarity gap where H is linear along
+    some directions, and ``faces_fn`` proposes support faces for the Newton
+    refinement.  Closed forms may also come row-batched:
     ``conj_rows_fn``, ``conj_grad_rows_fn`` and ``conj_hess_rows_fn`` map an
     ``(m, n)`` matrix of posterior-space vectors to ``(m,)`` values,
     ``(m, n)`` gradients and ``(m, n, n)`` Hessians.  ``hess_fn`` is the
@@ -163,17 +167,13 @@ class Entropy:
     conj_fn: Callable[[np.ndarray], float] | None = None
     conj_grad_fn: Callable[[np.ndarray], np.ndarray] | None = None
     grad_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    # optional boundary-aware stationarity gap for the numeric conjugate;
-    # needed when the entropy is linear along some directions
     gap_fn: Callable[[np.ndarray, np.ndarray], float] | None = None
-    # optional structure-aware support guesses for the conjugate refinement
     faces_fn: Callable[[np.ndarray, np.ndarray], list] | None = None
     conj_rows_fn: Callable[[np.ndarray], np.ndarray] | None = None
     conj_grad_rows_fn: Callable[[np.ndarray], np.ndarray] | None = None
     conj_hess_rows_fn: Callable[[np.ndarray], np.ndarray] | None = None
     hess_fn: Callable[[np.ndarray], np.ndarray] | None = None
     numeric_tol: float = 1e-9
-    numeric_cap: int = 100000
     _memo: _ConjugateMemo = field(default_factory=_ConjugateMemo, repr=False)
 
     def __post_init__(self):
@@ -220,86 +220,26 @@ def _implicit_conj_hess_rows(h: Entropy, Y) -> np.ndarray:
     return out
 
 
-# backtracking halvings per Newton step of the stationarity refinement; more
-# only grind on faces that hold no root, which the caller then rejects
-_POLISH_HALVINGS = 10
-
-
-def _stationarity_polish(h: Entropy, x: np.ndarray, p0: np.ndarray, face=None):
-    """Stationarity refinement: x - dH(p) constant on the optimal face.
-
-    Solves ``x_f - dH(p)_f = c``, ``sum p = 1`` for ``(log p_f, c)`` by the
-    damped Newton of ``_rootfind.newton``; the log parametrization keeps p
-    positive.  When ``face`` marks a strict subset of coordinates, the rest
-    are pinned at zero (a boundary argmax is possible only where the entropy
-    keeps a finite slope).  With a ``hess_fn`` the Newton steps use the
-    exact Jacobian, else forward differences.  A step is halved at most
-    ``_POLISH_HALVINGS`` times: faces that hold no root are given up early.
-    Returns the refined point, or None when the solve ends at a non-finite
-    or unnormalizable point; callers certify it by the stationarity gap.
-    """
-    n = x.size
-    if face is None:
-        face = np.ones(n, dtype=bool)
-    idx = np.flatnonzero(face)
-    if idx.size == 0:
-        return None
-    u0 = np.log(np.maximum(p0[idx], 1e-300))
-    g0 = x - np.asarray(h.grad_fn(np.maximum(p0, 1e-300)), dtype=float)
-    z0 = np.concatenate([u0, [float(p0 @ g0)]])
-
-    def assemble(z):
-        q = np.zeros(n)
-        q[idx] = np.exp(np.minimum(z[:-1], 50.0))
-        return q
-
-    def F(z):
-        q = assemble(z)
-        grad = np.asarray(h.grad_fn(np.maximum(q, 1e-300)), dtype=float)
-        return np.concatenate([x[idx] - grad[idx] - z[-1], [q.sum() - 1.0]])
-
-    def J(z):
-        q = assemble(z)
-        q_f = q[idx]
-        hess = np.asarray(h.hess_fn(np.maximum(q, 1e-300)), dtype=float)[np.ix_(idx, idx)]
-        k = idx.size
-        out = np.zeros((k + 1, k + 1))
-        out[:k, :k] = -hess * q_f[None, :]
-        out[:k, k] = -1.0
-        out[k, :k] = q_f
-        return out
-
-    z, Fz = newton(F, z0, J if h.hess_fn is not None else None, max_halvings=_POLISH_HALVINGS)
-    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(Fz))):
-        return None
-    q = assemble(z)
-    total = q.sum()
-    if not (0.5 < total < 2.0):
-        return None
-    return q / total
-
-
-def numeric_conjugate(h: Entropy, x, tol=None, max_iter=None):
+def numeric_conjugate(h: Entropy, x):
     """(H*(x), argmax p) for the supremum of p.x - H(p) over the simplex.
 
     Certified by the simplex stationarity gap max(g) - p.g of the gradient
-    g = x - dH(p) falling below tolerance; the argmax equals the conjugate
-    gradient.  Results are memoized in ``h._memo`` (LRU, ``MEMO_CAPACITY``
-    entries).  On a miss whose prior is not already certified, a Newton
-    solve of the stationarity system (``_stationarity_polish``, on the
-    in-library ``_rootfind.newton``, so no SciPy is loaded) starts from the
-    memoized argmax of the nearest stored query (sup norm modulo constants),
-    trying the faces of ``faces_fn`` too.  Only when that fails does
-    entropic mirror ascent with backtracking steps run from the prior, with
-    periodic Newton attempts.  Every certified point is finished by the same
-    Newton refinement on its support, or on the whole simplex when that
-    fails, so the argmax is accurate to rounding whichever path reached it.
-    A refinement counts only when its stationarity gap is within tolerance.
-    Raises on non-convergence within the iteration cap.
+    g = x - dH(p), or by ``h.gap_fn``, falling below ``h.numeric_tol``; the
+    argmax equals the conjugate gradient.  Results are memoized in
+    ``h._memo`` (LRU, ``MEMO_CAPACITY`` entries).  The refinement is a
+    Newton solve of the stationarity system, ``x - dH(p)`` constant on a
+    face (``_rootfind.stationary_point``, exact Jacobians from ``hess_fn``),
+    tried on the whole simplex, on the support and on the faces of
+    ``faces_fn``.  On a miss whose prior is not already certified it starts
+    from the memoized argmax of the nearest stored query (sup norm modulo
+    constants).  When that fails, ``_rootfind.maximize_on_simplex`` ascends
+    from the prior with the same refinement, which also finishes a point
+    certified by the gap alone, so the argmax is accurate to rounding
+    whichever path reached it.  Raises ``SolverError`` when the ascent's
+    step cap passes without a certificate.
     """
     x = np.asarray(x, dtype=float)
-    tol = h.numeric_tol if tol is None else tol
-    cap = h.numeric_cap if max_iter is None else max_iter
+    tol = h.numeric_tol
     key = np.round(x, 12).tobytes()
     hit = h._memo.get(key)
     if hit is not None:
@@ -307,10 +247,16 @@ def numeric_conjugate(h: Entropy, x, tol=None, max_iter=None):
     if h.grad_fn is None:
         raise ValidationError(f"entropy {h.family!r} has no gradient for numeric conjugation")
 
+    def grad(p):
+        return x - np.asarray(h.grad_fn(np.maximum(p, 1e-300)), dtype=float)
+
+    def jac(p):
+        return -np.asarray(h.hess_fn(np.maximum(p, 1e-300)), dtype=float)
+
     def gap_at(p):
         if h.gap_fn is not None:
             return float(h.gap_fn(x, p))
-        g = x - np.asarray(h.grad_fn(np.maximum(p, 1e-300)), dtype=float)
+        g = grad(p)
         return float(g.max() - p @ g)
 
     def try_polish(p):
@@ -325,66 +271,26 @@ def numeric_conjugate(h: Entropy, x, tol=None, max_iter=None):
             seen.add(key_f)
             if face is not None and face.all() and None in seen:
                 continue
-            refined = _stationarity_polish(h, x, p, face)
+            refined = stationary_point(grad, p, face, jac if h.hess_fn is not None else None)
             if refined is not None and gap_at(refined) <= tol:
                 return refined
         return None
 
-    def finish(p, refine=True):
-        if refine:
-            # the full face keeps mass that the support threshold would zero
-            support = p > 1e-10
-            for face in (support,) if support.all() else (support, None):
-                refined = _stationarity_polish(h, x, p, face)
-                if refined is not None and gap_at(refined) <= tol:
-                    p = refined
-                    break
-        out = (float(p @ x) - h.value(p), p)
-        h._memo.put(key, out)
-        return out
-
-    p = h.prior.copy()
-    if gap_at(p) <= tol:
-        return finish(p)
+    p = None
     start = h._memo.nearest_argmax(x)
-    if start is not None:
-        refined = try_polish(start)
-        if refined is not None:
-            return finish(refined, refine=False)
-    obj = float(p @ x) - h.value(p)
-    eta = 1.0
-    polish_at = 50
-    for it in range(1, cap + 1):
-        g = x - np.asarray(h.grad_fn(p), dtype=float)
-        if gap_at(p) <= tol:
-            return finish(p)
-        if it >= polish_at:
-            polish_at = 2 * polish_at
-            refined = try_polish(p)
-            if refined is not None:
-                return finish(refined, refine=False)
-        stepped = False
-        for _ in range(60):
-            cand = p * np.exp(eta * (g - g.max()))
-            s = cand.sum()
-            if s > 0 and np.all(np.isfinite(cand)):
-                cand = np.maximum(cand / s, 1e-300)
-                cand /= cand.sum()
-                cand_obj = float(cand @ x) - h.value(cand)
-                if cand_obj >= obj - 1e-15:
-                    p, obj = cand, cand_obj
-                    eta *= 1.25
-                    stepped = True
-                    break
-            eta *= 0.5
-        if not stepped:
-            break
-    refined = try_polish(p)
-    if refined is not None:
-        return finish(refined, refine=False)
-    raise RuntimeError(
-        f"numeric conjugate did not reach gap {tol:.1e} within {cap} iterations"
-    )
+    if start is not None and gap_at(h.prior) > tol:
+        p = try_polish(start)
+    if p is None:
+        p, certified = maximize_on_simplex(
+            lambda q: float(q @ x) - h.value(q), grad, gap_at, h.prior, tol=tol, refine=try_polish
+        )
+        if not certified:
+            raise SolverError(
+                f"numeric conjugate did not reach gap {tol:.1e} within {SIMPLEX_STEPS} steps"
+            )
+    out = (float(p @ x) - h.value(p), p)
+    h._memo.put(key, out)
+    return out
 
 
 def _logsumexp(v):
@@ -552,13 +458,15 @@ def _entropy_value_from_conjugate(conj, conj_grad, p, scale: float = 1.0) -> flo
 def neighborhood_hw_entropy(prior, neighborhoods) -> Entropy:
     """Weighted sum of within-neighborhood divergences from the conditional prior.
 
-    ``neighborhoods`` is an iterable of ``(state_indices, weight)`` pairs;
-    the conjugate has no closed form and is computed numerically, with the
-    closed-form Hessian of H driving its Newton steps and the implicit
-    conjugate Hessian.
+    ``neighborhoods`` is an iterable of ``(state_indices, weight)`` pairs
+    that together cover every state; a cover that leaves a state out raises
+    ``ValidationError``.  The conjugate has no closed form and is computed
+    numerically, with the closed-form Hessian of H driving its Newton steps
+    and the implicit conjugate Hessian.
     """
     prior = clean_weights(prior, "prior")
     blocks = []
+    covered = np.zeros(prior.size, dtype=bool)
     for idx, kap in neighborhoods:
         idx = tuple(int(i) for i in idx)
         if len(idx) == 0:
@@ -567,6 +475,13 @@ def neighborhood_hw_entropy(prior, neighborhoods) -> Entropy:
             raise ValidationError("neighborhood weights must be positive")
         pi_b = prior[list(idx)]
         blocks.append((np.array(idx), float(kap), pi_b / pi_b.sum()))
+        covered[list(idx)] = True
+    if not covered.all():
+        # H is linear along an uncovered state, which puts a kink in the
+        # conjugate that neither the certificate nor the Newton polish handles
+        raise ValidationError(
+            f"neighborhoods leave state(s) {np.flatnonzero(~covered).tolist()} uncovered"
+        )
 
     def value(p):
         total = 0.0
@@ -605,40 +520,29 @@ def neighborhood_hw_entropy(prior, neighborhoods) -> Entropy:
         and never certify a vertex optimum.
         """
         g = x - np.asarray(grad(np.maximum(p, 1e-300)), dtype=float)
-        any_supported = np.zeros(p.size, dtype=bool)
-        covered = np.zeros(p.size, dtype=bool)
+        # states in a neighborhood with mass; every state with mass is one
+        supported = np.zeros(p.size, dtype=bool)
         entries = []
         for idx, kap, pi_b in blocks:
-            covered[idx] = True
             if float(p[idx].sum()) > 1e-12:
-                any_supported[idx] = True
+                supported[idx] = True
             else:
                 z = x[idx] / kap
                 zmax = z.max()
                 entries.append(kap * (zmax + math.log(float(pi_b @ np.exp(z - zmax)))))
-        include = (p > 1e-12) | any_supported | ~covered
-        candidates = list(g[include]) + entries
-        base = float(p[include] @ g[include])
-        return max(candidates) - base
+        candidates = list(g[supported]) + entries
+        return max(candidates) - float(p[supported] @ g[supported])
 
     def faces(x, p):
         """Support guesses built from the block structure and entry values."""
         n = p.size
-        covered = np.zeros(n, dtype=bool)
         cands = []
         for idx, kap, pi_b in blocks:
-            covered[idx] = True
             mask = np.zeros(n, dtype=bool)
             mask[idx] = True
             z = x[idx] / kap
             zmax = z.max()
             cands.append((kap * (zmax + math.log(float(pi_b @ np.exp(z - zmax)))), mask))
-        for s in np.flatnonzero(~covered):
-            mask = np.zeros(n, dtype=bool)
-            mask[s] = True
-            cands.append((float(x[s]), mask))
-        if not cands:
-            return []
         top = max(v for v, _ in cands)
         winners = np.zeros(n, dtype=bool)
         for v, mask in cands:
@@ -937,7 +841,6 @@ def scale_entropy(h: Entropy, kappa: float) -> Entropy:
         conj_grad_rows_fn=(lambda Y: grad_rows(Y / k)) if grad_rows else None,
         conj_hess_rows_fn=(lambda Y: hess_rows(Y / k) / k) if hess_rows else None,
         numeric_tol=h.numeric_tol,
-        numeric_cap=h.numeric_cap,
     )
 
 

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._rootfind import newton
+from ._rootfind import maximize_on_simplex, stationary_point
 from .core import clean_weights
 from .transform import Transform
 
@@ -81,7 +81,6 @@ class FMeanResult:
     alpha: np.ndarray
     value: float
     converged: bool
-    iterations: int
     residual: float
 
 
@@ -102,59 +101,26 @@ def _csiszar_mean_subgradient(spec, rows, alpha, active):
     return g
 
 
-def _fmean_polish(spec, rows, alpha, active):
-    """Interior stationarity refinement on the active outcomes.
-
-    The reference-minimization objective has infinite slope toward zero mass
-    on any outcome that carries experiment mass, so the minimizer is interior
-    on the active face and satisfies 'subgradient constant across outcomes'.
-    The system in ``(log alpha, c)`` is solved by ``_rootfind.newton`` with
-    forward differences.
-    """
-    act = np.flatnonzero(active)
-    u0 = np.log(np.maximum(alpha[act], 1e-300))
-    g0 = _csiszar_mean_subgradient(spec, rows, alpha, active)
-    z0 = np.concatenate([u0, [float(alpha[act] @ g0[act])]])
-
-    def F(z):
-        a = np.zeros_like(alpha)
-        a[act] = np.exp(np.minimum(z[:-1], 50.0))
-        g = _csiszar_mean_subgradient(spec, rows, a, active)
-        return np.concatenate([g[act] - z[-1], [a[act].sum() - 1.0]])
-
-    z, Fz = newton(F, z0)
-    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(Fz))):
-        return None
-    out = np.zeros_like(alpha)
-    out[act] = np.exp(np.minimum(z[:-1], 50.0))
-    total = out.sum()
-    if not (0.5 < total < 2.0):
-        return None
-    return out / total
-
-
-def f_mean(
-    spec: DivergenceSpec,
-    rows: np.ndarray,
-    tol: float = 1e-9,
-    max_iter: int = 100000,
-) -> FMeanResult:
+def f_mean(spec: DivergenceSpec, rows: np.ndarray, tol: float = 1e-9) -> FMeanResult:
     """Minimize D_f(P || .) over reference distributions.
 
     For posterior-separable specs the minimizer is the unconditional
     distribution; the same holds in closed form for the shannon transform.
-    Otherwise the reference is found by entropic mirror descent with exact
-    subgradients (initialized at the unconditional distribution, refined by
-    an interior stationarity solve), stopping when the simplex stationarity
-    gap falls below ``tol``.  On hitting the iteration cap the best iterate
-    is returned with ``converged=False``.
+    Otherwise ``_rootfind.maximize_on_simplex`` maximizes -D_f with exact
+    subgradients from the unconditional distribution, moved inside the face
+    of outcomes that carry mass.  The objective has infinite slope toward
+    zero mass on such an outcome, so the minimizer is interior on that face,
+    where the subgradient is constant: the refinement solves that system by
+    ``_rootfind.stationary_point``.  The reference is certified once the
+    simplex stationarity gap falls below ``tol``; without a certificate the
+    iterate with the smallest gap is returned with ``converged=False``.
     """
     rows = np.asarray(rows, dtype=float)
     prior = spec.prior
     p_pi = prior @ rows
     if spec.kind == "posterior_separable" or spec.transform.family == "shannon":
         value = f_divergence(spec, rows, p_pi)
-        return FMeanResult(p_pi, value, True, 0, 0.0)
+        return FMeanResult(p_pi, value, True, 0.0)
 
     active = (prior @ (rows > 0)) > 0  # outcomes with positive mass somewhere
     alpha = p_pi.copy()
@@ -164,55 +130,22 @@ def f_mean(
     alpha[~active] = 0.0
     alpha /= alpha.sum()
 
+    def subgradient(a):
+        return _csiszar_mean_subgradient(spec, rows, a, active)
+
     def residual_at(a):
-        g = _csiszar_mean_subgradient(spec, rows, a, active)
+        g = subgradient(a)
         return float(a @ g) - float(g[active].min())
 
-    best = FMeanResult(alpha.copy(), f_divergence(spec, rows, alpha), False, 0, math.inf)
-    eta = 1.0
-    value = best.value
-    polish_at = 20
-    for it in range(1, max_iter + 1):
-        g = _csiszar_mean_subgradient(spec, rows, alpha, active)
-        gbar = float(alpha @ g)
-        residual = gbar - float(g[active].min())
-        if residual < best.residual:
-            best = FMeanResult(alpha.copy(), value, False, it, residual)
-        if residual <= tol:
-            return FMeanResult(alpha.copy(), value, True, it, residual)
-        if it >= polish_at:
-            polish_at = 2 * polish_at
-            refined = _fmean_polish(spec, rows, alpha, active)
-            if refined is not None:
-                r_res = residual_at(refined)
-                if r_res <= tol:
-                    return FMeanResult(
-                        refined, f_divergence(spec, rows, refined), True, it, r_res
-                    )
-        # exponentiated descent step with backtracking on the true objective
-        accepted = False
-        for _ in range(60):
-            expo = np.zeros_like(alpha)
-            expo[active] = -eta * (g[active] - g[active].min())
-            cand = alpha * np.exp(expo)
-            s = cand.sum()
-            if s > 0 and np.all(np.isfinite(cand)):
-                cand /= s
-                cand_value = f_divergence(spec, rows, cand)
-                if cand_value <= value + 1e-15:
-                    alpha, value = cand, cand_value
-                    eta *= 1.2
-                    accepted = True
-                    break
-            eta *= 0.5
-        if not accepted:
-            break
-    refined = _fmean_polish(spec, rows, best.alpha, active)
-    if refined is not None:
-        r_res = residual_at(refined)
-        if r_res <= tol:
-            return FMeanResult(refined, f_divergence(spec, rows, refined), True, max_iter, r_res)
-    return best
+    alpha, converged = maximize_on_simplex(
+        lambda a: -f_divergence(spec, rows, a),
+        lambda a: -subgradient(a),
+        residual_at,
+        alpha,
+        tol=tol,
+        refine=lambda a: stationary_point(subgradient, a, active),
+    )
+    return FMeanResult(alpha, f_divergence(spec, rows, alpha), converged, residual_at(alpha))
 
 
 __all__ = [

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChoiceRule, DecisionProblem, ValidationError
+from ._rootfind import (
+    BracketError,
+    bracketed_root,
+    expand_bracket,
+    maximize_on_simplex,
+    stationary_point,
+)
+from .core import ChoiceRule, DecisionProblem, SolverError, ValidationError
 from .costs import CostModel, CsiszarCost
 from .solver import MultiplierBox, foc_residuals
 
@@ -169,8 +176,6 @@ def verify_focs(problem, model, alpha, lam, box: MultiplierBox | None = None) ->
 
 def _invert_increasing(fn, y, hi0=1.0):
     """Smallest p >= 0 with fn(p) = y for an increasing scalar map fn."""
-    from infoacq._rootfind import BracketError, bracketed_root
-
     floor = 1e-14
     if fn(floor) >= y:
         return 0.0
@@ -184,9 +189,8 @@ def _invert_increasing(fn, y, hi0=1.0):
     return bracketed_root(lambda p: fn(p) - y, floor, hi, xtol=1e-15)
 
 
-def _per_state_refine(u, c_prime_scalar, tol):
+def _per_state_refine(u, c_prime_scalar):
     """Water-filling refinement: p(a) = (c')^{-1}(u_a - m) clipped at zero."""
-    from infoacq._rootfind import bracketed_root, expand_bracket
 
     def mass(mlt):
         return sum(_invert_increasing(c_prime_scalar, ua - mlt) for ua in u) - 1.0
@@ -198,20 +202,17 @@ def _per_state_refine(u, c_prime_scalar, tol):
     return p / total if total > 0 else None
 
 
-def apu_solve(
-    payoffs: np.ndarray,
-    perturbation,
-    perturbation_prime=None,
-    tol: float = 1e-10,
-    max_iter: int = 100000,
-) -> np.ndarray:
+def apu_solve(payoffs: np.ndarray, perturbation, perturbation_prime=None, tol: float = 1e-10) -> np.ndarray:
     """Statewise maximization of sum_a p(a) u(a) - c(p(a)) over the simplex.
 
     ``payoffs`` has shape (n_actions, n_states); returns the per-state choice
-    distributions as rows (n_states, n_actions).  Solved by exponentiated
-    mirror ascent with backtracking, refined by water-filling on the
-    derivative once close, to a simplex stationarity gap below ``tol``.
-    The perturbation must be strictly convex on its domain.
+    distributions as rows (n_states, n_actions).  Each state is solved by
+    ``_rootfind.maximize_on_simplex`` from the uniform distribution to a
+    simplex stationarity gap below ``tol``.  Its refinement is a Newton
+    solve of the stationarity conditions on the support, and else
+    water-filling on the derivative.  Raises ``SolverError`` when a state
+    misses the gap within the step cap.  The perturbation must be strictly
+    convex on its domain.
     """
     payoffs = np.asarray(payoffs, dtype=float)
     m, n = payoffs.shape
@@ -229,61 +230,35 @@ def apu_solve(
     out = np.empty((n, m))
     for s in range(n):
         u = payoffs[:, s]
-        p = np.full(m, 1.0 / m)
 
-        def objective(q):
-            return float(q @ u - np.sum(perturbation(q)))
+        def gradient(q):
+            return u - np.asarray(perturbation_prime(q), dtype=float)
 
-        def gap_at(q):
-            g = u - np.asarray(perturbation_prime(q), dtype=float)
+        def gap(q):
+            g = gradient(q)
             return float(g.max() - q @ g)
 
-        obj = objective(p)
-        eta = 1.0
-        converged = False
-        refine_at = 40
-        for it in range(1, max_iter + 1):
-            g = u - np.asarray(perturbation_prime(p), dtype=float)
-            gap = float(g.max() - p @ g)
-            if gap <= tol:
-                converged = True
-                break
-            if it >= refine_at:
-                refine_at *= 2
-                try:
-                    cand = _per_state_refine(u, cp_scalar, tol)
-                except Exception:
-                    cand = None
-                if cand is not None and gap_at(np.maximum(cand, 0.0)) <= tol:
-                    p = cand
-                    converged = True
-                    break
-            stepped = False
-            for _ in range(60):
-                cand = p * np.exp(eta * (g - g.max()))
-                z = cand.sum()
-                if z > 0 and np.all(np.isfinite(cand)):
-                    cand = np.maximum(cand / z, 1e-300)
-                    cand /= cand.sum()
-                    cand_obj = objective(cand)
-                    if cand_obj >= obj - 1e-15:
-                        p, obj = cand, cand_obj
-                        eta *= 1.25
-                        stepped = True
-                        break
-                eta *= 0.5
-            if not stepped:
-                break
-        if not converged:
+        def refine(q):
+            # Newton on the support is cheap and exact for an interior choice;
+            # water-filling also finds the actions priced out at zero
+            cand = stationary_point(gradient, q, q > 1e-10)
+            if cand is not None and gap(cand) <= tol:
+                return cand
             try:
-                cand = _per_state_refine(u, cp_scalar, tol)
-            except Exception:
-                cand = None
-            if cand is not None and gap_at(np.maximum(cand, 0.0)) <= tol:
-                p = cand
-                converged = True
-        if not converged:
-            raise RuntimeError(f"per-state maximization stalled in state {s}")
+                return _per_state_refine(u, cp_scalar)
+            except BracketError:
+                return None
+
+        p, certified = maximize_on_simplex(
+            lambda q: float(q @ u - np.sum(perturbation(q))),
+            gradient,
+            gap,
+            np.full(m, 1.0 / m),
+            tol=tol,
+            refine=refine,
+        )
+        if not certified:
+            raise SolverError(f"per-state maximization stalled in state {s}")
         out[s] = p
     return out
 

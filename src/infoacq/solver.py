@@ -36,6 +36,7 @@ from ._rootfind import BracketError, bracketed_root, descend, newton
 from .core import (
     ChoiceRule,
     DecisionProblem,
+    SolverError,
     ValidationError,
     validate_problem,
 )
@@ -48,10 +49,6 @@ from .costs import (
     mutual_information_cost,
 )
 from .transform import Transform
-
-
-class SolverError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -79,8 +76,6 @@ class MultiplierBox:
     translation_slice: bool = False
     reduced: bool = False
     detail: str = ""
-    # the bound rests on a sampled entropy spread rather than a proof
-    heuristic: bool = False
 
     def contains(self, lam: np.ndarray, margin: float = 1e-9) -> bool:
         return bool(np.max(np.abs(lam)) <= self.bound * (1 + 1e-12) + margin)
@@ -164,9 +159,6 @@ def _weighted_hessian(model, X, w) -> np.ndarray | None:
 # multiplier bounds
 
 
-# detail of a posterior-separable box whose entropy spread is sampled, not proven
-HEURISTIC_BOX = "heuristic: sampled entropy spread, padded 1.5x"
-
 # the table of n 2^(n-1) candidate vertices is built only up to this many states
 _VERTEX_TABLE_MAX_N = 12
 
@@ -201,60 +193,37 @@ def _ball_vertices(prior: np.ndarray, eps: float) -> np.ndarray | None:
     return P[np.sort(first)]
 
 
-def _sampled_entropy_spread(h, prior: np.ndarray, eps: float, samples: int = 256) -> float:
-    """Heuristic max |H(p)| over the eps-ball: the largest value at the
-    n (n - 1) pair transfers of size eps and at random sign points in the
-    ball, padded by 1.5 because sampling underestimates a convex max."""
-    n = prior.size
-    best = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            p = prior.copy()
-            p[i] += eps
-            p[j] -= eps
-            if p[j] <= 0:
-                continue
-            best = max(best, abs(h.value(p)))
-    rng = np.random.default_rng(0)
-    for _ in range(samples):
-        signs = rng.choice([-1.0, 1.0], size=n)
-        p = np.maximum(prior + eps * signs, 1e-12)
-        p /= p.sum()
-        if np.max(np.abs(p - prior)) <= eps + 1e-12:
-            best = max(best, abs(h.value(p)))
-    return 1.5 * best
-
-
-def _ps_entropy_spread(model: PosteriorSeparableCost, eps: float) -> tuple[float, bool]:
-    """``(spread, heuristic)``: a bound on max |H(p) - H(prior)| over the
-    eps-ball around the prior in the simplex, and whether it is only sampled.
+def _ps_entropy_spread(model: PosteriorSeparableCost, eps: float) -> float:
+    """A proven bound on max |H(p) - H(prior)| over the eps-ball around the
+    prior in the simplex.
 
     ``H(prior) = 0`` is the ``Entropy`` contract.  Shannon-KL has a closed
-    form.  Otherwise the ball is the polytope of ``_ball_vertices``.  H is
-    convex, so its maximum there is the largest value at a vertex.  |H| is
-    not convex, so -min H is bounded apart: by the tangent plane at the prior
-    at the same vertices when the entropy has a gradient, else by
-    Fenchel-Young at zero, ``H(p) >= -H*(0)``.  When there are more vertices
-    than the ``n (n - 1) + 256`` points of the sampled estimate, the spread
-    is that padded sample and only a heuristic.
+    form.  Otherwise the bound is taken over a polytope that contains the
+    ball: the ball itself, whose vertices ``_ball_vertices`` enumerates,
+    while they number at most ``n (n - 1) + 256``, and beyond that the
+    simplex ``{p >= lo, sum p = 1}`` with ``lo = max(prior - eps, 0)``, whose
+    n vertices are ``lo + (1 - sum lo) e_s``.  H is convex, so its maximum
+    over the polytope is the largest value at a vertex.  |H| is not convex,
+    so -min H is bounded apart: by the tangent plane at the prior at the
+    same vertices when the entropy has a gradient, else by Fenchel-Young at
+    zero, ``H(p) >= -H*(0)``.
     """
     prior = model.prior
     n = prior.size
     h = model.entropy
     if h.family == "shannon_kl":
         kap = h.value(np.eye(n)[0]) / max(-math.log(prior[0]), 1e-300)  # recover scale
-        return kap * math.log(1.0 + eps / prior.min()), False
+        return kap * math.log(1.0 + eps / prior.min())
     V = _ball_vertices(prior, eps)
     if V is None or len(V) > n * (n - 1) + 256:
-        return _sampled_entropy_spread(h, prior, eps), True
+        lo = np.maximum(prior - eps, 0.0)
+        V = lo + (1.0 - lo.sum()) * np.eye(n)
     if h.grad_fn is not None:
         lower = float(((V - prior) @ np.asarray(h.grad_fn(prior), dtype=float)).min())
     else:
         lower = -h.h_star(np.zeros(n))
     upper = max(h.value(v) for v in V)
-    return max(upper, -lower), False
+    return max(upper, -lower)
 
 
 def multiplier_bounds(
@@ -267,12 +236,10 @@ def multiplier_bounds(
     of the separable f taken coordinatewise at the corners.  For
     posterior-separable costs the bound applies on the sum-zero slice and
     uses the entropy's spread on the eps-ball around the prior, which is
-    proven by enumerating the ball's vertices (see ``_ps_entropy_spread``).
-    Where the vertices outnumber the sampled estimate's budget, as for a
-    ball of 9 or of more than 10 states at the default radius, the spread is
-    sampled and padded instead, and the box is marked ``heuristic`` with
-    detail ``HEURISTIC_BOX``.  Perceptual costs are bounded through their
-    reduced attribute problem.
+    proven at the vertices of the ball, or of a simplex that contains it
+    where the ball has too many vertices, as at 9 or more than 10 states at
+    the default radius (see ``_ps_entropy_spread``).  Perceptual costs are
+    bounded through their reduced attribute problem.
     """
     a_inf = problem.payoff_bound()
     if isinstance(model, PerceptualCsiszarCost):
@@ -283,15 +250,9 @@ def multiplier_bounds(
         eps = epsilon if epsilon is not None else min(0.5, problem.prior.min() / 2)
         if eps <= 0:
             raise SolverError("prior on the boundary: no valid ball radius")
-        spread, heuristic = _ps_entropy_spread(model, eps)
+        spread = _ps_entropy_spread(model, eps)
         bound = (2.0 / eps + 1.0 / problem.prior.min()) * (a_inf + spread)
-        return MultiplierBox(
-            bound,
-            eps,
-            translation_slice=True,
-            heuristic=heuristic,
-            detail=HEURISTIC_BOX if heuristic else "",
-        )
+        return MultiplierBox(bound, eps, translation_slice=True)
     if isinstance(model, CsiszarCost):
         eps = epsilon if epsilon is not None else 0.5
         t = model.transform
@@ -379,7 +340,7 @@ def scipy_root(*args, **kwargs):
     Nothing in the library calls it: every vector root goes through
     ``_rootfind.newton``.  It is kept only because ``bench/tracer.py`` binds
     this name when it installs, until the in-library solve trace of ROADMAP
-    item 3 replaces that tracer.
+    item 1 replaces that tracer.
     """
     from scipy.optimize import root
 
@@ -724,8 +685,6 @@ def _assemble(problem, model, alpha, lam, iters, converged, backend, box, extra=
         diagnostics.update(extra)
     if box is not None:
         diagnostics["box_contains_multiplier"] = box.holds(problem, lam)
-        if box.heuristic:
-            diagnostics["box_detail"] = box.detail
     return Solution(
         problem=problem,
         model=model,

@@ -220,7 +220,7 @@ class TestPosteriorSeparableThreshold:
 
     def test_asymmetric_entropy_rejected(self):
         prior = np.full(3, 1 / 3)
-        lopsided = neighborhood_hw_entropy(prior, [((0, 1), 1.0)])
+        lopsided = neighborhood_hw_entropy(prior, [((0, 1), 1.0), ((0, 1, 2), 0.5)])
         with pytest.raises(Exception, match="asymmetric"):
             posterior_separable_threshold(lopsided, 3, 1.0)
 

@@ -72,6 +72,7 @@ class TestSolveCommand:
             ({"family": "mutual_information", "kappa": "big"}, "kappa"),
             ([1, 2], "object"),
             ({"family": "csiszar", "transform": {"family": "tabulated", "psi_prime": [[0, 1], [1, 2]]}}, "three"),
+            ({"family": "neighborhood_hw", "neighborhoods": [{"states": ["s0", "s1"]}]}, "uncovered"),
         ],
     )
     def test_malformed_cost_is_an_input_error(self, tmp_path, capsys, cost, name):

@@ -56,6 +56,13 @@ class TestValidation:
         np.testing.assert_allclose(p.prior, prior / prior.sum(), rtol=1e-15)
         np.testing.assert_array_equal(p.payoffs, rng.uniform(-1.0, 1.0, size=(3, 4)))
 
+    def test_solver_error_is_one_class_everywhere(self):
+        import infoacq
+        from infoacq import core, solver
+
+        assert infoacq.SolverError is solver.SolverError is core.SolverError
+        assert issubclass(core.SolverError, RuntimeError)
+
     def test_small_negative_entries_clipped(self):
         s = Simplex.build(["x", "y"], [1.0 + 1e-15, -1e-15])
         assert s.weights[1] == 0.0

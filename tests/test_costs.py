@@ -5,7 +5,8 @@ import threading
 import numpy as np
 import pytest
 
-from infoacq.core import ChoiceRule, validate_problem
+from infoacq.catalog import random_problem
+from infoacq.core import ChoiceRule, SolverError, ValidationError, validate_problem
 from infoacq.costs import (
     MEMO_CAPACITY,
     build_encoder,
@@ -17,6 +18,7 @@ from infoacq.costs import (
     nested_shannon_cost,
     nested_shannon_entropy,
     numeric_conjugate,
+    numeric_entropy,
     perceptual_csiszar_cost,
     posterior_separable_cost,
     scale,
@@ -330,6 +332,49 @@ class TestNumericConjugate:
             val_m, arg_m = numeric_conjugate(h, x[mirror])
             assert val_m == pytest.approx(val, abs=1e-12)
             np.testing.assert_allclose(arg_m, arg[mirror], rtol=0, atol=1e-12)
+
+    def test_argmax_with_underflowing_masses_is_certified(self):
+        # the argmax puts about e^-1150 on most states, so Newton on the
+        # whole simplex fails every line search; the ascent used to run
+        # 100,000 steps and 132,244 entropy evaluations (31 s) before a
+        # bare RuntimeError
+        prior = random_problem(np.random.default_rng(5), 9, 4).prior
+        hoods = [(tuple(range(9)), 0.2), ((0, 1), 1), ((2, 3), 1), ((4, 5), 1), ((6, 7), 1)]
+        h = neighborhood_hw_entropy(prior, hoods)
+        x = np.array(
+            [
+                284.539041722471,
+                248.8875044771337,
+                53.73529311213349,
+                8.551376948390764,
+                69.24340927738841,
+                191.58270113732056,
+                -1156.49325496782,
+                83.69928028610856,
+                123.40057839405195,
+            ]
+        )
+        calls = []
+        value_fn, grad_fn = h.value_fn, h.grad_fn
+        h.value_fn = lambda p: calls.append(1) or value_fn(p)
+        h.grad_fn = lambda p: calls.append(1) or grad_fn(p)
+        val, arg = numeric_conjugate(h, x)
+        assert len(calls) <= 2_000
+        assert h.gap_fn(x, arg) <= h.numeric_tol
+        assert val == pytest.approx(float(arg @ x) - value_fn(arg), abs=1e-9)
+        assert val == pytest.approx(283.1856, abs=1e-3)
+
+    def test_uncertifiable_query_is_a_typed_failure(self):
+        # a gradient that is nowhere finite: no step or refinement certifies
+        prior = np.array([0.3, 0.7])
+        h = numeric_entropy(prior, lambda p: float(p @ np.log(p / prior)), lambda p: np.full(2, np.nan))
+        with pytest.raises(SolverError, match="did not reach gap"):
+            numeric_conjugate(h, np.array([0.5, -0.5]))
+
+    def test_cover_that_leaves_a_state_out_is_rejected(self):
+        # H would be linear along state 2; solves on such a cover used to hang
+        with pytest.raises(ValidationError, match=r"state\(s\) \[2\] uncovered"):
+            neighborhood_hw_entropy(np.full(3, 1 / 3), [((0, 1), 0.5)])
 
 
 class TestPrimalCost:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from infoacq.catalog import exchangeable_problem, random_problem
-from infoacq.core import validate_problem
+from infoacq.core import SolverError, validate_problem
 from infoacq.costs import chi2_cost, mutual_information_cost, scale
 from infoacq.oracle import (
     apu_perturbation_from_transform,
@@ -99,6 +99,13 @@ class TestPerStatePerturbedChoice:
         expected = np.exp(payoffs.T / kappa)
         expected /= expected.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(rows, expected, atol=1e-8)
+
+    def test_uncertifiable_state_is_a_typed_failure(self):
+        # a derivative that is nowhere finite: no step, refinement or
+        # water-filling bracket can certify the state
+        payoffs = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(SolverError, match="state 0"):
+            apu_solve(payoffs, lambda t: np.asarray(t) ** 2, lambda t: np.full(np.shape(t), np.nan))
 
     def test_identical_payoffs_give_uniform_choice(self):
         payoffs = np.zeros((4, 2))

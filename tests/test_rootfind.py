@@ -1,8 +1,16 @@
-"""The damped Newton method and the convex descent of ``infoacq._rootfind``."""
+"""The damped Newton method, the convex descent and the simplex maximization
+of ``infoacq._rootfind``."""
 
 import numpy as np
 
-from infoacq._rootfind import descend, fd_jacobian, newton
+from infoacq._rootfind import (
+    SIMPLEX_STEPS,
+    descend,
+    fd_jacobian,
+    maximize_on_simplex,
+    newton,
+    stationary_point,
+)
 
 
 def _circle_line(z):
@@ -109,3 +117,67 @@ class TestDescend:
     def test_a_start_within_tolerance_is_returned(self):
         z = descend(self.f, self.F, [5.0], self.jac, tol=1e-12)
         np.testing.assert_array_equal(z, [5.0])
+
+
+# p.u + Shannon entropy of p: its maximizer over the simplex is softmax(u)
+def _entropy_objective(u):
+    def objective(p):
+        pos = p > 0
+        return float(p @ u - p[pos] @ np.log(p[pos]))
+
+    def gradient(p):
+        return u - np.log(np.maximum(p, 1e-300)) - 1.0
+
+    def gap(p):
+        g = gradient(p)
+        return float(g.max() - p @ g)
+
+    return objective, gradient, gap
+
+
+class TestSimplexMaximization:
+    def test_ascent_alone_reaches_the_certificate(self):
+        u = np.array([0.3, -0.2, 1.1, 0.0])
+        objective, gradient, gap = _entropy_objective(u)
+        p, certified = maximize_on_simplex(
+            objective, gradient, gap, np.full(4, 0.25), tol=1e-10, refine=lambda p: None
+        )
+        assert certified and gap(p) <= 1e-10
+        np.testing.assert_allclose(p, np.exp(u) / np.exp(u).sum(), rtol=0, atol=1e-6)
+
+    def test_without_a_certificate_the_best_iterate_is_returned(self):
+        u = np.array([0.3, -0.2, 1.1, 0.0])
+        objective, gradient, gap = _entropy_objective(u)
+        steps, refined = [], []
+
+        def counting_gradient(p):
+            steps.append(1)
+            return gradient(p)
+
+        def refine(p):
+            refined.append(gap(p))
+            return None
+
+        # a negative tolerance cannot be met, so the ascent runs to its cap
+        p, certified = maximize_on_simplex(
+            objective, counting_gradient, gap, np.full(4, 0.25), tol=-1.0, refine=refine
+        )
+        assert not certified
+        assert len(steps) == SIMPLEX_STEPS
+        # before the first step, after steps 1, 2, 4, ..., 512, and from the best iterate
+        assert len(refined) == 12
+        assert gap(p) == min(refined)
+
+    def test_underflowing_masses_leave_the_face(self):
+        # the stationary masses of states 1 and 3 are e^-2000 and e^-1500:
+        # Newton on the whole simplex cannot reach them, and ends far off
+        u = np.array([0.0, -2000.0, -1.0, -1500.0])
+        _, gradient, gap = _entropy_objective(u)
+        def jac(p):
+            return -np.diag(1.0 / np.maximum(p, 1e-300))
+
+        q = stationary_point(gradient, np.full(4, 0.25), None, jac)
+        assert q[1] == 0.0 and q[3] == 0.0
+        expected = np.array([1.0, 0.0, np.exp(-1.0), 0.0]) / (1.0 + np.exp(-1.0))
+        np.testing.assert_allclose(q, expected, rtol=0, atol=1e-15)
+        assert gap(q) <= 1e-12

@@ -29,7 +29,6 @@ from infoacq.costs import (
 )
 from infoacq.oracle import verify_focs
 from infoacq.solver import (
-    HEURISTIC_BOX,
     SolveOptions,
     SolverError,
     chi2_multiplier,
@@ -104,10 +103,8 @@ class TestEntropySpread:
         calls = []
         value_fn = h.value_fn
         h.value_fn = lambda p: calls.append(1) or value_fn(p)
-        spread, heuristic = solver._ps_entropy_spread(model, eps)
-        assert not heuristic
+        spread = solver._ps_entropy_spread(model, eps)
         assert len(calls) <= len(solver._ball_vertices(prior, eps))
-        assert spread <= solver._sampled_entropy_spread(h, prior, eps)
         h_prior = h.value(prior)
         worst = max(abs(h.value(p) - h_prior) for p in _ball_points(rng, prior, eps, 500))
         assert worst <= spread * (1 + 1e-9) + 1e-12
@@ -122,8 +119,7 @@ class TestEntropySpread:
             lambda p: float(g @ (p - prior) + 0.5 * np.sum((p - prior) ** 2 / prior)),
             lambda p: g + (p - prior) / prior,
         )
-        spread, heuristic = solver._ps_entropy_spread(posterior_separable_cost(prior, h), 0.2)
-        assert not heuristic
+        spread = solver._ps_entropy_spread(posterior_separable_cost(prior, h), 0.2)
         assert spread >= -h.value(np.array([0.3, 0.3, 0.4]))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
@@ -145,19 +141,38 @@ class TestEntropySpread:
         V = solver._ball_vertices(prior, 1.0)
         assert sorted(map(tuple, V)) == sorted(map(tuple, np.eye(3)))
 
-    def test_eleven_states_take_the_labelled_heuristic(self):
-        p = guess_the_state(11, 1.0)
-        model = neighborhood_hw_cost(p.prior, [(tuple(range(11)), 1.0)])
-        box = multiplier_bounds(p, model)
-        assert box.heuristic and box.detail == HEURISTIC_BOX
-        sol = solve(p, model)
-        assert sol.diagnostics["box_detail"] == HEURISTIC_BOX
+    @pytest.mark.parametrize("n", [9, 11])
+    @pytest.mark.parametrize("family", ["neighborhood_hw", "numeric"])
+    def test_spread_beyond_the_vertex_budget_bounds_the_ball(self, family, n):
+        # the default ball has more vertices than the budget here, so the
+        # spread is read at the n vertices of a simplex containing the ball;
+        # the ball's own vertices, all enumerated, give the exact maximum
+        rng = np.random.default_rng(100 + n)
+        prior = rng.dirichlet(np.ones(n)) * 0.5 + 0.5 / n
+        prior /= prior.sum()
+        h = _spread_entropy(family, prior, rng)
+        eps = prior.min() / 2
+        V = solver._ball_vertices(prior, eps)
+        assert len(V) > n * (n - 1) + 256
+        calls = []
+        value_fn = h.value_fn
+        h.value_fn = lambda p: calls.append(1) or value_fn(p)
+        spread = solver._ps_entropy_spread(posterior_separable_cost(prior, h), eps)
+        assert len(calls) == n
+        h.value_fn = value_fn
+        worst = max(abs(h.value(v)) for v in V)
+        assert 0 < worst <= spread
 
-    def test_proven_box_adds_no_detail(self):
-        p = guess_the_state(4, 1.0)
-        sol = solve(p, neighborhood_hw_cost(p.prior, [((0, 1, 2, 3), 1.0)]))
-        assert not sol.box.heuristic
-        assert "box_detail" not in sol.diagnostics
+    def test_nine_state_box_contains_the_multiplier(self):
+        # beyond the vertex budget at n = 9, where the box used to be sampled
+        p = random_problem(np.random.default_rng(5), 9, 4)
+        hoods = [(tuple(range(9)), 0.2), ((0, 1), 1.0), ((2, 3), 1.0), ((4, 5), 1.0), ((6, 7), 1.0)]
+        model = neighborhood_hw_cost(p.prior, hoods)
+        box = multiplier_bounds(p, model)
+        assert box.bound == pytest.approx(111.249, abs=1e-3)
+        sol = solve(p, model)
+        assert sol.converged
+        assert sol.diagnostics["box_contains_multiplier"] is True
 
 
 class TestBoxRetry:
