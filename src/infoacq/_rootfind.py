@@ -199,7 +199,7 @@ def descend(
 _POLISH_HALVINGS = 10
 
 
-def stationary_point(grad, p0, face=None, jac=None) -> np.ndarray | None:
+def stationary_point(grad, p0, face=None, jac=None, accept=None) -> np.ndarray | None:
     """Point of the simplex face where ``grad`` is constant, by Newton from p0.
 
     Solves ``grad(q)_f = c``, ``sum q = 1`` for ``(log q_f, c)`` with
@@ -212,9 +212,11 @@ def stationary_point(grad, p0, face=None, jac=None) -> np.ndarray | None:
     stationary mass underflows keeps its residual however far Newton sends
     it, which fails every line search; when the solve ends short of a
     root, the coordinates that the next Newton step sends below 1e-300 are
-    dropped and the rest solved again.  Returns the normalized solution, or
-    None when the solve ends at a non-finite or unnormalizable point;
-    callers certify it by their stationarity gap.
+    dropped and the rest solved again.  The reduced solution is returned
+    when it passes ``accept`` (the caller's certificate; None accepts any
+    solution), and else the point this face's solve reached.  Returns the
+    normalized solution, or None when the solve ends at a non-finite or
+    unnormalizable point; callers certify it by their stationarity gap.
     """
     n = p0.size
     idx = np.arange(n) if face is None else np.flatnonzero(face)
@@ -250,7 +252,9 @@ def stationary_point(grad, p0, face=None, jac=None) -> np.ndarray | None:
         if low.any() and not low.all():
             keep = np.zeros(n, dtype=bool)
             keep[idx[~low]] = True
-            return stationary_point(grad, p0, keep, jac)
+            reduced = stationary_point(grad, p0, keep, jac, accept)
+            if reduced is not None and (accept is None or accept(reduced)):
+                return reduced
     q = assemble(z)
     total = q.sum()
     if not (0.5 < total < 2.0):

@@ -259,6 +259,9 @@ def numeric_conjugate(h: Entropy, x):
         g = grad(p)
         return float(g.max() - p @ g)
 
+    def certifies(q):
+        return gap_at(q) <= tol
+
     def try_polish(p):
         faces = [None, p > 1e-10]
         if h.faces_fn is not None:
@@ -271,8 +274,10 @@ def numeric_conjugate(h: Entropy, x):
             seen.add(key_f)
             if face is not None and face.all() and None in seen:
                 continue
-            refined = stationary_point(grad, p, face, jac if h.hess_fn is not None else None)
-            if refined is not None and gap_at(refined) <= tol:
+            refined = stationary_point(
+                grad, p, face, jac if h.hess_fn is not None else None, accept=certifies
+            )
+            if refined is not None and certifies(refined):
                 return refined
         return None
 
@@ -619,6 +624,17 @@ def primal_cost(model: CostModel, rule: ChoiceRule) -> float:
     return model.primal_cost(rule)
 
 
+def _certified_f_mean(spec, rows) -> float:
+    """Value of the f-mean of ``rows``; ``SolverError`` without a certificate."""
+    result = divergence.f_mean(spec, rows)
+    if not result.converged:
+        raise SolverError(
+            f"f-mean did not reach its stationarity gap within {SIMPLEX_STEPS} steps "
+            f"(gap {result.residual:.1e})"
+        )
+    return result.value
+
+
 class CsiszarCost(CostModel):
     """Statewise-separable cost driven by a univariate transform."""
 
@@ -653,7 +669,7 @@ class CsiszarCost(CostModel):
         return divergence.csiszar_spec(self.prior, self.transform)
 
     def primal_cost(self, rule: ChoiceRule) -> float:
-        return divergence.f_mean(self.divergence_spec(), rule.rows).value
+        return _certified_f_mean(self.divergence_spec(), rule.rows)
 
 
 def mutual_information_cost(prior, kappa: float = 1.0) -> CsiszarCost:
@@ -801,7 +817,7 @@ class PerceptualCsiszarCost(CostModel):
         if Q is None:
             return math.inf
         spec = divergence.csiszar_spec(self.encoder.nu, self.transform)
-        return divergence.f_mean(spec, Q).value
+        return _certified_f_mean(spec, Q)
 
 
 def perceptual_csiszar_cost(prior, transform: Transform, encoder: Encoder) -> PerceptualCsiszarCost:

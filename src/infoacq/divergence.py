@@ -143,7 +143,9 @@ def f_mean(spec: DivergenceSpec, rows: np.ndarray, tol: float = 1e-9) -> FMeanRe
         residual_at,
         alpha,
         tol=tol,
-        refine=lambda a: stationary_point(subgradient, a, active),
+        refine=lambda a: stationary_point(
+            subgradient, a, active, accept=lambda q: residual_at(q) <= tol
+        ),
     )
     return FMeanResult(alpha, f_divergence(spec, rows, alpha), converged, residual_at(alpha))
 

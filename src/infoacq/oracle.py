@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rootfind import (
-    BracketError,
-    bracketed_root,
-    expand_bracket,
-    maximize_on_simplex,
-    stationary_point,
-)
+from ._rootfind import maximize_on_simplex, stationary_point
 from .core import ChoiceRule, DecisionProblem, SolverError, ValidationError
 from .costs import CostModel, CsiszarCost
 from .solver import MultiplierBox, foc_residuals
@@ -174,34 +168,6 @@ def verify_focs(problem, model, alpha, lam, box: MultiplierBox | None = None) ->
     return FocReport(res_a, res_l, in_box, slice_resid)
 
 
-def _invert_increasing(fn, y, hi0=1.0):
-    """Smallest p >= 0 with fn(p) = y for an increasing scalar map fn."""
-    floor = 1e-14
-    if fn(floor) >= y:
-        return 0.0
-    hi = max(hi0, 1.0)
-    for _ in range(400):
-        if fn(hi) >= y:
-            break
-        hi *= 4.0
-    else:
-        raise BracketError("derivative never reaches the target level")
-    return bracketed_root(lambda p: fn(p) - y, floor, hi, xtol=1e-15)
-
-
-def _per_state_refine(u, c_prime_scalar):
-    """Water-filling refinement: p(a) = (c')^{-1}(u_a - m) clipped at zero."""
-
-    def mass(mlt):
-        return sum(_invert_increasing(c_prime_scalar, ua - mlt) for ua in u) - 1.0
-
-    lo, hi = expand_bracket(mass, float(u.min()) - 1.0, float(u.max()) + 1.0)
-    mlt = bracketed_root(mass, lo, hi, xtol=1e-15)
-    p = np.array([_invert_increasing(c_prime_scalar, ua - mlt) for ua in u])
-    total = p.sum()
-    return p / total if total > 0 else None
-
-
 def apu_solve(payoffs: np.ndarray, perturbation, perturbation_prime=None, tol: float = 1e-10) -> np.ndarray:
     """Statewise maximization of sum_a p(a) u(a) - c(p(a)) over the simplex.
 
@@ -209,10 +175,11 @@ def apu_solve(payoffs: np.ndarray, perturbation, perturbation_prime=None, tol: f
     distributions as rows (n_states, n_actions).  Each state is solved by
     ``_rootfind.maximize_on_simplex`` from the uniform distribution to a
     simplex stationarity gap below ``tol``.  Its refinement is a Newton
-    solve of the stationarity conditions on the support, and else
-    water-filling on the derivative.  Raises ``SolverError`` when a state
-    misses the gap within the step cap.  The perturbation must be strictly
-    convex on its domain.
+    solve of the stationarity conditions on the support; the ascent prices
+    actions out toward zero and ``_rootfind.stationary_point`` drops those
+    whose mass underflows.  Raises ``SolverError`` when a state misses the
+    gap within the step cap.  The perturbation must be strictly convex on
+    its domain.
     """
     payoffs = np.asarray(payoffs, dtype=float)
     m, n = payoffs.shape
@@ -223,9 +190,6 @@ def apu_solve(payoffs: np.ndarray, perturbation, perturbation_prime=None, tol: f
             t = np.asarray(t, dtype=float)
             lo = np.maximum(t - h, 1e-12)
             return (perturbation(t + h) - perturbation(lo)) / (t + h - lo)
-
-    def cp_scalar(p):
-        return float(np.asarray(perturbation_prime(np.asarray([p])), dtype=float)[0])
 
     out = np.empty((n, m))
     for s in range(n):
@@ -238,16 +202,8 @@ def apu_solve(payoffs: np.ndarray, perturbation, perturbation_prime=None, tol: f
             g = gradient(q)
             return float(g.max() - q @ g)
 
-        def refine(q):
-            # Newton on the support is cheap and exact for an interior choice;
-            # water-filling also finds the actions priced out at zero
-            cand = stationary_point(gradient, q, q > 1e-10)
-            if cand is not None and gap(cand) <= tol:
-                return cand
-            try:
-                return _per_state_refine(u, cp_scalar)
-            except BracketError:
-                return None
+        def certifies(q):
+            return gap(q) <= tol
 
         p, certified = maximize_on_simplex(
             lambda q: float(q @ u - np.sum(perturbation(q))),
@@ -255,7 +211,7 @@ def apu_solve(payoffs: np.ndarray, perturbation, perturbation_prime=None, tol: f
             gap,
             np.full(m, 1.0 / m),
             tol=tol,
-            refine=refine,
+            refine=lambda q: stationary_point(gradient, q, q > 1e-10, accept=certifies),
         )
         if not certified:
             raise SolverError(f"per-state maximization stalled in state {s}")

@@ -1,10 +1,12 @@
 import math
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from infoacq import divergence
 from infoacq.catalog import random_problem
 from infoacq.core import ChoiceRule, SolverError, ValidationError, validate_problem
 from infoacq.costs import (
@@ -441,6 +443,19 @@ class TestPrimalCost:
                 ChoiceRule.build(p, r2)
             )
             assert mid <= ends + 1e-8
+
+    def test_uncertified_f_mean_is_a_typed_failure(self, monkeypatch):
+        prior = np.array([0.5, 0.5])
+        p = validate_problem(["s0", "s1"], prior, [("a", [1, 0]), ("b", [0, 1])])
+        rule = ChoiceRule.build(p, np.array([[0.9, 0.1], [0.2, 0.8]]))
+        m = chi2_cost(prior, 1.0)
+        assert math.isfinite(m.primal_cost(rule))
+        real = divergence.f_mean
+        monkeypatch.setattr(
+            divergence, "f_mean", lambda spec, rows: replace(real(spec, rows), converged=False)
+        )
+        with pytest.raises(SolverError, match="f-mean did not reach"):
+            m.primal_cost(rule)
 
     def test_encoder_garbling_raises_perceptual_cost(self):
         rng = np.random.default_rng(16)

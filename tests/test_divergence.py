@@ -104,3 +104,16 @@ class TestFMean:
         for _ in range(100):
             beta = rng.dirichlet(np.ones(3))
             assert res.value <= f_divergence(spec, rows, beta) + 1e-9
+
+    def test_sparse_rows_under_a_skewed_prior_certify(self):
+        # outcomes missing from some states and states of tiny mass: the
+        # minimizer sits near faces of the simplex
+        rng = np.random.default_rng(6)
+        for _ in range(40):
+            k, m = rng.integers(2, 9, size=2)
+            prior = np.maximum(rng.dirichlet(np.full(k, 0.3)), 1e-6)
+            spec = csiszar_spec(prior / prior.sum(), chi2(rng.uniform(0.1, 3.0)))
+            rows = rng.dirichlet(np.full(m, 0.2), size=k)
+            rows[rows < 1e-3] = 0.0
+            res = f_mean(spec, rows / rows.sum(axis=1, keepdims=True))
+            assert res.converged and res.residual <= 1e-9

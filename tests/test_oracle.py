@@ -101,11 +101,20 @@ class TestPerStatePerturbedChoice:
         np.testing.assert_allclose(rows, expected, atol=1e-8)
 
     def test_uncertifiable_state_is_a_typed_failure(self):
-        # a derivative that is nowhere finite: no step, refinement or
-        # water-filling bracket can certify the state
+        # a derivative that is nowhere finite: no step or refinement can
+        # certify the state
         payoffs = np.array([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(SolverError, match="state 0"):
             apu_solve(payoffs, lambda t: np.asarray(t) ** 2, lambda t: np.full(np.shape(t), np.nan))
+
+    def test_priced_out_action_gets_zero_mass(self):
+        # c(p) = p^2 / 2 makes the choice the Euclidean projection of u onto
+        # the simplex, p = (u - m)^+: m = 0.45 prices action 2 out in state 0,
+        # and m = -7/30 keeps every action in state 1
+        payoffs = np.array([[1.0, 0.2], [0.9, 0.1], [-5.0, 0.0]])
+        rows = apu_solve(payoffs, lambda t: np.asarray(t) ** 2 / 2, lambda t: np.asarray(t, dtype=float))
+        np.testing.assert_allclose(rows[0], [0.55, 0.45, 0.0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rows[1], np.array([13.0, 10.0, 7.0]) / 30, rtol=0, atol=1e-12)
 
     def test_identical_payoffs_give_uniform_choice(self):
         payoffs = np.zeros((4, 2))

@@ -181,3 +181,23 @@ class TestSimplexMaximization:
         expected = np.array([1.0, 0.0, np.exp(-1.0), 0.0]) / (1.0 + np.exp(-1.0))
         np.testing.assert_allclose(q, expected, rtol=0, atol=1e-15)
         assert gap(q) <= 1e-12
+
+    def test_a_rejected_reduced_face_keeps_this_faces_point(self):
+        # p.u - |p|^2 / 2: action 2 is priced out, so Newton on the whole
+        # simplex drives its mass toward zero and the reduced face holds the root
+        u = np.array([1.0, 0.9, -0.5])
+
+        def gradient(p):
+            return u - p
+
+        def jac(p):
+            return -np.eye(p.size)
+
+        q = stationary_point(gradient, np.full(3, 1 / 3), None, jac)
+        np.testing.assert_allclose(q, [0.55, 0.45, 0.0], rtol=0, atol=1e-12)
+        rejected = []
+        fallback = stationary_point(
+            gradient, np.full(3, 1 / 3), None, jac, accept=lambda p: rejected.append(p) or False
+        )
+        assert len(rejected) == 1
+        assert fallback is not None and np.all(fallback > 0.0)
