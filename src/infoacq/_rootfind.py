@@ -281,8 +281,9 @@ def maximize_on_simplex(objective, gradient, gap, p0, *, tol: float, refine):
     ascent ``p <- p exp(eta (g - max g))`` renormalized, with ``g`` the
     gradient and mass floored at 1e-300 on the face; eta is halved until the
     objective does not fall and grows by 1.25 after every accepted step.
-    The ascent ends after ``SIMPLEX_STEPS`` steps, or when 60 halvings find
-    no step.
+    The ascent ends after ``SIMPLEX_STEPS`` steps, when 60 halvings find no
+    step, or when an accepted step leaves p bit-identical: eta is too small
+    to move any mass, or the masses it would move sit at the floor.
     """
     p = np.array(p0, dtype=float)
     face = p > 0.0
@@ -310,12 +311,14 @@ def maximize_on_simplex(objective, gradient, gap, p0, *, tol: float, refine):
                 cand /= cand.sum()
                 cand_value = float(objective(cand))
                 if cand_value >= value - 1e-15:
-                    p, value = cand, cand_value
-                    eta *= 1.25
                     break
             eta *= 0.5
         else:
             break
+        if np.array_equal(cand, p):
+            break
+        p, value = cand, cand_value
+        eta *= 1.25
     q = refine(best)
     if q is not None and gap(q) <= tol:
         return q, True

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import divergence
-from ._rootfind import SIMPLEX_STEPS, maximize_on_simplex, stationary_point
+from ._rootfind import SIMPLEX_STEPS, descend, maximize_on_simplex, newton, stationary_point
 from .core import ChoiceRule, SolverError, ValidationError, clean_weights
 from .transform import Transform, scale_transform, shannon, chi2
 
@@ -364,23 +364,47 @@ def nested_shannon_entropy(encoder: Encoder, zeta: float, etas) -> Entropy:
 
     ``zeta`` prices learning across attributes, ``etas`` (scalar or one per
     attribute) prices learning within.  The conjugate is the generalized
-    nested-logit surplus; its gradient ``g = sum_i r_i q_i`` splits into a
-    nest distribution r and within-nest conditionals q_i, and its Hessian is
+    nested-logit surplus of :func:`_nested_logit`; the entropy value is its
+    dual, :func:`_nested_shannon_dual`.
+    """
+    if zeta <= 0:
+        raise ValidationError("zeta must be positive")
+    etas = np.asarray(etas, dtype=float) * np.ones(encoder.n_attributes)
+    if np.any(etas <= 0):
+        raise ValidationError("etas must be positive")
+    zeta = float(zeta)
+    lognu = np.log(encoder.nu)
+    with np.errstate(divide="ignore"):
+        logmu = np.log(encoder.mu)
+    conj, conj_grad, conj_hess_rows = _nested_logit(lognu, logmu, etas, zeta)
+
+    def value(p):
+        return _nested_shannon_dual(lognu, logmu, etas, zeta, p)[0]
+
+    return Entropy(
+        "nested_shannon",
+        encoder.prior,
+        value,
+        conj,
+        conj_grad,
+        None,
+        conj_rows_fn=conj,
+        conj_grad_rows_fn=conj_grad,
+        conj_hess_rows_fn=conj_hess_rows,
+    )
+
+
+def _nested_logit(lognu, logmu, etas, zeta):
+    """``(conj, conj_grad, conj_hess_rows)`` of the nested-logit surplus.
+
+    ``H*(y) = zeta log sum_i nu_i exp((eta_i / zeta) log sum_s mu_is exp(y_s / eta_i))``
+    over nests i (rows of ``logmu``) and states s (its columns).  Its
+    gradient ``g = sum_i r_i q_i`` splits into a nest distribution r and
+    within-nest conditionals q_i, and its Hessian is
     ``sum_i (r_i / eta_i)(diag q_i - q_i q_i^T) + (sum_i r_i q_i q_i^T - g g^T) / zeta``.
     The conjugate and its gradient serve both one vector and a matrix of
     rows; the Hessian comes row-batched.
     """
-    if zeta <= 0:
-        raise ValidationError("zeta must be positive")
-    nu, mu, prior = encoder.nu, encoder.mu, encoder.prior
-    n_attr = encoder.n_attributes
-    etas = np.asarray(etas, dtype=float) * np.ones(n_attr)
-    if np.any(etas <= 0):
-        raise ValidationError("etas must be positive")
-    zeta = float(zeta)
-    lognu = np.log(nu)
-    with np.errstate(divide="ignore"):
-        logmu = np.log(mu)
 
     # the maps take one posterior-space vector (n,) or a matrix of rows
     # (m, n); nests run along the second-to-last axis of z and q
@@ -417,47 +441,72 @@ def nested_shannon_entropy(encoder: Encoder, zeta: float, etas) -> Entropy:
         H[:, diag, diag] += ((r / etas)[:, None, :] @ q)[:, 0, :]
         return H
 
-    def value(p):
-        return _entropy_value_from_conjugate(conj, conj_grad, p, scale=float(max(zeta, etas.max())))
-
-    return Entropy(
-        "nested_shannon",
-        prior,
-        value,
-        conj,
-        conj_grad,
-        None,
-        conj_rows_fn=conj,
-        conj_grad_rows_fn=conj_grad,
-        conj_hess_rows_fn=conj_hess_rows,
-    )
+    return conj, conj_grad, conj_hess_rows
 
 
-def _entropy_value_from_conjugate(conj, conj_grad, p, scale: float = 1.0) -> float:
-    """H(p) = sup_x p.x - H*(x), solved as a smooth concave maximization.
+def _nested_shannon_dual(lognu, logmu, etas, zeta, p):
+    """``(H(p), x)``: the nested-Shannon entropy of a posterior and its dual point.
 
-    Translation invariance of H* pins x only up to constants; the search is
-    box-limited, which truncates the supremum for boundary posteriors by a
-    negligible amount.
+    The supremum of ``p.x - H*(x)`` sends x to -inf off the support of p.
+    There those states carry no mass, and neither do the nests that present
+    no state of the support.  So x is -inf off the support, and on it x is
+    the dual point of the surplus of the remaining nests and states, from
+    :func:`_entropy_value_from_conjugate`.
     """
-    from scipy.optimize import minimize
-
     p = np.asarray(p, dtype=float)
-    n = p.size
-    bound = 400.0 * max(1.0, scale)
+    face = p > 0.0
+    nests = np.isfinite(logmu[:, face]).any(axis=1)
+    forms = _nested_logit(lognu[nests], logmu[np.ix_(nests, face)], etas[nests], zeta)
+    value, x_face = _entropy_value_from_conjugate(*forms, p[face])
+    x = np.full(p.size, -np.inf)
+    x[face] = x_face
+    return value, x
 
-    def negdual(x):
-        return -(float(p @ x) - float(conj(x))), -(p - np.asarray(conj_grad(x)))
 
-    res = minimize(
-        negdual,
-        np.zeros(n),
-        jac=True,
-        method="L-BFGS-B",
-        bounds=[(-bound, bound)] * n,
-        options={"maxiter": 2000, "ftol": 1e-14, "gtol": 1e-12},
-    )
-    return max(0.0, -float(res.fun))
+def _entropy_value_from_conjugate(conj, conj_grad, conj_hess_rows, p):
+    """``(H(p), x)`` for ``H(p) = sup_x p.x - H*(x)`` at a positive posterior p.
+
+    The maximizer solves ``grad H*(x) = p``.  H* is translation invariant,
+    so x is pinned to 0 at the largest coordinate of p and the other
+    coordinates are solved by ``_rootfind.newton`` with the closed-form
+    Hessian as Jacobian, from the dual point of a Shannon entropy with the
+    curvature of H* at the origin.  When Newton misses the gradient
+    residual ``1e-12``, ``_rootfind.descend`` minimizes the convex
+    ``H*(x) - p.x`` from the same start and Newton finishes.
+    """
+    k = p.size
+    pin = int(np.argmax(p))
+    free = np.arange(k) != pin
+    x0 = np.zeros(k)
+    if k == 1:
+        return max(0.0, -float(conj(x0))), x0
+
+    def lift(z):
+        x = np.zeros(k)
+        x[free] = z
+        return x
+
+    def F(z):
+        return (p - conj_grad(lift(z)))[free]
+
+    def J(z):
+        return -conj_hess_rows(lift(z)[None, :])[0][np.ix_(free, free)]
+
+    def objective(z):
+        x = lift(z)
+        return float(conj(x)) - float(p @ x)
+
+    # Shannon start: for H* = kappa log sum_s pi_s exp(x_s / kappa) the dual
+    # point is kappa log(p / pi), and kappa = (k - 1) / tr(diag(1 / pi) Hess)
+    q0 = conj_grad(x0)
+    kappa = (k - 1) / float(np.sum(np.diagonal(conj_hess_rows(x0[None, :])[0]) / q0))
+    z0 = kappa * (np.log(p) - np.log(q0))
+    z0 = (z0 - z0[pin])[free]
+    z, Fz = newton(F, z0, J)
+    if not np.max(np.abs(Fz)) <= 1e-12:
+        z, Fz = newton(F, descend(objective, F, z0, J, tol=1e-12), J)
+    x = lift(z)
+    return max(0.0, float(p @ x) - float(conj(x))), x
 
 
 def neighborhood_hw_entropy(prior, neighborhoods) -> Entropy:

@@ -95,15 +95,12 @@ def brute_force_solve(problem: DecisionProblem, model: CostModel, grid_step: flo
     best_val = -math.inf
     best_idx = None
     skipped = 0
-    chunk_size = max(1, min(200_000 // max(n * m, 1), 50_000))
-    indices = itertools.product(range(n_rows), repeat=n)
-    done = 0
-    while done < total:
-        batch = list(itertools.islice(indices, chunk_size))
-        if not batch:
-            break
-        done += len(batch)
-        idx = np.asarray(batch, dtype=int)  # (B, n)
+    chunk_size = max(1, 50_000 // max(n * m, 1))
+    for start in range(0, total, chunk_size):
+        # rules start..stop-1 in the order of itertools.product: the last
+        # state's row varies fastest, so the first maximizer is kept
+        flat = np.arange(start, min(start + chunk_size, total))
+        idx = np.stack(np.unravel_index(flat, (n_rows,) * n), axis=1)  # (B, n)
         payoff_term = np.array([gains[idx[:, s], s] for s in range(n)]).T @ prior
         chunk = rows[idx]  # (B, n, m)
         cost = _chunk_costs(chunk, problem, model)
@@ -118,7 +115,7 @@ def brute_force_solve(problem: DecisionProblem, model: CostModel, grid_step: flo
     if best_idx is None:
         raise ValidationError("no finite-cost rule on the lattice")
     rule = ChoiceRule.build(problem, rows[best_idx])
-    return BruteForceResult(best_val, rule, done, skipped)
+    return BruteForceResult(best_val, rule, total, skipped)
 
 
 def _chunk_costs(chunk: np.ndarray, problem: DecisionProblem, model: CostModel) -> np.ndarray:

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from infoacq import divergence
+from infoacq import costs, divergence
 from infoacq.catalog import random_problem
 from infoacq.core import ChoiceRule, SolverError, ValidationError, validate_problem
 from infoacq.costs import (
@@ -208,6 +208,51 @@ class TestStructuralProperties:
             x = rng.normal(size=3)
             c = rng.normal()
             assert m.f_star(x + c * prior) == pytest.approx(m.f_star(x) + c, abs=1e-9)
+
+
+# states 0, 2 and 3 each miss one attribute, so at their vertices a whole nest drops out
+_NEST_KERNEL = np.array([[0.7, 0.3, 0.0], [0.2, 0.5, 0.3], [0.0, 0.4, 0.6], [0.5, 0.0, 0.5]])
+_NEST_PRIOR = np.array([0.1, 0.2, 0.3, 0.4])
+
+
+def _nest_points(rng):
+    """Dirichlet draws, posteriors on faces and the vertices e_s."""
+    faces = [[0.5, 0.5, 0, 0], [0.3, 0, 0.7, 0], [0, 0.3, 0, 0.7], [0.2, 0.3, 0.5, 0]]
+    return [*rng.dirichlet(np.ones(4), 10), *np.array(faces, dtype=float), *np.eye(4)]
+
+
+class TestNestedShannonValues:
+    """The entropy value is the dual of the closed-form nested-logit surplus."""
+
+    @pytest.mark.parametrize("kappa", [0.001, 0.3, 1.0, 5000.0])
+    def test_equal_weights_give_the_kl_closed_form(self, kappa):
+        # zeta = eta = kappa collapses the nests into kappa KL(p || prior)
+        rng = np.random.default_rng(12)
+        h = nested_shannon_entropy(build_encoder(_NEST_KERNEL, _NEST_PRIOR), kappa, kappa)
+        for p in _nest_points(rng):
+            pos = p > 0
+            kl = float(p[pos] @ np.log(p[pos] / _NEST_PRIOR[pos]))
+            assert h.value(p) == pytest.approx(kappa * kl, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "zeta,eta", [(1, 1), (0.3, 1), (0.1, 0.5), (0.01, 1), (0.001, 1), (1, 0.5)]
+    )
+    def test_dual_point_meets_fenchel_young(self, zeta, eta):
+        rng = np.random.default_rng(13)
+        enc = build_encoder(_NEST_KERNEL, _NEST_PRIOR)
+        etas = np.full(enc.n_attributes, float(eta))
+        h = nested_shannon_entropy(enc, zeta, etas)
+        with np.errstate(divide="ignore"):
+            logmu = np.log(enc.mu)
+        for p in _nest_points(rng):
+            value, x = costs._nested_shannon_dual(np.log(enc.nu), logmu, etas, float(zeta), p)
+            face = p > 0
+            assert value == h.value(p)
+            assert np.all(x[~face] == -np.inf)
+            # a finite level this far below the face carries no mass either
+            y = np.where(face, x, x[face].min() - 1e4 * max(zeta, eta))
+            assert abs(p[face] @ x[face] - h.h_star(y) - value) <= 1e-12 * max(1.0, value)
+            assert np.max(np.abs(h.grad_h_star(y) - p)) <= 1e-12
 
 
 class TestNumericConjugate:

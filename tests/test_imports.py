@@ -1,5 +1,5 @@
-"""Cold-path contract: the package, the CLI, and MI, chi2 and
-posterior-separable solves load no SciPy.
+"""Cold-path contract: the package, the CLI, MI, chi2 and posterior-separable
+solves (nested Shannon included) and the lattice oracle load no SciPy.
 
 SciPy is imported inside the functions that use it. The check runs in a fresh
 interpreter, because the test session itself has long since imported SciPy.
@@ -59,6 +59,14 @@ SCRIPT = textwrap.dedent(
     hoods = [((0, 1, 2, 3), 0.01), ((0, 1), 0.1), ((2, 3), 0.1)]
     rep = multitask_experiment(None, None, model_builder=lambda p: neighborhood_hw_cost(p.prior, hoods))
     assert all(sol.converged for sol in rep.solutions)
+    assert not scipy_modules(), scipy_modules()[:5]
+
+    # nested-Shannon entropy values (the box vertices and the primal cost)
+    # come from the in-library Newton; the oracle enumerates in NumPy
+    rep = multitask_experiment(0.1, 1.0)
+    assert all(sol.converged for sol in rep.solutions)
+    args = ["--problem", "samples/guess3_problem.json", "--cost", "samples/mi_cost.json"]
+    assert main(["oracle", *args, "--grid", "0.1", "--out", f"{out}/oracle.json"]) == 0
     assert not scipy_modules(), scipy_modules()[:5]
 
     # the deferred imports still load on first use

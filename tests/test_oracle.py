@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from infoacq.catalog import exchangeable_problem, random_problem
 from infoacq.core import SolverError, validate_problem
 from infoacq.costs import chi2_cost, mutual_information_cost, scale
 from infoacq.oracle import (
+    _chunk_costs,
+    _lattice_rows,
     apu_perturbation_from_transform,
     apu_solve,
     brute_force_solve,
@@ -51,6 +55,55 @@ class TestBruteForce:
         res = brute_force_solve(p, m, 0.01)
         assert abs(res.value - sol.value) < 2e-4
         assert res.value <= sol.value + 10 * 1e-8
+
+
+def _product_reference(problem, model, grid_step):
+    """Every lattice rule in one batch, listed by itertools.product: (value, rows, count)."""
+    rows = _lattice_rows(round(1.0 / grid_step), problem.n_actions)
+    gains = rows @ problem.payoffs
+    idx = np.array(list(itertools.product(range(rows.shape[0]), repeat=problem.n_states)))
+    payoff = np.array([gains[idx[:, s], s] for s in range(problem.n_states)]).T @ problem.prior
+    vals = payoff - _chunk_costs(rows[idx], problem, model)
+    j = int(np.argmax(np.where(np.isfinite(vals), vals, -np.inf)))  # the first maximizer
+    return float(vals[j]), rows[idx[j]], idx.shape[0]
+
+
+_TIED = validate_problem(["s0", "s1"], [0.5, 0.5], [(a, [0.0, 0.0]) for a in "abc"])
+_RANDOM2 = random_problem(np.random.default_rng(6), 2, 2)
+_RANDOM3 = random_problem(np.random.default_rng(7), 3, 3)
+# actions a and b are identical: at kappa 0.25 four rules tie for the
+# maximum, in the 4th, 7th, 9th and 10th of the 11 batches
+_DUPLICATED = validate_problem(
+    ["s0", "s1", "s2"],
+    [0.2, 0.3, 0.5],
+    [("a", [1.0, 0.0, 0.2]), ("b", [1.0, 0.0, 0.2]), ("c", [0.0, 1.0, 0.4]), ("d", [0.3, 0.3, 0.9])],
+)
+
+
+class TestLatticeEnumeration:
+    @pytest.mark.parametrize(
+        "problem,model",
+        [
+            (_TIED, mutual_information_cost(_TIED.prior, 1.0)),
+            (_RANDOM2, chi2_cost(_RANDOM2.prior, 1.0)),
+            (_RANDOM3, mutual_information_cost(_RANDOM3.prior, 1.0)),
+            (_DUPLICATED, mutual_information_cost(_DUPLICATED.prior, 0.25)),
+        ],
+    )
+    def test_matches_a_plain_product_enumeration(self, problem, model):
+        value, rows, count = _product_reference(problem, model, 0.25)
+        res = brute_force_solve(problem, model, 0.25)
+        assert res.value == value
+        np.testing.assert_array_equal(res.rule.rows, rows)
+        assert res.evaluations == count
+
+    def test_ties_keep_the_first_maximizer(self):
+        # all payoffs tie, so every rule with equal rows is worth exactly 0
+        res = brute_force_solve(_TIED, mutual_information_cost(_TIED.prior, 1.0), 0.25)
+        assert res.value == 0.0
+        np.testing.assert_array_equal(res.rule.rows, [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        res = brute_force_solve(_DUPLICATED, mutual_information_cost(_DUPLICATED.prior, 0.25), 0.25)
+        np.testing.assert_array_equal(res.rule.rows[0], [0.0, 0.75, 0.0, 0.25])
 
 
 class TestVerifyFocs:

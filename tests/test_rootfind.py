@@ -168,6 +168,29 @@ class TestSimplexMaximization:
         assert len(refined) == 12
         assert gap(p) == min(refined)
 
+    def test_a_step_that_leaves_p_unchanged_ends_the_ascent(self):
+        # a linear objective sends the mass of action 1 to the 1e-300 floor,
+        # where a step leaves p bit-identical; the gap cannot be met, so only
+        # that stop ends the ascent before the step cap
+        u = np.array([0.0, -1.0])
+        steps = []
+
+        def gradient(p):
+            steps.append(1)
+            return u
+
+        p, certified = maximize_on_simplex(
+            lambda p: float(p @ u),
+            gradient,
+            lambda p: float(u.max() - p @ u),
+            np.full(2, 0.5),
+            tol=-1.0,
+            refine=lambda p: None,
+        )
+        assert not certified
+        np.testing.assert_array_equal(p, [1.0, 1e-300])
+        assert len(steps) < 40
+
     def test_underflowing_masses_leave_the_face(self):
         # the stationary masses of states 1 and 3 are e^-2000 and e^-1500:
         # Newton on the whole simplex cannot reach them, and ends far off
