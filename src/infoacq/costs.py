@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -92,7 +91,7 @@ def build_encoder(rows, prior, attributes=None) -> Encoder:
 MEMO_CAPACITY = 1024
 
 
-class _ConjugateMemo(Mapping):
+class _ConjugateMemo:
     """LRU map from rounded queries to ``(H*(x), argmax)``, safe across threads.
 
     Keys are the bytes of the query rounded at 1e-12, so the stored queries
@@ -103,16 +102,9 @@ class _ConjugateMemo(Mapping):
         self._data: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
 
-    def __getitem__(self, key):
-        with self._lock:
-            return self._data[key]
-
-    def __iter__(self):
-        with self._lock:
-            return iter(list(self._data))
-
     def __len__(self):
-        return len(self._data)
+        with self._lock:
+            return len(self._data)
 
     def get(self, key, default=None):
         with self._lock:
@@ -145,58 +137,64 @@ class _ConjugateMemo(Mapping):
 class Entropy:
     """A convex entropy over posteriors with H(prior) = 0.
 
-    Either closed-form conjugate evaluators are supplied, or the conjugate is
-    computed numerically by :func:`numeric_conjugate` to a stationarity gap
-    of ``numeric_tol`` within a fixed step cap, raising ``SolverError``
-    past it; its results are kept per instance in an LRU memo of
+    The conjugate maps are row-batched: ``conj_fn``, ``conj_grad_fn`` and
+    ``conj_hess_fn`` take an ``(m, n)`` matrix of posterior-space vectors to
+    ``(m,)`` values, ``(m, n)`` gradients and ``(m, n, n)`` Hessians.
+    Without ``conj_fn`` and ``conj_grad_fn`` the conjugate is computed row by
+    row by :func:`numeric_conjugate` to a stationarity gap of
+    ``numeric_tol`` within a fixed step cap, raising ``SolverError`` past
+    it; its results are kept per instance in an LRU memo of
     ``MEMO_CAPACITY`` entries keyed on the query rounded at 1e-12.
     ``gap_fn`` replaces the plain stationarity gap where H is linear along
     some directions, and ``faces_fn`` proposes support faces for the Newton
-    refinement.  Closed forms may also come row-batched:
-    ``conj_rows_fn``, ``conj_grad_rows_fn`` and ``conj_hess_rows_fn`` map an
-    ``(m, n)`` matrix of posterior-space vectors to ``(m,)`` values,
-    ``(m, n)`` gradients and ``(m, n, n)`` Hessians.  ``hess_fn`` is the
-    Hessian of H itself; it gives the numeric conjugate exact Newton steps,
-    and an entropy with it but no closed-form conjugate gets
-    ``conj_hess_rows_fn`` from the implicit function theorem.
+    refinement.  ``hess_fn`` is the Hessian of H itself; it gives the
+    numeric conjugate exact Newton steps, and an entropy with it but no
+    closed-form conjugate gets ``conj_hess_fn`` from the implicit function
+    theorem.
     """
 
     family: str
     prior: np.ndarray
     value_fn: Callable[[np.ndarray], float]
-    conj_fn: Callable[[np.ndarray], float] | None = None
+    conj_fn: Callable[[np.ndarray], np.ndarray] | None = None
     conj_grad_fn: Callable[[np.ndarray], np.ndarray] | None = None
     grad_fn: Callable[[np.ndarray], np.ndarray] | None = None
     gap_fn: Callable[[np.ndarray, np.ndarray], float] | None = None
     faces_fn: Callable[[np.ndarray, np.ndarray], list] | None = None
-    conj_rows_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    conj_grad_rows_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    conj_hess_rows_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    conj_hess_fn: Callable[[np.ndarray], np.ndarray] | None = None
     hess_fn: Callable[[np.ndarray], np.ndarray] | None = None
     numeric_tol: float = 1e-9
     _memo: _ConjugateMemo = field(default_factory=_ConjugateMemo, repr=False)
 
     def __post_init__(self):
-        if self.conj_fn is None and self.hess_fn is not None and self.conj_hess_rows_fn is None:
-            self.conj_hess_rows_fn = lambda Y: _implicit_conj_hess_rows(self, Y)
+        if self.conj_fn is None and self.hess_fn is not None and self.conj_hess_fn is None:
+            self.conj_hess_fn = lambda Y: _implicit_conj_hess(self, Y)
 
     def value(self, p) -> float:
         return float(self.value_fn(np.asarray(p, dtype=float)))
 
-    def h_star(self, x) -> float:
-        x = np.asarray(x, dtype=float)
+    def conj_rows(self, Y) -> np.ndarray:
+        """H* of each row of Y: the closed form, else the numeric conjugate."""
+        Y = np.asarray(Y, dtype=float)
         if self.conj_fn is not None:
-            return float(self.conj_fn(x))
-        return numeric_conjugate(self, x)[0]
+            return self.conj_fn(Y)
+        return np.array([numeric_conjugate(self, y)[0] for y in Y])
+
+    def conj_grad_rows(self, Y) -> np.ndarray:
+        """Gradient of H* at each row of Y, the argmax posterior of that row."""
+        Y = np.asarray(Y, dtype=float)
+        if self.conj_grad_fn is not None:
+            return self.conj_grad_fn(Y)
+        return np.array([numeric_conjugate(self, y)[1] for y in Y])
+
+    def h_star(self, x) -> float:
+        return float(self.conj_rows(np.asarray(x, dtype=float)[None, :])[0])
 
     def grad_h_star(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.conj_grad_fn is not None:
-            return np.asarray(self.conj_grad_fn(x), dtype=float)
-        return numeric_conjugate(self, x)[1]
+        return self.conj_grad_rows(np.asarray(x, dtype=float)[None, :])[0]
 
 
-def _implicit_conj_hess_rows(h: Entropy, Y) -> np.ndarray:
+def _implicit_conj_hess(h: Entropy, Y) -> np.ndarray:
     """Conjugate Hessians of the rows of Y by the implicit function theorem.
 
     At the argmax p the stationarity system ``y_f - dH(p)_f = c 1``,
@@ -298,13 +296,6 @@ def numeric_conjugate(h: Entropy, x):
     return out
 
 
-def _logsumexp(v):
-    m = np.max(v)
-    if not np.isfinite(m):
-        return m
-    return m + math.log(np.exp(v - m).sum())
-
-
 def shannon_kl_entropy(prior, kappa: float = 1.0) -> Entropy:
     """H(p) = kappa * KL(p || prior)."""
     prior = clean_weights(prior, "prior")
@@ -319,44 +310,25 @@ def shannon_kl_entropy(prior, kappa: float = 1.0) -> Entropy:
         p = np.maximum(p, 1e-300)
         return k * (np.log(p) - logpi + 1.0)
 
-    def conj(x):
-        return k * _logsumexp(logpi + x / k)
-
-    def conj_grad(x):
-        z = logpi + x / k
-        z -= z.max()
-        w = np.exp(z)
-        return w / w.sum()
-
-    def conj_rows(Y):
+    def conj(Y):
         z = logpi[None, :] + Y / k
         zmax = z.max(axis=1)
         return k * (zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1)))
 
-    def conj_grad_rows(Y):
+    def conj_grad(Y):
         z = logpi[None, :] + Y / k
         z -= z.max(axis=1, keepdims=True)
         w = np.exp(z)
         return w / w.sum(axis=1, keepdims=True)
 
-    def conj_hess_rows(Y):
-        q = conj_grad_rows(Y)
+    def conj_hess(Y):
+        q = conj_grad(Y)
         H = -q[:, :, None] * q[:, None, :]
         diag = np.arange(q.shape[1])
         H[:, diag, diag] += q
         return H / k
 
-    return Entropy(
-        "shannon_kl",
-        prior,
-        value,
-        conj,
-        conj_grad,
-        grad,
-        conj_rows_fn=conj_rows,
-        conj_grad_rows_fn=conj_grad_rows,
-        conj_hess_rows_fn=conj_hess_rows,
-    )
+    return Entropy("shannon_kl", prior, value, conj, conj_grad, grad, conj_hess_fn=conj_hess)
 
 
 def nested_shannon_entropy(encoder: Encoder, zeta: float, etas) -> Entropy:
@@ -376,26 +348,16 @@ def nested_shannon_entropy(encoder: Encoder, zeta: float, etas) -> Entropy:
     lognu = np.log(encoder.nu)
     with np.errstate(divide="ignore"):
         logmu = np.log(encoder.mu)
-    conj, conj_grad, conj_hess_rows = _nested_logit(lognu, logmu, etas, zeta)
+    conj, conj_grad, conj_hess = _nested_logit(lognu, logmu, etas, zeta)
 
     def value(p):
         return _nested_shannon_dual(lognu, logmu, etas, zeta, p)[0]
 
-    return Entropy(
-        "nested_shannon",
-        encoder.prior,
-        value,
-        conj,
-        conj_grad,
-        None,
-        conj_rows_fn=conj,
-        conj_grad_rows_fn=conj_grad,
-        conj_hess_rows_fn=conj_hess_rows,
-    )
+    return Entropy("nested_shannon", encoder.prior, value, conj, conj_grad, conj_hess_fn=conj_hess)
 
 
 def _nested_logit(lognu, logmu, etas, zeta):
-    """``(conj, conj_grad, conj_hess_rows)`` of the nested-logit surplus.
+    """``(conj, conj_grad, conj_hess)`` of the nested-logit surplus.
 
     ``H*(y) = zeta log sum_i nu_i exp((eta_i / zeta) log sum_s mu_is exp(y_s / eta_i))``
     over nests i (rows of ``logmu``) and states s (its columns).  Its
@@ -433,7 +395,7 @@ def _nested_logit(lognu, logmu, etas, zeta):
     def conj_grad(Y):
         return _split(Y)[2]
 
-    def conj_hess_rows(Y):
+    def conj_hess(Y):
         r, q, g = _split(Y)
         H = (q.transpose(0, 2, 1) * (r * (1.0 / zeta - 1.0 / etas))[:, None, :]) @ q
         H -= g[:, :, None] * g[:, None, :] / zeta
@@ -441,7 +403,7 @@ def _nested_logit(lognu, logmu, etas, zeta):
         H[:, diag, diag] += ((r / etas)[:, None, :] @ q)[:, 0, :]
         return H
 
-    return conj, conj_grad, conj_hess_rows
+    return conj, conj_grad, conj_hess
 
 
 def _nested_shannon_dual(lognu, logmu, etas, zeta, p):
@@ -463,7 +425,7 @@ def _nested_shannon_dual(lognu, logmu, etas, zeta, p):
     return value, x
 
 
-def _entropy_value_from_conjugate(conj, conj_grad, conj_hess_rows, p):
+def _entropy_value_from_conjugate(conj, conj_grad, conj_hess, p):
     """``(H(p), x)`` for ``H(p) = sup_x p.x - H*(x)`` at a positive posterior p.
 
     The maximizer solves ``grad H*(x) = p``.  H* is translation invariant,
@@ -490,7 +452,7 @@ def _entropy_value_from_conjugate(conj, conj_grad, conj_hess_rows, p):
         return (p - conj_grad(lift(z)))[free]
 
     def J(z):
-        return -conj_hess_rows(lift(z)[None, :])[0][np.ix_(free, free)]
+        return -conj_hess(lift(z)[None, :])[0][np.ix_(free, free)]
 
     def objective(z):
         x = lift(z)
@@ -499,7 +461,7 @@ def _entropy_value_from_conjugate(conj, conj_grad, conj_hess_rows, p):
     # Shannon start: for H* = kappa log sum_s pi_s exp(x_s / kappa) the dual
     # point is kappa log(p / pi), and kappa = (k - 1) / tr(diag(1 / pi) Hess)
     q0 = conj_grad(x0)
-    kappa = (k - 1) / float(np.sum(np.diagonal(conj_hess_rows(x0[None, :])[0]) / q0))
+    kappa = (k - 1) / float(np.sum(np.diagonal(conj_hess(x0[None, :])[0]) / q0))
     z0 = kappa * (np.log(p) - np.log(q0))
     z0 = (z0 - z0[pin])[free]
     z, Fz = newton(F, z0, J)
@@ -752,33 +714,24 @@ class PosteriorSeparableCost(CostModel):
         return self.entropy.grad_h_star(np.asarray(x, dtype=float) / self.prior) / self.prior
 
     def f_star_rows(self, X):
-        if self.entropy.conj_rows_fn is None:
-            return super().f_star_rows(X)
-        return self.entropy.conj_rows_fn(np.asarray(X, dtype=float) / self.prior[None, :])
+        return self.entropy.conj_rows(np.asarray(X, dtype=float) / self.prior[None, :])
 
     def grad_rows(self, X):
-        if self.entropy.conj_grad_rows_fn is None:
-            return super().grad_rows(X)
         Y = np.asarray(X, dtype=float) / self.prior[None, :]
-        return self.entropy.conj_grad_rows_fn(Y) / self.prior[None, :]
+        return self.entropy.conj_grad_rows(Y) / self.prior[None, :]
 
     def hess_rows(self, X):
-        if self.entropy.conj_hess_rows_fn is None:
+        if self.entropy.conj_hess_fn is None:
             return None
         Y = np.asarray(X, dtype=float) / self.prior[None, :]
         inv = 1.0 / self.prior
-        return self.entropy.conj_hess_rows_fn(Y) * inv[None, :, None] * inv[None, None, :]
+        return self.entropy.conj_hess_fn(Y) * inv[None, :, None] * inv[None, None, :]
+
+    def divergence_spec(self):
+        return divergence.DivergenceSpec(prior=self.prior, entropy_value=self.entropy.value)
 
     def primal_cost(self, rule: ChoiceRule) -> float:
-        rows = rule.rows
-        p_pi = self.prior @ rows
-        total = 0.0
-        for w in range(rows.shape[1]):
-            if p_pi[w] <= 0.0:
-                continue
-            post = self.prior * rows[:, w] / p_pi[w]
-            total += p_pi[w] * self.entropy.value(post)
-        return total
+        return _certified_f_mean(self.divergence_spec(), rule.rows)
 
 
 def posterior_separable_cost(prior, entropy: Entropy) -> PosteriorSeparableCost:
@@ -894,17 +847,15 @@ def scale(model: CostModel, kappa: float) -> CostModel:
 
 def scale_entropy(h: Entropy, kappa: float) -> Entropy:
     k = float(kappa)
-    rows, grad_rows, hess_rows = h.conj_rows_fn, h.conj_grad_rows_fn, h.conj_hess_rows_fn
+    hess = h.conj_hess_fn
     return Entropy(
         family=h.family,
         prior=h.prior,
         value_fn=lambda p: k * h.value(p),
-        conj_fn=(lambda x: k * h.h_star(np.asarray(x, dtype=float) / k)),
-        conj_grad_fn=(lambda x: h.grad_h_star(np.asarray(x, dtype=float) / k)),
+        conj_fn=lambda Y: k * h.conj_rows(Y / k),
+        conj_grad_fn=lambda Y: h.conj_grad_rows(Y / k),
         grad_fn=(lambda p: k * np.asarray(h.grad_fn(p), dtype=float)) if h.grad_fn else None,
-        conj_rows_fn=(lambda Y: k * rows(Y / k)) if rows else None,
-        conj_grad_rows_fn=(lambda Y: grad_rows(Y / k)) if grad_rows else None,
-        conj_hess_rows_fn=(lambda Y: hess_rows(Y / k) / k) if hess_rows else None,
+        conj_hess_fn=(lambda Y: hess(Y / k) / k) if hess else None,
         numeric_tol=h.numeric_tol,
     )
 

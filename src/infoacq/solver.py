@@ -942,33 +942,20 @@ def solve_perceptual(
         res_a, res_l, v, G = foc_residuals(problem, model, alpha, lam)
         value = float(alpha @ v + lam.sum())
         diagnostics["lift_residuals"] = (res_a, res_l)
-        return Solution(
-            problem=problem,
-            model=model,
-            alpha=alpha,
-            lam=lam,
-            rule=rule,
-            value=value,
-            gap=rsol.gap,
-            residual_alpha=res_a,
-            residual_lambda=res_l,
-            converged=rsol.converged,
-            iterations=rsol.iterations,
-            backend="perceptual_two_step",
-            box=replace(rsol.box, reduced=True),
-            diagnostics=diagnostics,
-        )
-    diagnostics["dual_surface"] = "unavailable: encoder is rank deficient"
+    else:
+        # attribute-space multiplier; see diagnostics
+        lam, value, res_a, res_l = rsol.lam, rsol.value, rsol.residual_alpha, rsol.residual_lambda
+        diagnostics["dual_surface"] = "unavailable: encoder is rank deficient"
     return Solution(
         problem=problem,
         model=model,
         alpha=alpha,
-        lam=rsol.lam,  # attribute-space multiplier; see diagnostics
+        lam=lam,
         rule=rule,
-        value=rsol.value,
+        value=value,
         gap=rsol.gap,
-        residual_alpha=rsol.residual_alpha,
-        residual_lambda=rsol.residual_lambda,
+        residual_alpha=res_a,
+        residual_lambda=res_l,
         converged=rsol.converged,
         iterations=rsol.iterations,
         backend="perceptual_two_step",

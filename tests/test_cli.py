@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import re
+import shlex
+import shutil
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from infoacq.cli import main
 from infoacq.core import ValidationError, validate_problem
 
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 
 def sample(name):
@@ -465,3 +469,24 @@ class TestFileFormats:
     def test_removed_symmetry_option_rejected(self):
         with pytest.raises(ValidationError, match="exploit_symmetry"):
             io.options_from_dict({"exploit_symmetry": True})
+
+
+def _readme_commands():
+    """The ``infoacq`` lines of the README "Command line" block, continuations joined."""
+    with open(README) as f:
+        text = f.read()
+    block = re.search(r"## Command line\s+```bash\n(.*?)```", text, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("infoacq ")]
+
+
+class TestReadmeCommands:
+    def test_block_is_found(self):
+        assert [argv[0] for argv in _readme_commands()] == ["solve", "verify", "oracle", "sweep", "sweep"]
+
+    def test_every_documented_command_succeeds(self, tmp_path, monkeypatch):
+        # run in order: verify reads the solution that solve wrote
+        shutil.copytree(SAMPLES, tmp_path / "samples")
+        monkeypatch.chdir(tmp_path)
+        for argv in _readme_commands():
+            assert main(argv) == 0, argv

@@ -190,11 +190,21 @@ class TestStructuralProperties:
     def test_scaling_wrapper_identity(self):
         rng = np.random.default_rng(9)
         prior = np.array([0.5, 0.5])
-        for base in (mutual_information_cost(prior, 1.0), chi2_cost(prior, 1.0)):
+        tri = np.array([0.2, 0.3, 0.5])
+        enc = build_encoder([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]], tri)
+        bases = (
+            mutual_information_cost(prior, 1.0),
+            chi2_cost(prior, 1.0),
+            posterior_separable_cost(tri, shannon_kl_entropy(tri, 0.7)),
+            nested_shannon_cost(tri, enc, 0.5, 1.0),
+            # a numeric entropy: scaling wraps its numeric conjugate
+            neighborhood_hw_cost(tri, [((0, 1), 1.0), ((0, 1, 2), 0.5)]),
+        )
+        for base in bases:
             kappa = 2.3
             scaled = scale(base, kappa)
             for _ in range(20):
-                x = rng.normal(size=2)
+                x = rng.normal(size=base.prior.size)
                 assert scaled.f_star(x) == pytest.approx(kappa * base.f_star(x / kappa), abs=1e-11)
                 np.testing.assert_allclose(
                     scaled.grad_f_star(x), base.grad_f_star(x / kappa), atol=1e-11

@@ -127,6 +127,23 @@ class TestVectorizedPosteriorSeparableRows:
         np.testing.assert_allclose(model.f_star_rows(X), per_row_v, rtol=0, atol=1e-13)
         np.testing.assert_allclose(model.grad_rows(X), per_row_g, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("kappa", [1.0, 2.3])
+    @pytest.mark.parametrize("family", ["nested_shannon", "neighborhood_hw"])
+    def test_rows_equal_per_row_conjugates_beyond_shannon(self, family, kappa):
+        rng = np.random.default_rng(44)
+        prior = _prior(rng, 4)
+        if family == "nested_shannon":
+            enc = build_encoder([[0.7, 0.3, 0.0], [0.2, 0.5, 0.3], [0.0, 0.4, 0.6], [0.5, 0.0, 0.5]], prior)
+            base = nested_shannon_cost(prior, enc, 0.6, [1.0, 0.8, 1.5])
+        else:
+            base = neighborhood_hw_cost(prior, [((0, 1, 2), 1.0), ((2, 3), 0.5)])
+        model = scale(base, kappa)
+        X = rng.normal(size=(7, 4)) * prior
+        per_row_v = np.array([model.f_star(x) for x in X])
+        per_row_g = np.array([model.grad_f_star(x) for x in X])
+        np.testing.assert_allclose(model.f_star_rows(X), per_row_v, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(model.grad_rows(X), per_row_g, rtol=0, atol=1e-13)
+
 
 class TestSupportSystem:
     """The Fischer-Burmeister optimality system over all actions."""
