@@ -11,6 +11,7 @@ once, in :func:`scale`, and never re-implemented by a family.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -471,26 +472,36 @@ def _entropy_value_from_conjugate(conj, conj_grad, conj_hess, p):
     return max(0.0, float(p @ x) - float(conj(x))), x
 
 
-def neighborhood_hw_entropy(prior, neighborhoods) -> Entropy:
-    """Weighted sum of within-neighborhood divergences from the conditional prior.
+def _neighborhood_blocks(n: int, neighborhoods) -> list[tuple[tuple[int, ...], float]]:
+    """Validated ``(sorted states, weight)`` blocks of a cover, repeats merged.
 
-    ``neighborhoods`` is an iterable of ``(state_indices, weight)`` pairs
-    that together cover every state; a cover that leaves a state out raises
-    ``ValidationError``.  The conjugate has no closed form and is computed
-    numerically, with the closed-form Hessian of H driving its Newton steps
-    and the implicit conjugate Hessian.
+    Each neighborhood is a pair of distinct integer states in ``[0, n)`` and
+    a finite positive weight.  Neighborhoods over the same states add their
+    weights and keep the place of the first.  Raises ``ValidationError`` on
+    anything else and on a cover that leaves a state out.
     """
-    prior = clean_weights(prior, "prior")
-    blocks = []
-    covered = np.zeros(prior.size, dtype=bool)
-    for idx, kap in neighborhoods:
-        idx = tuple(int(i) for i in idx)
-        if len(idx) == 0:
+    merged: dict[tuple[int, ...], float] = {}
+    for item in neighborhoods:
+        try:
+            idx, kap = item
+            idx = tuple(idx)
+        except (TypeError, ValueError):
+            raise ValidationError(f"a neighborhood is a (states, weight) pair, got {item!r}") from None
+        if not idx:
             raise ValidationError("empty neighborhood")
-        if kap <= 0:
-            raise ValidationError("neighborhood weights must be positive")
-        pi_b = prior[list(idx)]
-        blocks.append((np.array(idx), float(kap), pi_b / pi_b.sum()))
+        if not all(isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in idx):
+            raise ValidationError(f"neighborhood {idx!r}: states must be integer indices")
+        if min(idx) < 0 or max(idx) >= n:
+            raise ValidationError(f"neighborhood {idx!r}: states must lie in [0, {n})")
+        if len(set(idx)) != len(idx):
+            raise ValidationError(f"neighborhood {idx!r} repeats a state")
+        real = isinstance(kap, numbers.Real) and not isinstance(kap, bool)
+        if not (real and math.isfinite(kap) and kap > 0):
+            raise ValidationError(f"neighborhood weights must be finite and positive, got {kap!r}")
+        key = tuple(sorted(int(i) for i in idx))
+        merged[key] = merged.get(key, 0.0) + float(kap)
+    covered = np.zeros(n, dtype=bool)
+    for idx in merged:
         covered[list(idx)] = True
     if not covered.all():
         # H is linear along an uncovered state, which puts a kink in the
@@ -498,33 +509,90 @@ def neighborhood_hw_entropy(prior, neighborhoods) -> Entropy:
         raise ValidationError(
             f"neighborhoods leave state(s) {np.flatnonzero(~covered).tolist()} uncovered"
         )
+    return list(merged.items())
+
+
+def _two_level_nests(prior, blocks):
+    """``(lognu, logmu, etas, zeta)`` of the nested-Shannon twin of a
+    two-level cover, or None for any other cover.
+
+    A two-level cover has one block of every state, weight kappa_r, and
+    disjoint inner blocks b of weights kappa_b.  By the chain rule of KL its
+    entropy is nested Shannon with ``zeta = kappa_r``, one nest per inner
+    block (``eta_b = kappa_r + kappa_b``, ``nu_b = pi(b)``, ``mu_b`` the
+    prior on b) and a one-state nest for each state no inner block holds.
+    """
+    n = prior.size
+    roots = [kap for idx, kap in blocks if len(idx) == n]
+    inner = [(list(idx), kap) for idx, kap in blocks if len(idx) < n]
+    held = np.zeros(n, dtype=int)
+    for idx, _ in inner:
+        held[idx] += 1
+    if len(roots) != 1 or held.max(initial=0) > 1:
+        return None
+    zeta = roots[0]
+    nests = [(idx, zeta + kap) for idx, kap in inner] + [([s], zeta) for s in np.flatnonzero(held == 0)]
+    mu = np.zeros((len(nests), n))
+    for i, (idx, _) in enumerate(nests):
+        mu[i, idx] = prior[idx]
+    nu = mu.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        logmu = np.log(mu / nu[:, None])
+    return np.log(nu), logmu, np.array([eta for _, eta in nests]), zeta
+
+
+def neighborhood_hw_entropy(prior, neighborhoods) -> Entropy:
+    """Weighted sum of within-neighborhood divergences from the conditional prior.
+
+    ``neighborhoods`` is an iterable of ``(state_indices, weight)`` pairs
+    that together cover every state, validated by
+    :func:`_neighborhood_blocks`.  A two-level cover, one neighborhood of
+    every state and disjoint ones inside it, is a nested-Shannon entropy
+    (:func:`_two_level_nests`), so its conjugate, gradient and Hessian are
+    the nested-logit closed forms of :func:`_nested_logit`.  Any other
+    cover is conjugated numerically, with the closed-form Hessian of H
+    driving the Newton steps and the implicit conjugate Hessian.  Either
+    way ``value_fn``, ``grad_fn`` and ``hess_fn`` are the neighborhood sums,
+    computed through the block-membership matrix.
+    """
+    prior = clean_weights(prior, "prior")
+    n = prior.size
+    blocks = _neighborhood_blocks(n, neighborhoods)
+    member = np.zeros((len(blocks), n), dtype=bool)
+    for b, (idx, _) in enumerate(blocks):
+        member[b, list(idx)] = True
+    M = member.astype(float)
+    kap = np.array([k for _, k in blocks])
+    kap_states = kap @ M
+    # log of each block's conditional prior, 0 off the block
+    logpi_b = np.where(member, np.log(prior)[None, :] - np.log(M @ prior)[:, None], 0.0)
+    diag = np.arange(n)
 
     def value(p):
-        total = 0.0
-        for idx, kap, pi_b in blocks:
-            mass = float(p[idx].sum())
-            if mass <= 0.0:
-                continue
-            cond = p[idx] / mass
-            pos = cond > 0
-            total += kap * mass * float(cond[pos] @ np.log(cond[pos] / pi_b[pos]))
-        return total
+        mass = M @ p
+        keep = member & (p > 0)[None, :] & (mass > 0)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = p * (np.log(p)[None, :] - np.log(mass)[:, None] - logpi_b)
+        return float(kap @ np.where(keep, terms, 0.0).sum(axis=1))
 
     def grad(p):
-        g = np.zeros_like(p)
-        for idx, kap, pi_b in blocks:
-            mass = float(p[idx].sum())
-            cond = np.maximum(p[idx] / max(mass, 1e-300), 1e-300)
-            g[idx] += kap * np.log(cond / pi_b)
-        return g
+        mass = np.maximum(M @ p, 1e-300)
+        with np.errstate(over="ignore"):  # off-block ratios are discarded
+            cond = np.maximum(p[None, :] / mass[:, None], 1e-300)
+        return kap @ np.where(member, np.log(cond) - logpi_b, 0.0)
 
     def hess(p):
         # each block adds kap (diag(1 / p_b) - 1 1^T / m_b), m_b its mass
-        H = np.zeros((p.size, p.size))
-        for idx, kap, _ in blocks:
-            p_b = np.maximum(p[idx], 1e-300)
-            H[np.ix_(idx, idx)] += kap * (np.diag(1.0 / p_b) - 1.0 / p_b.sum())
+        p = np.maximum(p, 1e-300)
+        H = -(M.T * (kap / (M @ p))) @ M
+        H[diag, diag] += kap_states / p
         return H
+
+    def surplus(x):
+        """Each block's value of entry, ``kap log sum_b pi_b exp(x / kap)``."""
+        z = np.where(member, x[None, :] / kap[:, None] + logpi_b, -np.inf)
+        zmax = z.max(axis=1)
+        return kap * (zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1)))
 
     def gap(x, p):
         """Stationarity gap that prices entry into empty neighborhoods.
@@ -535,38 +603,33 @@ def neighborhood_hw_entropy(prior, neighborhoods) -> Entropy:
         only by empty blocks the clamped gradient would overstate the slope
         and never certify a vertex optimum.
         """
-        g = x - np.asarray(grad(np.maximum(p, 1e-300)), dtype=float)
+        g = x - grad(np.maximum(p, 1e-300))
+        full = M @ p > 1e-12
         # states in a neighborhood with mass; every state with mass is one
-        supported = np.zeros(p.size, dtype=bool)
-        entries = []
-        for idx, kap, pi_b in blocks:
-            if float(p[idx].sum()) > 1e-12:
-                supported[idx] = True
-            else:
-                z = x[idx] / kap
-                zmax = z.max()
-                entries.append(kap * (zmax + math.log(float(pi_b @ np.exp(z - zmax)))))
-        candidates = list(g[supported]) + entries
-        return max(candidates) - float(p[supported] @ g[supported])
+        supported = member[full].any(axis=0)
+        candidates = np.concatenate([g[supported], surplus(x)[~full]])
+        return float(candidates.max() - p[supported] @ g[supported])
 
     def faces(x, p):
         """Support guesses built from the block structure and entry values."""
-        n = p.size
-        cands = []
-        for idx, kap, pi_b in blocks:
-            mask = np.zeros(n, dtype=bool)
-            mask[idx] = True
-            z = x[idx] / kap
-            zmax = z.max()
-            cands.append((kap * (zmax + math.log(float(pi_b @ np.exp(z - zmax)))), mask))
-        top = max(v for v, _ in cands)
-        winners = np.zeros(n, dtype=bool)
-        for v, mask in cands:
-            if v >= top - 1e-9:
-                winners |= mask
+        s = surplus(x)
+        winners = member[s >= s.max() - 1e-9].any(axis=0)
         return [winners, winners | (p > 1e-10), winners | (p > 1e-4)]
 
-    return Entropy("neighborhood_hw", prior, value, None, None, grad, gap, faces, hess_fn=hess)
+    nests = _two_level_nests(prior, blocks)
+    conj, conj_grad, conj_hess = (None, None, None) if nests is None else _nested_logit(*nests)
+    return Entropy(
+        "neighborhood_hw",
+        prior,
+        value,
+        conj_fn=conj,
+        conj_grad_fn=conj_grad,
+        grad_fn=grad,
+        gap_fn=gap,
+        faces_fn=faces,
+        conj_hess_fn=conj_hess,
+        hess_fn=hess,
+    )
 
 
 def numeric_entropy(prior, value_fn, grad_fn) -> Entropy:

@@ -197,8 +197,10 @@ class TestStructuralProperties:
             chi2_cost(prior, 1.0),
             posterior_separable_cost(tri, shannon_kl_entropy(tri, 0.7)),
             nested_shannon_cost(tri, enc, 0.5, 1.0),
-            # a numeric entropy: scaling wraps its numeric conjugate
+            # a two-level cover: scaling wraps its nested-logit closed form
             neighborhood_hw_cost(tri, [((0, 1), 1.0), ((0, 1, 2), 0.5)]),
+            # overlapping neighborhoods: scaling wraps the numeric conjugate
+            neighborhood_hw_cost(tri, [((0, 1), 1.0), ((1, 2), 0.7), ((0, 1, 2), 0.5)]),
         )
         for base in bases:
             kappa = 2.3
@@ -432,6 +434,184 @@ class TestNumericConjugate:
         # H would be linear along state 2; solves on such a cover used to hang
         with pytest.raises(ValidationError, match=r"state\(s\) \[2\] uncovered"):
             neighborhood_hw_entropy(np.full(3, 1 / 3), [((0, 1), 0.5)])
+
+
+class TestNeighborhoodCover:
+    @pytest.mark.parametrize(
+        "hood, match",
+        [
+            (((0, 5), 1.0), r"lie in \[0, 3\)"),
+            (((0, -1), 1.0), r"lie in \[0, 3\)"),
+            (((0, 0, 1, 2), 1.0), "repeats a state"),
+            (((0, 1.0, 2), 1.0), "integer"),
+            (((), 1.0), "empty"),
+            (((0, 1, 2), math.nan), "finite and positive"),
+            (((0, 1, 2), math.inf), "finite and positive"),
+            (((0, 1, 2), 0.0), "finite and positive"),
+            (((0, 1, 2), "1.0"), "finite and positive"),
+            ((0, 1, 2), r"\(states, weight\) pair"),
+            ((3, 1.0), r"\(states, weight\) pair"),
+        ],
+    )
+    def test_malformed_neighborhood_is_rejected(self, hood, match):
+        with pytest.raises(ValidationError, match=match):
+            neighborhood_hw_entropy(np.full(3, 1 / 3), [((0, 1, 2), 1.0), hood])
+
+    def test_repeated_neighborhoods_add_their_weights(self):
+        prior = np.array([0.2, 0.3, 0.5])
+        split = neighborhood_hw_entropy(prior, [((0, 1), 0.3), ((1, 2), 0.5), ((1, 0), 0.4)])
+        merged = neighborhood_hw_entropy(prior, [((0, 1), 0.7), ((1, 2), 0.5)])
+        rng = np.random.default_rng(64)
+        for p in rng.dirichlet(np.ones(3), size=5):
+            assert split.value(p) == pytest.approx(merged.value(p), rel=1e-15, abs=1e-15)
+            np.testing.assert_allclose(split.grad_fn(p), merged.grad_fn(p), rtol=1e-15, atol=1e-15)
+
+
+def _loop_forms(prior, hoods):
+    """The per-block loop forms of the neighborhood entropy's value, gradient
+    and Hessian, as a reference for the block-membership matrix forms."""
+    blocks = [(np.array(idx), kap, prior[list(idx)] / prior[list(idx)].sum()) for idx, kap in hoods]
+
+    def value(p):
+        total = 0.0
+        for idx, kap, pi_b in blocks:
+            mass = float(p[idx].sum())
+            if mass <= 0.0:
+                continue
+            cond = p[idx] / mass
+            pos = cond > 0
+            total += kap * mass * float(cond[pos] @ np.log(cond[pos] / pi_b[pos]))
+        return total
+
+    def grad(p):
+        g = np.zeros_like(p)
+        for idx, kap, pi_b in blocks:
+            mass = float(p[idx].sum())
+            cond = np.maximum(p[idx] / max(mass, 1e-300), 1e-300)
+            g[idx] += kap * np.log(cond / pi_b)
+        return g
+
+    def hess(p):
+        H = np.zeros((p.size, p.size))
+        for idx, kap, _ in blocks:
+            p_b = np.maximum(p[idx], 1e-300)
+            H[np.ix_(idx, idx)] += kap * (np.diag(1.0 / p_b) - 1.0 / p_b.sum())
+        return H
+
+    return value, grad, hess
+
+
+def _log_uniform(rng, lo=0.002, hi=1000.0):
+    return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+
+def _two_level_cover(rng, n):
+    """A random two-level cover: the whole set split into two repeats, and a
+    random partition whose blocks (singletons among them) sit inside it,
+    one of them repeated."""
+    kappa_r = _log_uniform(rng)
+    hoods = [(tuple(range(n)), kappa_r / 3), (tuple(int(s) for s in rng.permutation(n)), 2 * kappa_r / 3)]
+    perm = rng.permutation(n)
+    cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(1, n)), replace=False))
+    inner = [tuple(int(s) for s in part) for part in np.split(perm, cuts)]
+    hoods += [(idx, _log_uniform(rng)) for idx in inner]
+    kap = _log_uniform(rng)
+    hoods += [(inner[0], kap / 2), (inner[0][::-1], kap / 2)]
+    return hoods, kappa_r
+
+
+class TestNeighborhoodClosedForm:
+    def test_two_level_conjugate_matches_numeric_twin(self, numeric_twin):
+        rng = np.random.default_rng(61)
+        for _ in range(12):
+            n = int(rng.integers(2, 7))
+            prior = rng.dirichlet(np.ones(n)) * 0.8 + 0.2 / n
+            prior /= prior.sum()
+            hoods, kappa_r = _two_level_cover(rng, n)
+            h = neighborhood_hw_entropy(prior, hoods)
+            twin = numeric_twin(h)
+            assert h.conj_fn is not None and twin.conj_fn is None
+            # payoffs on the scale of the root weight keep every posterior
+            # mass far above the 1e-10 face of the implicit Hessian
+            Y = kappa_r * rng.normal(size=(4, n))
+            H = h.conj_hess_fn(Y)
+            H_twin = twin.conj_hess_fn(Y)
+            for y, H_y, H_t in zip(Y, H, H_twin):
+                val, arg = numeric_conjugate(twin, y)
+                assert abs(h.h_star(y) - val) <= 1e-12 * max(1.0, abs(val))
+                np.testing.assert_allclose(h.grad_h_star(y), arg, rtol=0, atol=1e-12)
+                # the implicit Hessian inverts a bordered matrix whose
+                # condition grows with the weight ratio (up to 5e5 here): on
+                # such draws it was off by up to 1.1e-11 of its scale, where
+                # the closed form stayed within 2e-13 of a 40-digit evaluation
+                np.testing.assert_allclose(H_y, H_t, rtol=0, atol=1e-10 * max(1.0, np.abs(H_t).max()))
+
+    def test_fenchel_young_equality_at_the_gradient(self):
+        rng = np.random.default_rng(62)
+        for _ in range(12):
+            n = int(rng.integers(2, 7))
+            prior = rng.dirichlet(np.ones(n)) * 0.8 + 0.2 / n
+            prior /= prior.sum()
+            hoods, kappa_r = _two_level_cover(rng, n)
+            h = neighborhood_hw_entropy(prior, hoods)
+            for y in kappa_r * rng.normal(size=(4, n)):
+                g = h.grad_h_star(y)
+                dual = float(y @ g) - h.h_star(y)
+                assert abs(h.value(g) - dual) <= 1e-12 * max(1.0, abs(dual))
+
+    @pytest.mark.parametrize(
+        "hoods",
+        [
+            [((0, 1, 2, 3), 0.5)],
+            [((0, 1, 2, 3), 0.5), ((0, 1), 1.0)],
+            [((3, 2, 1, 0), 0.2), ((0, 1, 2, 3), 0.3), ((1, 3), 0.7), ((2,), 0.4), ((3, 1), 0.1)],
+        ],
+    )
+    def test_two_level_covers_get_the_closed_form(self, hoods):
+        assert neighborhood_hw_entropy(np.full(4, 0.25), hoods).conj_fn is not None
+
+    @pytest.mark.parametrize(
+        "hoods",
+        [
+            [((0, 1), 1.0), ((1, 2), 0.5), ((2, 3), 0.5)],  # overlapping, no root
+            [((0, 1, 2, 3), 0.5), ((0, 1), 1.0), ((1, 2), 0.5)],  # overlapping inner blocks
+            [((0, 1, 2, 3), 0.5), ((0, 1, 2), 1.0), ((0, 1), 0.5)],  # three levels
+            [((0, 1), 1.0), ((2, 3), 0.5)],  # no neighborhood of every state
+        ],
+    )
+    def test_other_covers_keep_the_numeric_conjugate(self, hoods):
+        h = neighborhood_hw_entropy(np.full(4, 0.25), hoods)
+        assert h.conj_fn is None and h.conj_grad_fn is None
+
+    def test_matrix_forms_match_the_loop_forms(self):
+        rng = np.random.default_rng(63)
+        for _ in range(20):
+            n = int(rng.integers(2, 8))
+            prior = rng.dirichlet(np.ones(n)) * 0.8 + 0.2 / n
+            prior /= prior.sum()
+            # random overlapping blocks plus singletons for what they miss
+            hoods = []
+            for _ in range(int(rng.integers(1, 5))):
+                idx = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+                hoods.append((tuple(int(s) for s in idx), _log_uniform(rng, 0.05, 20.0)))
+            missed = sorted(set(range(n)) - {s for idx, _ in hoods for s in idx})
+            hoods += [((s,), 0.3) for s in missed]
+            h = neighborhood_hw_entropy(prior, hoods)
+            value, grad, hess = _loop_forms(prior, hoods)
+            weight = np.array([sum(kap for idx, kap in hoods if s in idx) for s in range(n)])
+            for _ in range(5):
+                p = rng.dirichlet(np.full(n, 0.5))
+                p[rng.random(n) < 0.2] = 0.0  # faces, and blocks without mass
+                if p.sum() == 0.0:
+                    p[0] = 1.0
+                p /= p.sum()
+                assert abs(h.value(p) - value(p)) <= 1e-13 * max(1.0, abs(value(p)))
+                g = grad(p)
+                np.testing.assert_allclose(h.grad_fn(p), g, rtol=0, atol=1e-13 * max(1.0, np.abs(g).max()))
+                # the Hessian sums terms kap / p_s that cancel on singleton
+                # blocks; off the face p_s is clamped at 1e-300
+                q = rng.dirichlet(np.ones(n))
+                np.testing.assert_allclose(h.hess_fn(q), hess(q), rtol=0, atol=1e-13 * np.max(weight / q))
 
 
 class TestPrimalCost:

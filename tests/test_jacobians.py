@@ -57,8 +57,11 @@ def _fd_jacobian(F, z, h=1e-7):
 def _hessian_models(prior):
     shannon_table = np.column_stack([np.linspace(-3.0, 3.0, 61), np.exp(np.linspace(-3.0, 3.0, 61))])
     ps_kl = posterior_separable_cost(prior, shannon_kl_entropy(prior, 1.2))
-    # numeric conjugate; Hessians by the implicit function theorem
+    # a two-level cover: the nested-logit closed form
     hw = neighborhood_hw_cost(prior, [(tuple(range(prior.size)), 0.3), ((0, 1), 0.8), ((2, 3, 4), 0.6)])
+    # overlapping neighborhoods: numeric conjugate, Hessians by the implicit
+    # function theorem
+    hw_numeric = neighborhood_hw_cost(prior, [(tuple(range(prior.size)), 0.3), ((0, 1), 0.8), ((1, 2, 3, 4), 0.6)])
     # three overlapping nests over five states, one of them without state 0
     kernel = np.array([[0.6, 0.4, 0.0], [0.2, 0.5, 0.3], [0.1, 0.1, 0.8], [0.3, 0.3, 0.4], [0.5, 0.2, 0.3]])
     nested = nested_shannon_cost(prior, build_encoder(kernel, prior), 0.7, [0.4, 1.1, 2.0])
@@ -70,6 +73,8 @@ def _hessian_models(prior):
         "ps_kl_scaled": scale(ps_kl, 2.0),
         "neighborhood_hw": hw,
         "neighborhood_hw_scaled": scale(hw, 2.0),
+        "neighborhood_hw_numeric": hw_numeric,
+        "neighborhood_hw_numeric_scaled": scale(hw_numeric, 2.0),
         "nested_shannon": nested,
         "nested_shannon_scaled": scale(nested, 2.0),
     }
@@ -86,6 +91,8 @@ class TestHessRows:
             "ps_kl_scaled",
             "neighborhood_hw",
             "neighborhood_hw_scaled",
+            "neighborhood_hw_numeric",
+            "neighborhood_hw_numeric_scaled",
             "nested_shannon",
             "nested_shannon_scaled",
         ],
@@ -276,12 +283,13 @@ class TestExactJacobianPolish:
         reference = solve(p, model, SolveOptions(tol=1e-11))
         assert sol.value == pytest.approx(reference.value, abs=1e-10)
 
-    def test_numeric_conjugate_work_stays_bounded(self):
+    def test_numeric_conjugate_work_stays_bounded(self, hw_cost):
         # entropy evaluations behind one neighborhood solve: mirror ascent
         # from the prior with finite-difference Jacobians made about 11,700,
-        # warm-started Newton conjugates with exact Jacobians about 290
+        # warm-started Newton conjugates with exact Jacobians about 290; the
+        # closed form evaluates the entropy only for the multiplier box
         p = guess_the_state(3, 1.0)
-        model = neighborhood_hw_cost(p.prior, [((0, 2), 0.8), ((0, 1, 2), 0.4)])
+        model = hw_cost(p.prior, [((0, 2), 0.8), ((0, 1, 2), 0.4)])
         value_fn = model.entropy.value_fn
         calls = []
 

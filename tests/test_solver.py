@@ -797,7 +797,11 @@ class TestCertificate:
 
 
 class TestNeighborhoodSolves:
-    """Inputs on which the numeric-conjugate path used to run for minutes."""
+    """Inputs on which the numeric-conjugate path used to run for minutes.
+
+    Their covers are two-level, so each runs twice through ``hw_cost``: with
+    the nested-logit closed form and with the numeric conjugate.
+    """
 
     def _assert_solved(self, sol):
         assert sol.converged
@@ -807,9 +811,9 @@ class TestNeighborhoodSolves:
     # 0.2512... ran past 90 s before exact conjugates; 0.05 hangs with them
     # unless the inner minimization keeps a start that already fits
     @pytest.mark.parametrize("kappa", [0.25125073093634503, 0.05])
-    def test_multitask_tree_at_a_former_hang(self, kappa):
+    def test_multitask_tree_at_a_former_hang(self, kappa, hw_cost):
         hoods = [((0, 1, 2, 3), kappa / 10), ((0, 1), kappa), ((2, 3), kappa)]
-        rep = multitask_experiment(None, None, model_builder=lambda p: neighborhood_hw_cost(p.prior, hoods))
+        rep = multitask_experiment(None, None, model_builder=lambda p: hw_cost(p.prior, hoods))
         for sol in rep.solutions:
             self._assert_solved(sol)
 
@@ -820,25 +824,25 @@ class TestNeighborhoodSolves:
             (2.0, [((0, 2), 0.8), ((0, 1, 2), 0.4)]),
         ],
     )
-    def test_guess_the_state_at_former_hangs(self, reward, hoods):
+    def test_guess_the_state_at_former_hangs(self, reward, hoods, hw_cost):
         p = guess_the_state(3, reward)
-        self._assert_solved(solve(p, neighborhood_hw_cost(p.prior, hoods)))
+        self._assert_solved(solve(p, hw_cost(p.prior, hoods)))
 
-    def test_numeric_conjugate_mass_is_exact_near_zero_multiplier(self):
+    def test_numeric_conjugate_mass_is_exact_near_zero_multiplier(self, hw_cost):
         # the support face drops 8e-11 of mass that the certified argmax of
         # one row keeps; only the full-face refinement restores it
         p = multitask_problems()[0]
         hoods = [((0, 1, 2, 3), 0.028), ((0, 1), 0.28), ((2, 3), 0.28)]
-        model = neighborhood_hw_cost(p.prior, hoods)
+        model = hw_cost(p.prior, hoods)
         alpha = np.array([0.5, 0.5])
         _, G = solver.evaluate(p, model, 1e-17 * np.ones(4))
         assert np.max(np.abs(alpha @ G - 1.0)) <= 1e-12
 
-    def test_inner_minimize_keeps_a_start_that_fits(self, monkeypatch):
+    def test_inner_minimize_keeps_a_start_that_fits(self, monkeypatch, hw_cost):
         from infoacq import solver
 
         p = guess_the_state(3, 1.0)
-        model = neighborhood_hw_cost(p.prior, [((0, 2), 0.8), ((0, 1, 2), 0.4)])
+        model = hw_cost(p.prior, [((0, 2), 0.8), ((0, 1, 2), 0.4)])
         alpha = np.array([0.5, 0.3, 0.2])
         lam = solver._inner_minimize(p, model, alpha, None)
 
@@ -847,3 +851,21 @@ class TestNeighborhoodSolves:
         again = solver._inner_minimize(p, model, alpha, lam)
         assert calls == []
         np.testing.assert_array_equal(again, lam - lam.sum() * p.prior)
+
+    def test_overlapping_cover_solves_through_the_numeric_conjugate(self, monkeypatch):
+        # inner neighborhoods that share state 1: no nested-logit closed form
+        from infoacq import costs
+
+        calls = []
+        numeric_conjugate = costs.numeric_conjugate
+
+        def counting(h, x):
+            calls.append(1)
+            return numeric_conjugate(h, x)
+
+        monkeypatch.setattr(costs, "numeric_conjugate", counting)
+        p = guess_the_state(3, 1.0)
+        model = neighborhood_hw_cost(p.prior, [((0, 1, 2), 0.4), ((0, 1), 0.8), ((1, 2), 0.6)])
+        assert model.entropy.conj_fn is None
+        self._assert_solved(solve(p, model))
+        assert calls
