@@ -647,6 +647,10 @@ class CostModel:
     family: str = "abstract"
     prior: np.ndarray
     translation_invariant: bool = False
+    # (shape, bytes of X, f* rows, gradient rows) of the last evaluate_rows
+    # call; replaced whole in one assignment, so threads sharing the model
+    # never read a half-written entry
+    _last_rows: tuple | None = None
 
     def f_star(self, x) -> float:
         raise NotImplementedError
@@ -672,6 +676,30 @@ class CostModel:
         Newton polish falls back to finite-difference Jacobians.
         """
         return None
+
+    @property
+    def has_hessian(self) -> bool:
+        """Whether ``hess_rows`` returns closed-form Hessians rather than None."""
+        return False
+
+    def evaluate_rows(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(f_star_rows(X), grad_rows(X))``, kept for the last X.
+
+        A call whose X equals the last one bit for bit returns the kept pair
+        without evaluating the conjugate again, so every result is the one
+        a fresh evaluation gives.
+        """
+        X = np.asarray(X, dtype=float)
+        key = X.tobytes()
+        last = self._last_rows
+        if last is not None and last[0] == X.shape and last[1] == key:
+            return last[2], last[3]
+        v = np.asarray(self.f_star_rows(X), dtype=float)
+        G = np.asarray(self.grad_rows(X), dtype=float)
+        v.flags.writeable = False
+        G.flags.writeable = False
+        self._last_rows = (X.shape, key, v, G)
+        return v, G
 
 
 def conjugate_value(model: CostModel, x) -> float:
@@ -733,6 +761,10 @@ class CsiszarCost(CostModel):
         ratios = np.asarray(X, dtype=float) / self.prior[None, :]
         return np.asarray(self.transform.psi_prime(ratios), dtype=float)
 
+    @property
+    def has_hessian(self) -> bool:
+        return self.transform.psi_pp is not None
+
     def hess_rows(self, X):
         if self.transform.psi_pp is None:
             return None
@@ -782,6 +814,10 @@ class PosteriorSeparableCost(CostModel):
     def grad_rows(self, X):
         Y = np.asarray(X, dtype=float) / self.prior[None, :]
         return self.entropy.conj_grad_rows(Y) / self.prior[None, :]
+
+    @property
+    def has_hessian(self) -> bool:
+        return self.entropy.conj_hess_fn is not None
 
     def hess_rows(self, X):
         if self.entropy.conj_hess_fn is None:

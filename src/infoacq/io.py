@@ -258,8 +258,12 @@ def solution_to_dict(sol: Solution) -> dict:
     for name in consideration:
         idx = problem.action_names.index(name)
         posteriors[name] = sol.rule.posterior(idx).tolist()
+    reported = dict(sol.diagnostics)
+    # the two-step's box bounds the attribute-space multiplier, not the lifted one
+    if sol.backend != "perceptual_two_step":
+        reported["box_contains_multiplier"] = sol.box_contains_multiplier
     diagnostics = {}
-    for key, val in sorted(sol.diagnostics.items()):
+    for key, val in sorted(reported.items()):
         if isinstance(val, (np.floating, float)):
             diagnostics[key] = float(val)
         elif isinstance(val, (np.bool_, bool)) or val is None:

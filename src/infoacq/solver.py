@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -90,6 +92,13 @@ class MultiplierBox:
 
 @dataclass
 class Solution:
+    """A saddle pair with its choice rule, residuals and certificate.
+
+    ``box_source`` is the multiplier search box, or a function that builds
+    it.  Only mirror-prox searches in the box, so elsewhere the box is built
+    the first time ``box`` is read, and kept.
+    """
+
     problem: DecisionProblem
     model: CostModel
     alpha: np.ndarray
@@ -102,8 +111,20 @@ class Solution:
     converged: bool
     iterations: int
     backend: str
-    box: MultiplierBox | None = None
+    box_source: MultiplierBox | Callable[[], MultiplierBox] | None = field(
+        default=None, repr=False, compare=False
+    )
     diagnostics: dict = field(default_factory=dict)
+
+    @cached_property
+    def box(self) -> MultiplierBox | None:
+        source = self.box_source
+        return source() if callable(source) else source
+
+    @property
+    def box_contains_multiplier(self) -> bool | None:
+        """Whether the box holds the multiplier; None for a bound on a reduced problem."""
+        return None if self.box is None else self.box.holds(self.problem, self.lam)
 
     @property
     def lam_pi(self) -> np.ndarray:
@@ -124,8 +145,14 @@ def payoff_arguments(problem: DecisionProblem, lam: np.ndarray) -> np.ndarray:
 
 
 def evaluate(problem, model, lam):
-    X = payoff_arguments(problem, lam)
-    return model.f_star_rows(X), model.grad_rows(X)
+    """Read-only conjugate values and gradients at the payoff arguments of lam.
+
+    The model keeps the pair for the last arguments it saw
+    (``CostModel.evaluate_rows``), so the repeats of the solve path, such
+    as a Newton Jacobian at the point whose residual was just accepted,
+    cost no second evaluation.
+    """
+    return model.evaluate_rows(payoff_arguments(problem, lam))
 
 
 def foc_residuals(problem, model, alpha, lam):
@@ -140,11 +167,6 @@ def foc_residuals(problem, model, alpha, lam):
 def saddle_value(problem, model, alpha, lam) -> float:
     v, _ = evaluate(problem, model, lam)
     return float(alpha @ v + lam.sum())
-
-
-def _has_hessian(problem, model) -> bool:
-    """Whether the model supplies closed-form conjugate Hessians."""
-    return model.hess_rows(payoff_arguments(problem, np.zeros(problem.n_states))[:1]) is not None
 
 
 def _weighted_hessian(model, X, w) -> np.ndarray | None:
@@ -402,7 +424,7 @@ def _inner_minimize(problem, model, alpha, lam0, inner_tol=1e-11):
         H = _weighted_hessian(model, payoff_arguments(problem, l)[live], alpha[live])
         return -(basis.T @ H @ basis) if basis is not None else -H
 
-    jac = J if _has_hessian(problem, model) else None
+    jac = J if model.has_hessian else None
     z0 = basis.T @ lam if basis is not None else lam
     z, _ = newton(F, z0, jac)
     cand = basis @ z if basis is not None else z
@@ -426,11 +448,17 @@ def _inner_minimize(problem, model, alpha, lam0, inner_tol=1e-11):
 # semismooth Newton polish on the Fischer-Burmeister system
 
 
+@lru_cache(maxsize=64)
 def _slice_basis(n: int) -> np.ndarray:
-    """Orthonormal basis of the hyperplane of sum-zero multiplier directions."""
+    """Orthonormal basis of the hyperplane of sum-zero multiplier directions.
+
+    Kept per n and read-only, since every caller shares the array.
+    """
     a = np.eye(n) - np.full((n, n), 1.0 / n)
     u, s, _ = np.linalg.svd(a)
-    return u[:, : n - 1]
+    basis = u[:, : n - 1]
+    basis.flags.writeable = False
+    return basis
 
 
 def _kkt_system(problem, model, z, basis=None, jac=False):
@@ -499,7 +527,7 @@ def _polish_once(problem, model, alpha0, lam0):
     def jacobian(x):
         return _kkt_system(problem, model, x, basis, jac=True)[1]
 
-    z, F = newton(system, z0, jacobian if _has_hessian(problem, model) else None)
+    z, F = newton(system, z0, jacobian if model.has_hessian else None)
     if not np.all(np.isfinite(F)):
         return None
     alpha, t = z[:m], z[m]
@@ -536,7 +564,7 @@ def _init_alpha(m: int, seed: int) -> np.ndarray:
     return rng.dirichlet(np.ones(m))
 
 
-def _best_response_backend(problem, model, opts, box):
+def _best_response_backend(problem, model, opts):
     alpha = _init_alpha(problem.n_actions, opts.seed)
     lam = _inner_minimize(problem, model, alpha, None, inner_tol=min(1e-11, opts.tol / 10))
     best = (math.inf, alpha.copy(), lam.copy())
@@ -659,7 +687,7 @@ def _mirror_prox_backend(problem, model, opts, box):
 # assembling solutions
 
 
-def _assemble(problem, model, alpha, lam, iters, converged, backend, box, extra=None):
+def _assemble(problem, model, alpha, lam, iters, converged, backend, box_source, extra=None):
     res_a, res_l, v, G = foc_residuals(problem, model, alpha, lam)
     value = float(alpha @ v + lam.sum())
     raw_rows = (alpha[None, :] * G.T).astype(float)
@@ -683,8 +711,6 @@ def _assemble(problem, model, alpha, lam, iters, converged, backend, box, extra=
         diagnostics["degenerate_rows"] = [problem.states[i] for i in np.flatnonzero(degenerate)]
     if extra:
         diagnostics.update(extra)
-    if box is not None:
-        diagnostics["box_contains_multiplier"] = box.holds(problem, lam)
     return Solution(
         problem=problem,
         model=model,
@@ -698,7 +724,7 @@ def _assemble(problem, model, alpha, lam, iters, converged, backend, box, extra=
         converged=converged,
         iterations=iters,
         backend=backend,
-        box=box,
+        box_source=box_source,
         diagnostics=diagnostics,
     )
 
@@ -713,6 +739,14 @@ def duality_certificate(problem, model, alpha, lam) -> float:
     return upper - lower
 
 
+def _search_box(problem, model, opts) -> MultiplierBox:
+    """The multiplier box of ``solve``: ``multiplier_bounds``, or the user's bound."""
+    box = multiplier_bounds(problem, model)
+    if opts.box_override is not None:
+        box = replace(box, bound=float(opts.box_override), detail="user override")
+    return box
+
+
 def solve(problem: DecisionProblem, model: CostModel, opts: SolveOptions | None = None) -> Solution:
     """Find a saddle point and reconstruct the optimal stochastic choice rule."""
     opts = opts or SolveOptions()
@@ -725,15 +759,13 @@ def solve(problem: DecisionProblem, model: CostModel, opts: SolveOptions | None 
         if isinstance(model, CsiszarCost) and model.transform.family == "shannon":
             return _solve_mi(problem, model, opts)
         backend = "best_response"
-    box = multiplier_bounds(problem, model)
-    if opts.box_override is not None:
-        box = replace(box, bound=float(opts.box_override), detail="user override")
-
     if backend == "best_response":
-        # the best response never reads the box: containment is only reported
-        alpha, lam, iters, converged = _best_response_backend(problem, model, opts, box)
+        # the best response never reads the box: it is built when the solution's is read
+        alpha, lam, iters, converged = _best_response_backend(problem, model, opts)
+        box = partial(_search_box, problem, model, opts)
         return _assemble(problem, model, alpha, lam, iters, converged, backend, box)
     # mirror-prox clips to the box and samples it, so a larger box can help
+    box = _search_box(problem, model, opts)
     alpha, lam, iters, converged = _mirror_prox_backend(problem, model, opts, box)
     if box.holds(problem, lam) is False:
         detail = "; ".join(filter(None, [box.detail, "enlarged after box violation"]))
@@ -829,7 +861,7 @@ def _mi_solution(problem, kappa, alpha, lam, iters, converged, backend):
         iters,
         converged,
         backend,
-        multiplier_bounds(problem, model),
+        partial(multiplier_bounds, problem, model),
         extra={"alpha_vs_unconditional": float(np.abs(ppi - alpha).max())},
     )
 
@@ -959,7 +991,7 @@ def solve_perceptual(
         converged=rsol.converged,
         iterations=rsol.iterations,
         backend="perceptual_two_step",
-        box=replace(rsol.box, reduced=True),
+        box_source=lambda: replace(rsol.box, reduced=True),
         diagnostics=diagnostics,
     )
 
@@ -1030,7 +1062,7 @@ def reduce_solution(sol: Solution) -> Solution:
         sol.iterations,
         sol.converged,
         sol.backend,
-        sol.box,
+        lambda: sol.box,
         extra={**sol.diagnostics, "support_reduced": True},
     )
     return out

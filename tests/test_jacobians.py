@@ -8,6 +8,8 @@ import pytest
 from infoacq import solver
 from infoacq.catalog import guess_the_state, random_problem
 from infoacq.costs import (
+    CsiszarCost,
+    PosteriorSeparableCost,
     build_encoder,
     chi2_cost,
     csiszar_cost,
@@ -19,7 +21,7 @@ from infoacq.costs import (
     scale,
     shannon_kl_entropy,
 )
-from infoacq.solver import SolveOptions, _has_hessian, _kkt_system, _slice_basis, solve
+from infoacq.solver import SolveOptions, _kkt_system, _slice_basis, solve
 from infoacq.transform import chi2, tabulated
 
 
@@ -114,12 +116,16 @@ class TestHessRows:
         prior = _prior(rng, 3)
         encoder = build_encoder(np.eye(3), prior)
         X = rng.normal(size=(2, 3)) * prior
-        assert perceptual_csiszar_cost(prior, chi2(1.0), encoder).hess_rows(X) is None
-        assert csiszar_cost(prior, replace(chi2(1.0), psi_pp=None)).hess_rows(X) is None
+        for model in (
+            perceptual_csiszar_cost(prior, chi2(1.0), encoder),
+            csiszar_cost(prior, replace(chi2(1.0), psi_pp=None)),
+        ):
+            assert model.hess_rows(X) is None
+            assert model.has_hessian is False
 
     def test_neighborhood_cost_has_hessian(self):
         p = guess_the_state(3, 1.0)
-        assert _has_hessian(p, neighborhood_hw_cost(p.prior, [((0, 2), 0.8), ((0, 1, 2), 0.4)]))
+        assert neighborhood_hw_cost(p.prior, [((0, 2), 0.8), ((0, 1, 2), 0.4)]).has_hessian
 
 
 class TestVectorizedPosteriorSeparableRows:
@@ -221,6 +227,13 @@ _COSTS = {
 }
 
 
+def _without_hessian(model):
+    """The same cost without closed-form Hessians, so Newton takes forward differences."""
+    if isinstance(model, PosteriorSeparableCost):
+        return PosteriorSeparableCost(model.prior, replace(model.entropy, conj_hess_fn=None), model.family)
+    return CsiszarCost(model.prior, replace(model.transform, psi_pp=None), model.family)
+
+
 class TestExactJacobianPolish:
     @pytest.mark.parametrize("n", [3, 8, 20])
     @pytest.mark.parametrize("family", sorted(_COSTS))
@@ -228,9 +241,7 @@ class TestExactJacobianPolish:
         p = random_problem(np.random.default_rng(n), n, n, prior_floor=0.1 / n)
         opts = SolveOptions(backend="best_response")
         exact = solve(p, _COSTS[family](p.prior), opts)
-        fd_model = _COSTS[family](p.prior)
-        fd_model.hess_rows = lambda X: None
-        fd = solve(p, fd_model, opts)
+        fd = solve(p, _without_hessian(_COSTS[family](p.prior)), opts)
         for sol in (exact, fd):
             assert sol.converged
             assert max(sol.residual_alpha, sol.residual_lambda) <= opts.tol
@@ -242,9 +253,7 @@ class TestExactJacobianPolish:
         encoder = build_encoder(np.array([[0.7, 0.3], [0.6, 0.4], [0.2, 0.8], [0.1, 0.9]]), p.prior)
         opts = SolveOptions(backend="best_response")
         exact = solve(p, nested_shannon_cost(p.prior, encoder, zeta, [0.5, 1.5]), opts)
-        fd_model = nested_shannon_cost(p.prior, encoder, zeta, [0.5, 1.5])
-        fd_model.hess_rows = lambda X: None
-        fd = solve(p, fd_model, opts)
+        fd = solve(p, _without_hessian(nested_shannon_cost(p.prior, encoder, zeta, [0.5, 1.5])), opts)
         for sol in (exact, fd):
             assert sol.converged
             assert max(sol.residual_alpha, sol.residual_lambda) <= opts.tol
@@ -286,8 +295,7 @@ class TestExactJacobianPolish:
     def test_numeric_conjugate_work_stays_bounded(self, hw_cost):
         # entropy evaluations behind one neighborhood solve: mirror ascent
         # from the prior with finite-difference Jacobians made about 11,700,
-        # warm-started Newton conjugates with exact Jacobians about 290; the
-        # closed form evaluates the entropy only for the multiplier box
+        # warm-started Newton conjugates with exact Jacobians about 290
         p = guess_the_state(3, 1.0)
         model = hw_cost(p.prior, [((0, 2), 0.8), ((0, 1, 2), 0.4)])
         value_fn = model.entropy.value_fn
@@ -300,4 +308,9 @@ class TestExactJacobianPolish:
         model.entropy.value_fn = counting_value
         sol = solve(p, model)
         assert sol.converged
+        if model.entropy.conj_fn is not None:
+            # the closed form evaluates the entropy only for the multiplier
+            # box, which is built the first time it is read
+            assert calls == []
+            assert sol.box.bound > 0
         assert 0 < len(calls) < 2000

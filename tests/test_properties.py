@@ -82,7 +82,7 @@ def test_multiplier_inside_the_box_is_reported(p):
             lam = sol.lam - sol.lam.sum() * p.prior if sol.box.translation_slice else sol.lam
             inside = bool(np.max(np.abs(lam)) <= sol.box.bound)
             if inside:
-                assert sol.diagnostics["box_contains_multiplier"] is True, (family, backend)
+                assert sol.box_contains_multiplier is True, (family, backend)
             # the box is proven, so it holds the multiplier of every converged solve
             assert inside or not sol.converged, (family, backend)
 

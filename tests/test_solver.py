@@ -172,7 +172,7 @@ class TestEntropySpread:
         assert box.bound == pytest.approx(111.249, abs=1e-3)
         sol = solve(p, model)
         assert sol.converged
-        assert sol.diagnostics["box_contains_multiplier"] is True
+        assert sol.box_contains_multiplier is True
 
 
 class TestBoxRetry:
@@ -181,7 +181,7 @@ class TestBoxRetry:
     def _count(self, monkeypatch, name):
         calls = []
         backend = getattr(solver, name)
-        monkeypatch.setattr(solver, name, lambda *a: calls.append(a[-1].bound) or backend(*a))
+        monkeypatch.setattr(solver, name, lambda *a: calls.append(a) or backend(*a))
         return calls
 
     def test_best_response_runs_once_and_reports(self, monkeypatch):
@@ -190,7 +190,8 @@ class TestBoxRetry:
         sol = solve(p, chi2_cost(p.prior, 1.0), SolveOptions(backend="best_response", box_override=1e-6))
         assert len(calls) == 1
         assert sol.converged
-        assert sol.diagnostics["box_contains_multiplier"] is False
+        assert sol.box.bound == 1e-6 and sol.box.detail == "user override"
+        assert sol.box_contains_multiplier is False
 
     def test_mirror_prox_enlarges_the_box(self, monkeypatch):
         calls = self._count(monkeypatch, "_mirror_prox_backend")
@@ -199,9 +200,9 @@ class TestBoxRetry:
         lam = solve(p, model, SolveOptions(backend="best_response")).lam
         bound = 0.5 * float(np.max(np.abs(lam)))
         sol = solve(p, model, SolveOptions(backend="mirror_prox", box_override=bound))
-        assert calls == [bound, 10 * bound]
+        assert [a[-1].bound for a in calls] == [bound, 10 * bound]
         assert sol.box.bound == 10 * bound and "enlarged" in sol.box.detail
-        assert sol.diagnostics["box_contains_multiplier"] is True
+        assert sol.box_contains_multiplier is True
         with pytest.raises(SolverError):
             solve(p, model, SolveOptions(backend="mirror_prox", box_override=1e-6))
 
@@ -758,6 +759,148 @@ class TestInnerMinimization:
         lam = solver._inner_minimize(big, model, alpha, None)
         _, G = solver.evaluate(big, model, lam)
         assert np.max(np.abs(alpha @ G - 1.0)) <= 1e-11
+
+
+def _counting_rows(model):
+    """Route the model's ``f_star_rows`` through a counter; returns the call list."""
+    calls = []
+    f_star_rows = model.f_star_rows
+    model.f_star_rows = lambda X: calls.append(1) or f_star_rows(X)
+    return calls
+
+
+class TestEvaluationMemo:
+    """``evaluate`` keeps the conjugate pair of the last multiplier on the model."""
+
+    def _setup(self):
+        p = random_problem(np.random.default_rng(61), 4, 5)
+        lam = np.random.default_rng(62).normal(size=4) * 0.1
+        return p, lam
+
+    def test_results_are_read_only(self):
+        p, lam = self._setup()
+        model = chi2_cost(p.prior)
+        for _ in range(2):  # the evaluated pair and the kept one
+            v, G = solver.evaluate(p, model, lam)
+            assert not v.flags.writeable and not G.flags.writeable
+            with pytest.raises(ValueError):
+                G[0, 0] = 0.0
+
+    def test_an_equal_multiplier_is_not_evaluated_again(self):
+        p, lam = self._setup()
+        model = chi2_cost(p.prior)
+        calls = _counting_rows(model)
+        v, G = solver.evaluate(p, model, lam)
+        v2, G2 = solver.evaluate(p, model, np.array(lam.tolist()))
+        assert len(calls) == 1
+        assert v2 is v and G2 is G
+
+    def test_a_changed_multiplier_model_or_problem_misses(self):
+        p, lam = self._setup()
+        model = chi2_cost(p.prior)
+        calls = _counting_rows(model)
+        v, G = solver.evaluate(p, model, lam)
+        moved = lam.copy()
+        moved[0] = np.nextafter(moved[0], np.inf)
+        solver.evaluate(p, model, moved)
+        assert len(calls) == 2
+        other = validate_problem(p.states, p.prior, list(zip(p.action_names, p.payoffs + 0.5)))
+        v_other, _ = solver.evaluate(other, model, lam)
+        assert len(calls) == 3
+        np.testing.assert_array_equal(v_other, chi2_cost(p.prior).f_star_rows(solver.payoff_arguments(other, lam)))
+        twin = chi2_cost(p.prior, 2.0)
+        twin_calls = _counting_rows(twin)
+        v_twin, _ = solver.evaluate(p, twin, lam)
+        assert (len(calls), len(twin_calls)) == (3, 1)
+        assert not np.array_equal(v_twin, v)
+
+    def test_threads_sharing_a_model_get_exact_results(self):
+        import sys
+        import threading
+
+        p, lam = self._setup()
+        points = [lam, -lam, 2 * lam, np.zeros(4)]
+        fresh = [solver.evaluate(p, posterior_separable_cost(p.prior, shannon_kl_entropy(p.prior)), l) for l in points]
+        shared = posterior_separable_cost(p.prior, shannon_kl_entropy(p.prior))
+        wrong = []
+
+        def work(offset):
+            for k in range(300):
+                i = (offset + k) % len(points)
+                v, G = solver.evaluate(p, shared, points[i])
+                if not (np.array_equal(v, fresh[i][0]) and np.array_equal(G, fresh[i][1])):
+                    wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    @pytest.mark.parametrize(
+        "build, bound",
+        [
+            (lambda prior: neighborhood_hw_cost(prior, [((0, 2), 0.8), ((0, 1, 2), 0.4)]), 33),
+            (lambda prior: posterior_separable_cost(prior, shannon_kl_entropy(prior)), 1),
+            (chi2_cost, 1),
+        ],
+        ids=["neighborhood", "ps_kl", "chi2"],
+    )
+    def test_conjugate_evaluations_per_solve_stay_bounded(self, build, bound):
+        # before the memo these solves made 52, 6 and 9 row evaluations
+        p = guess_the_state(3, 1.0)
+        model = build(p.prior)
+        calls = _counting_rows(model)
+        sol = solve(p, model)
+        assert sol.converged
+        assert 0 < len(calls) <= bound
+        assert sol.value == solve(p, build(p.prior)).value
+
+    def test_slice_basis_is_kept_read_only(self):
+        basis = solver._slice_basis(5)
+        assert solver._slice_basis(5) is basis and not basis.flags.writeable
+        u, _, _ = np.linalg.svd(np.eye(5) - np.full((5, 5), 0.2))
+        np.testing.assert_array_equal(basis, u[:, :4])
+
+
+class TestLazyBox:
+    """The best response never reads the box, so it is built on the first read."""
+
+    def _counting_bounds(self, monkeypatch):
+        calls = []
+        bounds = solver.multiplier_bounds
+        monkeypatch.setattr(solver, "multiplier_bounds", lambda *a: calls.append(1) or bounds(*a))
+        return calls
+
+    @pytest.mark.parametrize("backend", ["closed_form_auto", "best_response"])
+    @pytest.mark.parametrize("cost", [chi2_cost, mutual_information_cost])
+    def test_box_is_built_once_on_first_read(self, monkeypatch, backend, cost):
+        calls = self._counting_bounds(monkeypatch)
+        p = guess_the_state(3, 1.0)
+        model = cost(p.prior)
+        sol = solve(p, model, SolveOptions(backend=backend))
+        assert calls == []
+        box = sol.box
+        assert sol.box is box and len(calls) == 1
+        assert box == multiplier_bounds(p, model)
+        assert sol.box_contains_multiplier is True
+
+    def test_perceptual_and_reduced_solutions_read_the_box_lazily(self, monkeypatch):
+        calls = self._counting_bounds(monkeypatch)
+        p = guess_the_state(3, 1.0)
+        encoder = build_encoder(np.array([[0.8, 0.2], [0.5, 0.5], [0.1, 0.9]]), p.prior)
+        sol = solve_perceptual(p, chi2(1.0), encoder)
+        red = reduce_solution(solve(p, chi2_cost(p.prior)))
+        assert calls == []
+        assert sol.box.reduced and sol.box_contains_multiplier is None
+        assert red.box == multiplier_bounds(p, chi2_cost(p.prior))
 
 
 class TestCertificate:
