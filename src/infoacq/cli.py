@@ -15,7 +15,6 @@ from .catalog import distance_encoder, one_dim_binary
 from .core import ValidationError
 from .oracle import brute_force_solve, verify_focs
 from .solver import duality_certificate, multiplier_bounds, solve
-from .transform import shift_transform
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -90,13 +89,27 @@ def cmd_oracle(args) -> int:
 
 
 def _sweep_rows(spec: dict, parallel: int):
+    if not isinstance(spec, dict):
+        raise ValidationError("sweep spec: expected a JSON object")
     kind = spec.get("kind")
+    where = f"{kind} sweep"
+
+    def field(key):
+        return io._field(spec, key, where)
+
+    def number(key):
+        return io._number(field(key), key, where)
+
+    def numbers(key):
+        values = field(key)
+        if not isinstance(values, list):
+            raise ValidationError(f"{where}: field {key!r} must be a list of numbers")
+        return [io._number(v, key, where) for v in values]
+
     if kind == "response":
-        t = io.transform_from_dict(spec["transform"])
-        if spec.get("shift") is not None:
-            t = shift_transform(t, float(spec["shift"]))
-        gamma = float(spec["gamma"])
-        grid = np.asarray(spec["w_grid"], dtype=float)
+        t = io._maybe_shift(io.transform_from_dict(field("transform")), spec, where)
+        gamma = number("gamma")
+        grid = numbers("w_grid")
 
         def point(w):
             curve = analysis.response_curve(t, gamma, [w])
@@ -104,11 +117,9 @@ def _sweep_rows(spec: dict, parallel: int):
 
         return ["w", "gamma", "rho", "lambda"], _maybe_parallel(point, grid, parallel)
     if kind == "thresholds":
-        t = io.transform_from_dict(spec["transform"])
-        if spec.get("shift") is not None:
-            t = shift_transform(t, float(spec["shift"]))
-        w = float(spec["w"])
-        ns = [int(x) for x in spec["n_grid"]]
+        t = io._maybe_shift(io.transform_from_dict(field("transform")), spec, where)
+        w = number("w")
+        ns = [int(n) for n in numbers("n_grid")]
 
         def point(n):
             rep = analysis.inconclusive_thresholds(t, n, w)
@@ -122,10 +133,10 @@ def _sweep_rows(spec: dict, parallel: int):
 
         return ["n", "w", "c_lower", "c_upper", "c_hat"], _maybe_parallel(point, ns, parallel)
     if kind == "psychometric":
-        thetas = np.asarray(spec["thetas"], dtype=float)
-        problem = one_dim_binary(thetas, spec["risky_payoffs"])
-        t = io.transform_from_dict(spec["transform"])
-        sigma = float(spec.get("sigma", 1.0))
+        thetas = np.asarray(numbers("thetas"))
+        problem = one_dim_binary(thetas, numbers("risky_payoffs"))
+        t = io.transform_from_dict(field("transform"))
+        sigma = io._number(spec.get("sigma", 1.0), "sigma", where)
         enc = distance_encoder(thetas, lambda d: float(np.exp(-(d * d) / (2 * sigma * sigma))))
         rep = analysis.psychometric_curve(problem, t, enc)
         rows = [
@@ -134,8 +145,8 @@ def _sweep_rows(spec: dict, parallel: int):
         ]
         return ["theta", "p_risky"], rows
     if kind == "multitask":
-        eta = float(spec["eta"])
-        zetas = [float(z) for z in spec["zeta_grid"]]
+        eta = number("eta")
+        zetas = numbers("zeta_grid")
 
         def point(z):
             rep = analysis.multitask_experiment(z, eta)
@@ -147,13 +158,13 @@ def _sweep_rows(spec: dict, parallel: int):
             _maybe_parallel(point, zetas, parallel),
         )
     if kind == "epsilon_split":
-        t = io.transform_from_dict(spec["transform"])
+        epsilons = {"epsilons": numbers("epsilons")} if "epsilons" in spec else {}
         rep = analysis.epsilon_split_experiment(
-            t,
-            spec["d"],
-            int(spec["i"]),
-            int(spec["j"]),
-            spec.get("epsilons", (0.2, 0.1, 0.05, 0.025)),
+            io.transform_from_dict(field("transform")),
+            numbers("d"),
+            int(number("i")),
+            int(number("j")),
+            **epsilons,
         )
         rows = [
             {

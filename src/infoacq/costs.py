@@ -145,7 +145,10 @@ class Entropy:
     row by :func:`numeric_conjugate` to a stationarity gap of
     ``numeric_tol`` within a fixed step cap, raising ``SolverError`` past
     it; its results are kept per instance in an LRU memo of
-    ``MEMO_CAPACITY`` entries keyed on the query rounded at 1e-12.
+    ``MEMO_CAPACITY`` entries keyed on the query rounded at 1e-12.  A later
+    solve on the same instance reuses them and warm-starts from them, which
+    may move the last bits of its result, so byte-identical output assumes
+    a fresh model.
     ``gap_fn`` replaces the plain stationarity gap where H is linear along
     some directions, and ``faces_fn`` proposes support faces for the Newton
     refinement.  ``hess_fn`` is the Hessian of H itself; it gives the

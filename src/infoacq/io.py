@@ -151,9 +151,9 @@ def transform_from_dict(data: dict) -> Transform:
     )
 
 
-def _maybe_shift(t: Transform, data: dict) -> Transform:
-    if "shift" in data and data["shift"] is not None:
-        return shift_transform(t, _number(data["shift"], "shift", "cost"))
+def _maybe_shift(t: Transform, data: dict, where: str) -> Transform:
+    if data.get("shift") is not None:
+        return shift_transform(t, _number(data["shift"], "shift", where))
     return t
 
 
@@ -173,7 +173,7 @@ def cost_from_dict(data: dict, problem: DecisionProblem) -> CostModel:
     if family == "chi2":
         return chi2_cost(prior, kappa)
     if family == "csiszar":
-        t = _maybe_shift(transform_from_dict(_field(data, "transform", where)), data)
+        t = _maybe_shift(transform_from_dict(_field(data, "transform", where)), data, where)
         return scale(csiszar_cost(prior, t), kappa)
     if family == "posterior_separable":
         ent = data.get("entropy", {"family": "shannon_kl"})
@@ -183,7 +183,7 @@ def cost_from_dict(data: dict, problem: DecisionProblem) -> CostModel:
             prior, shannon_kl_entropy(prior, _number(ent.get("kappa", 1.0), "kappa", "entropy") * kappa)
         )
     if family == "perceptual_csiszar":
-        t = _maybe_shift(transform_from_dict(_field(data, "transform", where)), data)
+        t = _maybe_shift(transform_from_dict(_field(data, "transform", where)), data, where)
         enc = encoder_from_dict(_field(data, "encoder", where), problem)
         return scale(perceptual_csiszar_cost(prior, t, enc), kappa)
     if family == "nested_shannon":
@@ -207,9 +207,7 @@ def cost_from_dict(data: dict, problem: DecisionProblem) -> CostModel:
 
 
 def encoder_from_dict(data: dict, problem: DecisionProblem):
-    rows = np.asarray(data["rows"], dtype=float)
-    attributes = data.get("attributes")
-    return build_encoder(rows, problem.prior, attributes)
+    return build_encoder(_field(data, "rows", "encoder"), problem.prior, data.get("attributes"))
 
 
 def load_cost(path: str, problem: DecisionProblem) -> CostModel:
@@ -226,7 +224,6 @@ _OPTION_TYPES = {
     "tol": ("a number", (int, float)),
     "max_iter": ("an integer", int),
     "seed": ("an integer", int),
-    "box_override": ("a number or null", (int, float, type(None))),
     "polish": ("a boolean", bool),
 }
 
@@ -258,10 +255,7 @@ def solution_to_dict(sol: Solution) -> dict:
     for name in consideration:
         idx = problem.action_names.index(name)
         posteriors[name] = sol.rule.posterior(idx).tolist()
-    reported = dict(sol.diagnostics)
-    # the two-step's box bounds the attribute-space multiplier, not the lifted one
-    if sol.backend != "perceptual_two_step":
-        reported["box_contains_multiplier"] = sol.box_contains_multiplier
+    reported = {**sol.diagnostics, "box_contains_multiplier": sol.box_contains_multiplier}
     diagnostics = {}
     for key, val in sorted(reported.items()):
         if isinstance(val, (np.floating, float)):
@@ -291,7 +285,7 @@ def solution_to_dict(sol: Solution) -> dict:
         "converged": bool(sol.converged),
         "backend": sol.backend,
         "iterations": int(sol.iterations),
-        "box_bound": None if sol.box is None else float(sol.box.bound),
+        "box_bound": float(sol.box.bound),
         "diagnostics": diagnostics,
     }
 

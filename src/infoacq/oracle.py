@@ -155,13 +155,10 @@ def verify_focs(problem, model, alpha, lam, box: MultiplierBox | None = None) ->
     alpha = np.asarray(alpha, dtype=float)
     lam = np.asarray(lam, dtype=float)
     res_a, res_l, _, _ = foc_residuals(problem, model, alpha, lam)
-    in_box = None
     slice_resid = None
     if getattr(model, "translation_invariant", False):
         slice_resid = abs(float(lam.sum()))
-    if box is not None and not box.reduced:
-        check = lam - lam.sum() * problem.prior if box.translation_slice else lam
-        in_box = box.contains(check)
+    in_box = None if box is None else box.holds(problem, lam)
     return FocReport(res_a, res_l, in_box, slice_resid)
 
 

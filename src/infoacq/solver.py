@@ -12,9 +12,8 @@ maximal on the support of alpha, and the reconstructed rows
     P[s, a] = alpha(a) * grad_s f*(a pi - lambda)
 
 sum to one in every state.  Backends: an exact-inner-minimization best
-response and an extragradient (mirror-prox) scheme on the boxed multiplier,
-both finished by a semismooth Newton polish of the Fischer-Burmeister form
-of these conditions, and closed-form routes for mutual information and
+response finished by a semismooth Newton polish of the Fischer-Burmeister
+form of these conditions, and closed-form routes for mutual information and
 perceptual costs (reduction to the attribute problem).  Mutual information
 runs a short Blahut-Arimoto warm start (the multiplicative fixed point)
 finished by the same Newton polish, and falls back to the full fixed point
@@ -58,7 +57,6 @@ class SolveOptions:
     backend: str = "closed_form_auto"
     tol: float = 1e-8
     max_iter: int = 200000
-    box_override: float | None = None
     seed: int = 0
     polish: bool = True
 
@@ -67,7 +65,7 @@ class SolveOptions:
             raise ValidationError("tolerance must be positive")
         if self.max_iter < 1:
             raise ValidationError("iteration cap must be at least 1")
-        if self.backend not in ("closed_form_auto", "best_response", "mirror_prox"):
+        if self.backend not in ("closed_form_auto", "best_response"):
             raise ValidationError(f"unknown backend {self.backend!r}")
 
 
@@ -77,7 +75,6 @@ class MultiplierBox:
     epsilon: float
     translation_slice: bool = False
     reduced: bool = False
-    detail: str = ""
 
     def contains(self, lam: np.ndarray, margin: float = 1e-9) -> bool:
         return bool(np.max(np.abs(lam)) <= self.bound * (1 + 1e-12) + margin)
@@ -94,9 +91,8 @@ class MultiplierBox:
 class Solution:
     """A saddle pair with its choice rule, residuals and certificate.
 
-    ``box_source`` is the multiplier search box, or a function that builds
-    it.  Only mirror-prox searches in the box, so elsewhere the box is built
-    the first time ``box`` is read, and kept.
+    ``box_source`` builds the multiplier box.  No solve reads the box, so it
+    is built the first time ``box`` is read, and kept.
     """
 
     problem: DecisionProblem
@@ -111,20 +107,17 @@ class Solution:
     converged: bool
     iterations: int
     backend: str
-    box_source: MultiplierBox | Callable[[], MultiplierBox] | None = field(
-        default=None, repr=False, compare=False
-    )
+    box_source: Callable[[], MultiplierBox] = field(repr=False, compare=False)
     diagnostics: dict = field(default_factory=dict)
 
     @cached_property
-    def box(self) -> MultiplierBox | None:
-        source = self.box_source
-        return source() if callable(source) else source
+    def box(self) -> MultiplierBox:
+        return self.box_source()
 
     @property
     def box_contains_multiplier(self) -> bool | None:
         """Whether the box holds the multiplier; None for a bound on a reduced problem."""
-        return None if self.box is None else self.box.holds(self.problem, self.lam)
+        return self.box.holds(self.problem, self.lam)
 
     @property
     def lam_pi(self) -> np.ndarray:
@@ -267,7 +260,7 @@ def multiplier_bounds(
     if isinstance(model, PerceptualCsiszarCost):
         reduced, _, _ = _reduced_problem(problem, model.encoder)
         inner = multiplier_bounds(reduced, csiszar_cost(reduced.prior, model.transform))
-        return replace(inner, reduced=True, detail="bound on the attribute-space multiplier")
+        return replace(inner, reduced=True)
     if isinstance(model, PosteriorSeparableCost):
         eps = epsilon if epsilon is not None else min(0.5, problem.prior.min() / 2)
         if eps <= 0:
@@ -608,79 +601,9 @@ def _best_response_backend(problem, model, opts):
     return alpha, lam, iters, converged
 
 
-def _lipschitz_estimate(problem, model, box, seed=0, samples=8):
-    rng = np.random.default_rng(seed)
-    n, m = problem.n_states, problem.n_actions
-    pts = []
-    for _ in range(samples):
-        a = rng.dirichlet(np.ones(m))
-        l = rng.uniform(-box.bound, box.bound, size=n)
-        v, G = evaluate(problem, model, l)
-        field_vec = np.concatenate([-v, 1.0 - a @ G])
-        pts.append((np.concatenate([a, l]), field_vec))
-    lhat = 1e-9
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            dz = np.linalg.norm(pts[i][0] - pts[j][0])
-            df = np.linalg.norm(pts[i][1] - pts[j][1])
-            if dz > 1e-12:
-                lhat = max(lhat, df / dz)
-    return lhat
-
-
-def _mirror_prox_backend(problem, model, opts, box):
-    n, m = problem.n_states, problem.n_actions
-    prior = problem.prior
-    alpha = _init_alpha(m, opts.seed)
-    lam = np.zeros(n)
-    eta = 1.0 / (2.0 * _lipschitz_estimate(problem, model, box, seed=opts.seed))
-
-    def alpha_prox(a, direction):
-        out = a * np.exp(direction - direction.max())
-        return out / out.sum()
-
-    def lam_prox(l, grad):
-        out = np.clip(l - eta * grad, -box.bound, box.bound)
-        if model.translation_invariant:
-            out = out - out.sum() * prior
-        return out
-
-    best = (math.inf, alpha.copy(), lam.copy())
-    iters = 0
-    converged = False
-    for k in range(1, opts.max_iter + 1):
-        iters = k
-        v, G = evaluate(problem, model, lam)
-        g_l = 1.0 - alpha @ G
-        a_half = alpha_prox(alpha, eta * v)
-        l_half = lam_prox(lam, g_l)
-        v2, G2 = evaluate(problem, model, l_half)
-        g_l2 = 1.0 - a_half @ G2
-        alpha = alpha_prox(alpha, eta * v2)
-        lam = lam_prox(lam, g_l2)
-        if k % 10 == 0 or k == opts.max_iter:
-            res_a, res_l, _, _ = foc_residuals(problem, model, alpha, lam)
-            score = max(res_a, res_l)
-            if score < best[0]:
-                best = (score, alpha.copy(), lam.copy())
-            if score <= opts.tol:
-                converged = True
-                break
-            if opts.polish and k % 200 == 0:
-                got = _polish(problem, model, alpha, lam, opts.tol)
-                if got is not None:
-                    alpha, lam, _ = got
-                    converged = True
-                    break
-    if opts.polish and not converged:
-        _, alpha, lam = best
-        got = _polish(problem, model, alpha, lam, opts.tol)
-        if got is not None:
-            alpha, lam, _ = got
-            converged = True
-    if not converged:
-        _, alpha, lam = best
-    return alpha, lam, iters, converged
+# ``bench/tracer.py`` binds this name when it installs; the name goes with the
+# benchmark rework of ROADMAP item 3
+_mirror_prox_backend = _best_response_backend
 
 
 # ---------------------------------------------------------------------------
@@ -739,41 +662,20 @@ def duality_certificate(problem, model, alpha, lam) -> float:
     return upper - lower
 
 
-def _search_box(problem, model, opts) -> MultiplierBox:
-    """The multiplier box of ``solve``: ``multiplier_bounds``, or the user's bound."""
-    box = multiplier_bounds(problem, model)
-    if opts.box_override is not None:
-        box = replace(box, bound=float(opts.box_override), detail="user override")
-    return box
-
-
 def solve(problem: DecisionProblem, model: CostModel, opts: SolveOptions | None = None) -> Solution:
     """Find a saddle point and reconstruct the optimal stochastic choice rule."""
     opts = opts or SolveOptions()
     if model.prior.shape != problem.prior.shape or np.max(np.abs(model.prior - problem.prior)) > 1e-12:
         raise ValidationError("cost model and problem must share the prior")
-    if isinstance(model, PerceptualCsiszarCost) and opts.backend == "closed_form_auto":
-        return solve_perceptual(problem, model.transform, model.encoder, opts)
-    backend = opts.backend
-    if backend == "closed_form_auto":
+    if opts.backend == "closed_form_auto":
+        if isinstance(model, PerceptualCsiszarCost):
+            return solve_perceptual(problem, model.transform, model.encoder, opts)
         if isinstance(model, CsiszarCost) and model.transform.family == "shannon":
             return _solve_mi(problem, model, opts)
-        backend = "best_response"
-    if backend == "best_response":
-        # the best response never reads the box: it is built when the solution's is read
-        alpha, lam, iters, converged = _best_response_backend(problem, model, opts)
-        box = partial(_search_box, problem, model, opts)
-        return _assemble(problem, model, alpha, lam, iters, converged, backend, box)
-    # mirror-prox clips to the box and samples it, so a larger box can help
-    box = _search_box(problem, model, opts)
-    alpha, lam, iters, converged = _mirror_prox_backend(problem, model, opts, box)
-    if box.holds(problem, lam) is False:
-        detail = "; ".join(filter(None, [box.detail, "enlarged after box violation"]))
-        box = replace(box, bound=box.bound * 10.0, detail=detail)
-        alpha, lam, iters, converged = _mirror_prox_backend(problem, model, opts, box)
-        if box.holds(problem, lam) is False:
-            raise SolverError("multiplier escaped the enlarged search box")
-    return _assemble(problem, model, alpha, lam, iters, converged, backend, box)
+    # the best response never reads the box: it is built when the solution's is read
+    alpha, lam, iters, converged = _best_response_backend(problem, model, opts)
+    box = partial(multiplier_bounds, problem, model)
+    return _assemble(problem, model, alpha, lam, iters, converged, "best_response", box)
 
 
 # ---------------------------------------------------------------------------

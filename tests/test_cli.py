@@ -11,6 +11,7 @@ import pytest
 from infoacq import io
 from infoacq.cli import main
 from infoacq.core import ValidationError, validate_problem
+from infoacq.solver import SolveOptions, solve
 
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
@@ -97,6 +98,42 @@ class TestSolveCommand:
         argv = ["solve", "--problem", sample("guess3_problem.json"), "--cost", sample("mi_cost.json")]
         code = main(argv + ["--opts", str(path)])
         assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert name in err
+
+    @pytest.mark.parametrize(
+        "opts, name", [({"box_override": 1.0}, "box_override"), ({"backend": "mirror_prox"}, "mirror_prox")]
+    )
+    def test_removed_backend_options_are_input_errors(self, tmp_path, capsys, opts, name):
+        path = tmp_path / "opts.json"
+        path.write_text(json.dumps(opts))
+        argv = ["solve", "--problem", sample("guess3_problem.json"), "--cost", sample("chi2_cost.json")]
+        assert main(argv + ["--opts", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert name in err
+
+    SHANNON = {"family": "shannon", "kappa": 1.0}
+
+    @pytest.mark.parametrize(
+        "command, data, name",
+        [
+            ("sweep", {"kind": "response", "transform": SHANNON, "w_grid": [1.0]}, "gamma"),
+            ("sweep", {"kind": "response", "transform": SHANNON, "shift": "abc", "gamma": 0.5, "w_grid": [1.0]}, "shift"),
+            ("sweep", [{"kind": "response"}], "object"),
+            ("sweep", {"kind": "epsilon_split", "transform": SHANNON, "d": [1.0, 0.0, 0.0], "i": "a", "j": 2}, "'i'"),
+            ("solve", {"family": "nested_shannon", "encoder": {}, "zeta": 0.5}, "rows"),
+        ],
+    )
+    def test_malformed_spec_or_encoder_is_an_input_error(self, tmp_path, capsys, command, data, name):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        if command == "sweep":
+            argv = ["sweep", "--spec", str(path)]
+        else:
+            argv = ["solve", "--problem", sample("guess3_problem.json"), "--cost", str(path)]
+        assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert name in err
@@ -362,7 +399,7 @@ class TestSweepCommand:
 
     def test_non_converged_solve_exits_best_effort(self, tmp_path, capsys):
         opts = tmp_path / "opts.json"
-        opts.write_text('{"backend": "mirror_prox", "max_iter": 5, "polish": false}')
+        opts.write_text('{"backend": "best_response", "max_iter": 5, "polish": false}')
         problem = tmp_path / "p.json"
         problem.write_text(
             json.dumps(
@@ -392,9 +429,11 @@ class TestSweepCommand:
         )
         assert code == 2
 
-    def test_overflowing_mirror_prox_solve_exits_with_error_code(self, tmp_path, capsys):
+    def test_overflow_scale_best_response_solve_converges(self, tmp_path, capsys):
+        # payoffs of 800 overflow the mutual-information conjugate at a
+        # uniform start; the best response still meets tol and exits 0
         opts = tmp_path / "opts.json"
-        opts.write_text('{"backend": "mirror_prox", "max_iter": 2000}')
+        opts.write_text('{"backend": "best_response", "max_iter": 2000}')
         problem = tmp_path / "p.json"
         problem.write_text(
             json.dumps(
@@ -412,7 +451,11 @@ class TestSweepCommand:
         argv = ["solve", "--problem", str(problem), "--cost", sample("mi_cost.json")]
         argv += ["--opts", str(opts), "--out", str(tmp_path / "sol.json")]
         with np.errstate(all="ignore"):
-            assert main(argv) in (1, 2)
+            assert main(argv) == 0
+        data = json.loads((tmp_path / "sol.json").read_text())
+        assert data["converged"] and data["backend"] == "best_response"
+        assert max(data["residual_alpha"], data["residual_lambda"]) <= 1e-8
+        assert all(math.isfinite(a) for a in data["alpha"].values())
 
     def test_parallel_matches_serial(self, tmp_path):
         serial = tmp_path / "s.csv"
@@ -465,6 +508,18 @@ class TestFileFormats:
         path.write_text('{"tol": 1e-8, "bogus": 1}')
         with pytest.raises(Exception, match="bogus"):
             io.load_options(str(path))
+
+    @pytest.mark.parametrize("backend", ["closed_form_auto", "best_response"])
+    def test_perceptual_box_containment_is_reported_as_null(self, backend):
+        # the perceptual box bounds the attribute-space multiplier, so
+        # containment of the lifted one is unknown under every backend
+        problem = io.load_problem(sample("guess3_problem.json"))
+        cost = {"family": "perceptual_csiszar", "transform": {"family": "chi2"}}
+        cost["encoder"] = TestSolveCommand.ENCODER
+        sol = solve(problem, io.cost_from_dict(cost, problem), SolveOptions(backend=backend))
+        diagnostics = io.solution_to_dict(sol)["diagnostics"]
+        assert "box_contains_multiplier" in diagnostics
+        assert diagnostics["box_contains_multiplier"] is None
 
     def test_removed_symmetry_option_rejected(self):
         with pytest.raises(ValidationError, match="exploit_symmetry"):

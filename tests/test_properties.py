@@ -45,7 +45,7 @@ def problems(draw):
 def test_converged_solves_meet_tolerance(p):
     for family, cost in sorted(_COSTS.items()):
         model = cost(p.prior)
-        backends = ("best_response", "mirror_prox")
+        backends = ("best_response",)
         if family == "mutual_information":
             backends = ("closed_form_auto",) + backends
         for backend in backends:
@@ -75,16 +75,15 @@ def _solve_or_typed_failure(p, model, opts):
 def test_multiplier_inside_the_box_is_reported(p):
     for family, cost in sorted(_COSTS.items()):
         model = cost(p.prior)
-        for backend in ("best_response", "mirror_prox"):
-            sol = _solve_or_typed_failure(p, model, SolveOptions(backend=backend, max_iter=2000))
-            if sol is None:
-                continue
-            lam = sol.lam - sol.lam.sum() * p.prior if sol.box.translation_slice else sol.lam
-            inside = bool(np.max(np.abs(lam)) <= sol.box.bound)
-            if inside:
-                assert sol.box_contains_multiplier is True, (family, backend)
-            # the box is proven, so it holds the multiplier of every converged solve
-            assert inside or not sol.converged, (family, backend)
+        sol = _solve_or_typed_failure(p, model, SolveOptions(backend="best_response", max_iter=2000))
+        if sol is None:
+            continue
+        lam = sol.lam - sol.lam.sum() * p.prior if sol.box.translation_slice else sol.lam
+        inside = bool(np.max(np.abs(lam)) <= sol.box.bound)
+        if inside:
+            assert sol.box_contains_multiplier is True, family
+        # the box is proven, so it holds the multiplier of every converged solve
+        assert inside or not sol.converged, family
 
 
 @given(problems())
@@ -96,7 +95,7 @@ def test_overflow_scale_payoffs_fail_typed_or_flagged(p):
     big = validate_problem(p.states, p.prior, list(zip(p.action_names, 800 * p.payoffs)))
     for family in ("chi2", "mutual_information"):
         model = _COSTS[family](big.prior)
-        for backend in ("closed_form_auto", "best_response", "mirror_prox"):
+        for backend in ("closed_form_auto", "best_response"):
             opts = SolveOptions(backend=backend, max_iter=200)
             with warnings.catch_warnings(), np.errstate(all="ignore"):
                 warnings.simplefilter("ignore", RuntimeWarning)

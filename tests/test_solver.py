@@ -32,7 +32,6 @@ from infoacq.costs import (
 from infoacq.oracle import verify_focs
 from infoacq.solver import (
     SolveOptions,
-    SolverError,
     chi2_multiplier,
     duality_certificate,
     multiplier_bounds,
@@ -178,35 +177,19 @@ class TestEntropySpread:
 
 
 class TestBoxRetry:
-    """Only mirror-prox reads the box, so only mirror-prox reruns in a larger one."""
-
-    def _count(self, monkeypatch, name):
-        calls = []
-        backend = getattr(solver, name)
-        monkeypatch.setattr(solver, name, lambda *a: calls.append(a) or backend(*a))
-        return calls
+    """No solve reruns in a larger box: a multiplier outside it is reported."""
 
     def test_best_response_runs_once_and_reports(self, monkeypatch):
-        calls = self._count(monkeypatch, "_best_response_backend")
+        calls = []
+        backend = solver._best_response_backend
+        monkeypatch.setattr(solver, "_best_response_backend", lambda *a: calls.append(a) or backend(*a))
+        monkeypatch.setattr(solver, "multiplier_bounds", lambda *a: solver.MultiplierBox(1e-6, 0.5))
         p = guess_the_state(3, 1.0)
-        sol = solve(p, chi2_cost(p.prior, 1.0), SolveOptions(backend="best_response", box_override=1e-6))
+        sol = solve(p, chi2_cost(p.prior, 1.0), SolveOptions(backend="best_response"))
         assert len(calls) == 1
         assert sol.converged
-        assert sol.box.bound == 1e-6 and sol.box.detail == "user override"
+        assert sol.box.bound == 1e-6
         assert sol.box_contains_multiplier is False
-
-    def test_mirror_prox_enlarges_the_box(self, monkeypatch):
-        calls = self._count(monkeypatch, "_mirror_prox_backend")
-        p = guess_the_state(3, 1.0)
-        model = chi2_cost(p.prior, 1.0)
-        lam = solve(p, model, SolveOptions(backend="best_response")).lam
-        bound = 0.5 * float(np.max(np.abs(lam)))
-        sol = solve(p, model, SolveOptions(backend="mirror_prox", box_override=bound))
-        assert [a[-1].bound for a in calls] == [bound, 10 * bound]
-        assert sol.box.bound == 10 * bound and "enlarged" in sol.box.detail
-        assert sol.box_contains_multiplier is True
-        with pytest.raises(SolverError):
-            solve(p, model, SolveOptions(backend="mirror_prox", box_override=1e-6))
 
 
 class TestStatewiseMultipliers:
@@ -316,23 +299,6 @@ class TestSolve:
         assert sol.converged
         assert abs(sol.value - bf.value) < 2e-4
         assert bf.value <= sol.value + 1e-9
-
-    def test_backends_agree(self):
-        rng = np.random.default_rng(4)
-        p = random_problem(rng, 2, 3)
-        m = chi2_cost(p.prior, 1.0)
-        a = solve(p, m, SolveOptions(backend="best_response"))
-        b = solve(p, m, SolveOptions(backend="mirror_prox", tol=1e-7))
-        assert a.converged and b.converged
-        assert a.value == pytest.approx(b.value, abs=1e-6)
-        np.testing.assert_allclose(a.lam, b.lam, atol=1e-5)
-
-    def test_mirror_prox_without_polish_reaches_modest_tolerance(self):
-        p = guess_the_state(2, 1.0)
-        m = chi2_cost(p.prior, 1.0)
-        sol = solve(p, m, SolveOptions(backend="mirror_prox", tol=1e-5, polish=False, max_iter=100000))
-        assert sol.converged
-        assert max(sol.residual_alpha, sol.residual_lambda) <= 1e-5
 
     def test_normalized_binary_problem_solves_identically(self):
         rng = np.random.default_rng(5)
@@ -701,40 +667,27 @@ class TestBestEffort:
         rng = np.random.default_rng(21)
         p = random_problem(rng, 3, 4)
         m = chi2_cost(p.prior, 1.0)
-        sol = solve(p, m, SolveOptions(backend="mirror_prox", max_iter=5, polish=False))
+        sol = solve(p, m, SolveOptions(backend="best_response", max_iter=5, polish=False))
         assert not sol.converged
         assert np.isfinite(sol.value)
         assert sol.rule.rows.shape == (3, 4)
 
-    def test_mirror_prox_overflow_returns_flagged_result(self):
-        # payoffs of 800 overflow the mutual-information conjugate, so every
-        # mirror-prox iterate is NaN; the polish must not be handed them
-        p = random_problem(np.random.default_rng(0), 3, 3)
-        big = validate_problem(p.states, p.prior, list(zip(p.action_names, 800 * p.payoffs)))
-        with np.errstate(all="ignore"):
-            sol = solve(big, mutual_information_cost(big.prior), SolveOptions(backend="mirror_prox", max_iter=2000))
-        assert not sol.converged
-        assert np.all(np.isfinite(sol.alpha)) and np.all(np.isfinite(sol.lam))
-
-
-    @pytest.mark.parametrize("family", ["chi2", "ps_kl"])
-    def test_mirror_prox_rows_without_mass_are_flagged(self, family):
-        # the last iterate's conjugate gradients underflow in two states, so
-        # their rows have no mass; the result names them instead of failing
-        # the choice-rule check with a ValidationError
-        p = random_problem(np.random.default_rng(1), 8, 3)
-        big = validate_problem(p.states, p.prior, list(zip(p.action_names, 800 * p.payoffs)))
-        if family == "chi2":
-            model = chi2_cost(big.prior)
-        else:
-            model = posterior_separable_cost(big.prior, shannon_kl_entropy(big.prior))
-        with np.errstate(all="ignore"):
-            sol = solve(big, model, SolveOptions(backend="mirror_prox", max_iter=2000))
-        assert not sol.converged
-        assert sol.diagnostics["degenerate_rows"]
-        for state in sol.diagnostics["degenerate_rows"]:
-            row = sol.rule.rows[big.states.index(state)]
-            np.testing.assert_allclose(row, sol.alpha / sol.alpha.sum(), rtol=0, atol=1e-15)
+    def test_rows_without_mass_are_flagged(self):
+        # a multiplier two above every payoff in one state zeroes each
+        # conjugate gradient there, so that state's row has no mass; the
+        # result names it, with alpha as its row, instead of failing the
+        # choice-rule check with a ValidationError
+        p = guess_the_state(3, 1.0)
+        model = chi2_cost(p.prior, 1.0)
+        sol = solve(p, model)
+        lam = sol.lam.copy()
+        lam[1] = p.prior[1] * (p.payoffs[:, 1].max() + 2.0)
+        _, G = solver.evaluate(p, model, lam)
+        assert np.all(G[:, 1] == 0.0)
+        out = solver._assemble(p, model, sol.alpha, lam, sol.iterations, True, sol.backend, sol.box_source)
+        assert not out.converged
+        assert out.diagnostics["degenerate_rows"] == [p.states[1]]
+        np.testing.assert_allclose(out.rule.rows[1], sol.alpha / sol.alpha.sum(), rtol=0, atol=1e-15)
 
 
 class TestInnerMinimization:
@@ -1010,3 +963,17 @@ class TestNeighborhoodSolves:
         assert model.entropy.conj_fn is None
         self._assert_solved(solve(p, model))
         assert calls
+
+    def test_a_shared_model_agrees_with_fresh_models(self):
+        # the numeric-conjugate memo carries over between solves on one
+        # model; it may move the last bits, never the answer
+        hoods = [((0, 1, 2), 0.4), ((0, 1), 0.8), ((1, 2), 0.6)]
+        shared = neighborhood_hw_cost(guess_the_state(3, 1.0).prior, hoods)
+        for reward in (2.0, 1.0, 1.5, 0.5, 0.75):
+            p = guess_the_state(3, reward)
+            sol = solve(p, shared)
+            self._assert_solved(sol)
+            fresh = solve(p, neighborhood_hw_cost(p.prior, hoods))
+            np.testing.assert_allclose(sol.lam, fresh.lam, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(sol.alpha, fresh.alpha, rtol=0, atol=1e-12)
+            assert sol.value == pytest.approx(fresh.value, rel=0, abs=1e-12)
