@@ -43,6 +43,7 @@ from .solver import (
     reduce_solution,
     reduce_support,
     solve,
+    solve_best_response,
     solve_mutual_information,
     solve_perceptual,
     statewise_multiplier,

@@ -283,8 +283,8 @@ def epsilon_split_experiment(
     d = np.asarray(d, dtype=float)
     base_problem = irreducible_problem(d)  # raises when too many permutation states
     n = d.size
-    if abs(d[i] - d[j]) > 1e-12:
-        raise ValidationError("split dimensions must carry equal payoffs")
+    if not (0 <= i < n and 0 <= j < n and i != j) or abs(d[i] - d[j]) > 1e-12:
+        raise ValidationError(f"split dimensions i={i}, j={j} must be distinct indices of d with equal payoffs")
     uniform = np.full(n, 1.0 / n)
     lam_base = statewise_multiplier(uniform, d, t)
     target = risk_indices(t, d[i] - lam_base)[0]
@@ -293,9 +293,10 @@ def epsilon_split_experiment(
     for k, e in enumerate(eps):
         de = epsilon_split_vector(d, i, j, e)
         lam_e = statewise_multiplier(uniform, de, t)
-        llrs[k] = math.log(float(t.psi_prime(d[i] + e - lam_e))) - math.log(
-            float(t.psi_prime(d[j] - e - lam_e))
-        )
+        odds_i, odds_j = float(t.psi_prime(d[i] + e - lam_e)), float(t.psi_prime(d[j] - e - lam_e))
+        if not (odds_i > 0.0 and odds_j > 0.0):
+            raise ValidationError(f"epsilon {e:g} prices a split action out: its log odds are undefined")
+        llrs[k] = math.log(odds_i) - math.log(odds_j)
     ratios = llrs / (2.0 * eps)
     errors = np.abs(ratios - target)
     if errors.max() < 1e-12:

@@ -100,11 +100,11 @@ def _sweep_rows(spec: dict, parallel: int):
     def number(key):
         return io._number(field(key), key, where)
 
-    def numbers(key):
+    def numbers(key, read=io._number):
         values = field(key)
         if not isinstance(values, list):
             raise ValidationError(f"{where}: field {key!r} must be a list of numbers")
-        return [io._number(v, key, where) for v in values]
+        return [read(v, key, where) for v in values]
 
     if kind == "response":
         t = io._maybe_shift(io.transform_from_dict(field("transform")), spec, where)
@@ -119,7 +119,7 @@ def _sweep_rows(spec: dict, parallel: int):
     if kind == "thresholds":
         t = io._maybe_shift(io.transform_from_dict(field("transform")), spec, where)
         w = number("w")
-        ns = [int(n) for n in numbers("n_grid")]
+        ns = numbers("n_grid", io._integer)
 
         def point(n):
             rep = analysis.inconclusive_thresholds(t, n, w)
@@ -162,8 +162,8 @@ def _sweep_rows(spec: dict, parallel: int):
         rep = analysis.epsilon_split_experiment(
             io.transform_from_dict(field("transform")),
             numbers("d"),
-            int(number("i")),
-            int(number("j")),
+            io._integer(field("i"), "i", where),
+            io._integer(field("j"), "j", where),
             **epsilons,
         )
         rows = [

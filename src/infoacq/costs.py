@@ -88,8 +88,10 @@ def build_encoder(rows, prior, attributes=None) -> Encoder:
 # entropies over posteriors
 
 
-# numeric-conjugate results kept per entropy; least recently used go first
+# numeric-conjugate results kept per entropy, least recently used going
+# first, and the stationarity gap that certifies one
 MEMO_CAPACITY = 1024
+NUMERIC_TOL = 1e-9
 
 
 class _ConjugateMemo:
@@ -143,7 +145,7 @@ class Entropy:
     ``(m,)`` values, ``(m, n)`` gradients and ``(m, n, n)`` Hessians.
     Without ``conj_fn`` and ``conj_grad_fn`` the conjugate is computed row by
     row by :func:`numeric_conjugate` to a stationarity gap of
-    ``numeric_tol`` within a fixed step cap, raising ``SolverError`` past
+    ``NUMERIC_TOL`` within a fixed step cap, raising ``SolverError`` past
     it; its results are kept per instance in an LRU memo of
     ``MEMO_CAPACITY`` entries keyed on the query rounded at 1e-12.  A later
     solve on the same instance reuses them and warm-starts from them, which
@@ -167,7 +169,6 @@ class Entropy:
     faces_fn: Callable[[np.ndarray, np.ndarray], list] | None = None
     conj_hess_fn: Callable[[np.ndarray], np.ndarray] | None = None
     hess_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    numeric_tol: float = 1e-9
     _memo: _ConjugateMemo = field(default_factory=_ConjugateMemo, repr=False)
 
     def __post_init__(self):
@@ -226,7 +227,7 @@ def numeric_conjugate(h: Entropy, x):
     """(H*(x), argmax p) for the supremum of p.x - H(p) over the simplex.
 
     Certified by the simplex stationarity gap max(g) - p.g of the gradient
-    g = x - dH(p), or by ``h.gap_fn``, falling below ``h.numeric_tol``; the
+    g = x - dH(p), or by ``h.gap_fn``, falling below ``NUMERIC_TOL``; the
     argmax equals the conjugate gradient.  Results are memoized in
     ``h._memo`` (LRU, ``MEMO_CAPACITY`` entries).  The refinement is a
     Newton solve of the stationarity system, ``x - dH(p)`` constant on a
@@ -241,7 +242,6 @@ def numeric_conjugate(h: Entropy, x):
     step cap passes without a certificate.
     """
     x = np.asarray(x, dtype=float)
-    tol = h.numeric_tol
     key = np.round(x, 12).tobytes()
     hit = h._memo.get(key)
     if hit is not None:
@@ -262,7 +262,7 @@ def numeric_conjugate(h: Entropy, x):
         return float(g.max() - p @ g)
 
     def certifies(q):
-        return gap_at(q) <= tol
+        return gap_at(q) <= NUMERIC_TOL
 
     def try_polish(p):
         faces = [None, p > 1e-10]
@@ -285,15 +285,15 @@ def numeric_conjugate(h: Entropy, x):
 
     p = None
     start = h._memo.nearest_argmax(x)
-    if start is not None and gap_at(h.prior) > tol:
+    if start is not None and gap_at(h.prior) > NUMERIC_TOL:
         p = try_polish(start)
     if p is None:
         p, certified = maximize_on_simplex(
-            lambda q: float(q @ x) - h.value(q), grad, gap_at, h.prior, tol=tol, refine=try_polish
+            lambda q: float(q @ x) - h.value(q), grad, gap_at, h.prior, tol=NUMERIC_TOL, refine=try_polish
         )
         if not certified:
             raise SolverError(
-                f"numeric conjugate did not reach gap {tol:.1e} within {SIMPLEX_STEPS} steps"
+                f"numeric conjugate did not reach gap {NUMERIC_TOL:.1e} within {SIMPLEX_STEPS} steps"
             )
     out = (float(p @ x) - h.value(p), p)
     h._memo.put(key, out)
@@ -958,7 +958,6 @@ def scale_entropy(h: Entropy, kappa: float) -> Entropy:
         conj_grad_fn=lambda Y: h.conj_grad_rows(Y / k),
         grad_fn=(lambda p: k * np.asarray(h.grad_fn(p), dtype=float)) if h.grad_fn else None,
         conj_hess_fn=(lambda Y: hess(Y / k) / k) if hess else None,
-        numeric_tol=h.numeric_tol,
     )
 
 

@@ -131,9 +131,17 @@ def _field(data: dict, key: str, where: str):
 
 def _number(value, key: str, where: str) -> float:
     try:
-        return float(value)
+        # bool is an int subclass, but true/false is no number in an input file
+        return float(None if isinstance(value, bool) else value)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{where}: field {key!r} must be a number, got {value!r}") from exc
+
+
+def _integer(value, key: str, where: str) -> int:
+    x = _number(value, key, where)
+    if x.is_integer():
+        return int(x)
+    raise ValidationError(f"{where}: field {key!r} must be an integer, got {value!r}")
 
 
 def transform_from_dict(data: dict) -> Transform:
@@ -220,11 +228,9 @@ def load_cost(path: str, problem: DecisionProblem) -> CostModel:
 
 # JSON types each option key accepts
 _OPTION_TYPES = {
-    "backend": ("a string", str),
     "tol": ("a number", (int, float)),
     "max_iter": ("an integer", int),
     "seed": ("an integer", int),
-    "polish": ("a boolean", bool),
 }
 
 
@@ -236,8 +242,7 @@ def options_from_dict(data: dict) -> SolveOptions:
         raise ValidationError(f"unknown option keys: {sorted(unknown)}")
     for key, value in data.items():
         what, types = _OPTION_TYPES[key]
-        # bool is an int subclass, but true/false is no number in an option file
-        if not isinstance(value, types) or (isinstance(value, bool) and key != "polish"):
+        if not isinstance(value, types) or isinstance(value, bool):  # true/false is no number
             raise ValidationError(f"option {key!r} must be {what}, got {value!r}")
     return SolveOptions(**data)
 
@@ -290,10 +295,6 @@ def solution_to_dict(sol: Solution) -> dict:
     }
 
 
-def dump_solution(sol: Solution, path: str) -> None:
-    write_text(path, dumps(solution_to_dict(sol)) + "\n")
-
-
 __all__ = [
     "format_float",
     "dumps",
@@ -310,5 +311,4 @@ __all__ = [
     "options_from_dict",
     "load_options",
     "solution_to_dict",
-    "dump_solution",
 ]

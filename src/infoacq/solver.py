@@ -11,17 +11,15 @@ maximal on the support of alpha, and the reconstructed rows
 
     P[s, a] = alpha(a) * grad_s f*(a pi - lambda)
 
-sum to one in every state.  Backends: an exact-inner-minimization best
-response finished by a semismooth Newton polish of the Fischer-Burmeister
-form of these conditions, and closed-form routes for mutual information and
-perceptual costs (reduction to the attribute problem).  Mutual information
-runs a short Blahut-Arimoto warm start (the multiplicative fixed point)
-finished by the same Newton polish, and falls back to the full fixed point
-only when the polish fails; ``solve_mutual_information`` is the pure fixed
-point.  Every vector root, in the polish and in the inner minimization,
-is the damped Newton of ``_rootfind.newton``, with exact Jacobians from the
-conjugate Hessians where the model has them, and forward differences
-otherwise.
+sum to one in every state.  ``solve`` takes one route per cost model: the
+reduction to the attribute problem for perceptual costs; for mutual
+information a short Blahut-Arimoto warm start finished by a semismooth Newton
+polish of the Fischer-Burmeister form of these conditions, with the full
+fixed point (``solve_mutual_information``) only when the polish fails; and
+otherwise ``solve_best_response``, an exact-inner-minimization best response
+finished by the same polish.  Every vector root is the damped Newton of
+``_rootfind.newton``, with exact Jacobians from the conjugate Hessians where
+the model has them, and forward differences otherwise.
 """
 
 from __future__ import annotations
@@ -54,19 +52,19 @@ from .transform import Transform
 
 @dataclass
 class SolveOptions:
-    backend: str = "closed_form_auto"
+    """``tol`` bounds both residuals of a converged solution, ``max_iter`` caps
+    the iterations and ``seed`` draws the start (0 is uniform); the cost
+    model, not an option, selects the route."""
+
     tol: float = 1e-8
     max_iter: int = 200000
     seed: int = 0
-    polish: bool = True
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValidationError("tolerance must be positive")
         if self.max_iter < 1:
             raise ValidationError("iteration cap must be at least 1")
-        if self.backend not in ("closed_form_auto", "best_response"):
-            raise ValidationError(f"unknown backend {self.backend!r}")
 
 
 @dataclass
@@ -76,8 +74,8 @@ class MultiplierBox:
     translation_slice: bool = False
     reduced: bool = False
 
-    def contains(self, lam: np.ndarray, margin: float = 1e-9) -> bool:
-        return bool(np.max(np.abs(lam)) <= self.bound * (1 + 1e-12) + margin)
+    def contains(self, lam: np.ndarray) -> bool:
+        return bool(np.max(np.abs(lam)) <= self.bound * (1 + 1e-12) + 1e-9)
 
     def holds(self, problem: DecisionProblem, lam: np.ndarray) -> bool | None:
         """Whether the box contains lam, read on the sum-zero slice for a
@@ -155,11 +153,6 @@ def foc_residuals(problem, model, alpha, lam):
     res_a = float(alpha @ (vmax - v))
     res_l = float(np.max(np.abs(alpha @ G - 1.0)))
     return res_a, res_l, v, G
-
-
-def saddle_value(problem, model, alpha, lam) -> float:
-    v, _ = evaluate(problem, model, lam)
-    return float(alpha @ v + lam.sum())
 
 
 def _weighted_hessian(model, X, w) -> np.ndarray | None:
@@ -241,9 +234,7 @@ def _ps_entropy_spread(model: PosteriorSeparableCost, eps: float) -> float:
     return max(upper, -lower)
 
 
-def multiplier_bounds(
-    problem: DecisionProblem, model: CostModel, epsilon: float | None = None
-) -> MultiplierBox:
+def multiplier_bounds(problem: DecisionProblem, model: CostModel) -> MultiplierBox:
     """A finite sup-norm box guaranteed to contain a saddle multiplier.
 
     For statewise-separable costs the bound is
@@ -262,14 +253,14 @@ def multiplier_bounds(
         inner = multiplier_bounds(reduced, csiszar_cost(reduced.prior, model.transform))
         return replace(inner, reduced=True)
     if isinstance(model, PosteriorSeparableCost):
-        eps = epsilon if epsilon is not None else min(0.5, problem.prior.min() / 2)
+        eps = min(0.5, problem.prior.min() / 2)
         if eps <= 0:
             raise SolverError("prior on the boundary: no valid ball radius")
         spread = _ps_entropy_spread(model, eps)
         bound = (2.0 / eps + 1.0 / problem.prior.min()) * (a_inf + spread)
         return MultiplierBox(bound, eps, translation_slice=True)
     if isinstance(model, CsiszarCost):
-        eps = epsilon if epsilon is not None else 0.5
+        eps = 0.5
         t = model.transform
         lo, hi = float(t.phi(1.0 - eps)), float(t.phi(1.0 + eps))
         for _ in range(30):
@@ -355,7 +346,7 @@ def scipy_root(*args, **kwargs):
     Nothing in the library calls it: every vector root goes through
     ``_rootfind.newton``.  It is kept only because ``bench/tracer.py`` binds
     this name when it installs, until the in-library solve trace of ROADMAP
-    item 1 replaces that tracer.
+    item 2 replaces that tracer.
     """
     from scipy.optimize import root
 
@@ -573,12 +564,12 @@ def _best_response_backend(problem, model, opts):
             best = (score, alpha.copy(), lam.copy())
         if score <= opts.tol:
             converged = True
-            if opts.polish and score > 0.0:
+            if score > 0.0:
                 got = _polish(problem, model, alpha, lam, opts.tol)
                 if got is not None and got[2] <= score:
                     alpha, lam, _ = got
             break
-        if opts.polish and (k >= polish_at or res_a <= 10 * opts.tol):
+        if k >= polish_at or res_a <= 10 * opts.tol:
             polish_at = min(2 * polish_at + 1, polish_at + 50)
             got = _polish(problem, model, alpha, lam, opts.tol)
             if got is not None:
@@ -662,16 +653,28 @@ def duality_certificate(problem, model, alpha, lam) -> float:
     return upper - lower
 
 
-def solve(problem: DecisionProblem, model: CostModel, opts: SolveOptions | None = None) -> Solution:
-    """Find a saddle point and reconstruct the optimal stochastic choice rule."""
-    opts = opts or SolveOptions()
+def _check_shared_prior(problem: DecisionProblem, model: CostModel) -> None:
     if model.prior.shape != problem.prior.shape or np.max(np.abs(model.prior - problem.prior)) > 1e-12:
         raise ValidationError("cost model and problem must share the prior")
-    if opts.backend == "closed_form_auto":
-        if isinstance(model, PerceptualCsiszarCost):
-            return solve_perceptual(problem, model.transform, model.encoder, opts)
-        if isinstance(model, CsiszarCost) and model.transform.family == "shannon":
-            return _solve_mi(problem, model, opts)
+
+
+def solve(problem: DecisionProblem, model: CostModel, opts: SolveOptions | None = None) -> Solution:
+    """Find a saddle point on the route the cost model selects, and reconstruct the choice rule."""
+    opts = opts or SolveOptions()
+    _check_shared_prior(problem, model)
+    if isinstance(model, PerceptualCsiszarCost):
+        return solve_perceptual(problem, model.transform, model.encoder, opts)
+    if isinstance(model, CsiszarCost) and model.transform.family == "shannon":
+        return _solve_mi(problem, model, opts)
+    return solve_best_response(problem, model, opts)
+
+
+def solve_best_response(
+    problem: DecisionProblem, model: CostModel, opts: SolveOptions | None = None
+) -> Solution:
+    """The best response finished by the Newton polish, for any cost model."""
+    opts = opts or SolveOptions()
+    _check_shared_prior(problem, model)
     # the best response never reads the box: it is built when the solution's is read
     alpha, lam, iters, converged = _best_response_backend(problem, model, opts)
     box = partial(multiplier_bounds, problem, model)
@@ -773,19 +776,18 @@ def _solve_mi(problem, model, opts):
     finished by the Newton polish.
 
     A warm start that already meets tol is returned as it is.  The full fixed
-    point runs from scratch only when the polish fails or is switched off.
+    point runs from scratch only when the polish fails.
     """
     kappa = model.transform.kappa
-    if opts.polish:
-        alpha0 = _init_alpha(problem.n_actions, opts.seed)
-        steps = min(MI_WARM_STEPS, opts.max_iter)
-        alpha, lam, iters, converged = _mi_fixed_point(problem, kappa, alpha0, steps, opts.tol)
-        if converged:
-            return _mi_solution(problem, kappa, alpha, lam, iters, True, "blahut_arimoto")
-        got = _polish(problem, model, alpha, lam, opts.tol)
-        if got is not None:
-            alpha, lam, _ = got
-            return _mi_solution(problem, kappa, alpha, lam, iters, True, "blahut_arimoto+newton")
+    alpha0 = _init_alpha(problem.n_actions, opts.seed)
+    steps = min(MI_WARM_STEPS, opts.max_iter)
+    alpha, lam, iters, converged = _mi_fixed_point(problem, kappa, alpha0, steps, opts.tol)
+    if converged:
+        return _mi_solution(problem, kappa, alpha, lam, iters, True, "blahut_arimoto")
+    got = _polish(problem, model, alpha, lam, opts.tol)
+    if got is not None:
+        alpha, lam, _ = got
+        return _mi_solution(problem, kappa, alpha, lam, iters, True, "blahut_arimoto+newton")
     return solve_mutual_information(problem, kappa, opts)
 
 
@@ -844,11 +846,8 @@ def solve_perceptual(
     Duplicate attribute images are merged and split uniformly on the lift;
     the lifted rule obeys |P_s(a) - P_t(a)| <= ||K_s - K_t||_1.
     """
-    opts = opts or SolveOptions()
     reduced, groups, _ = _reduced_problem(problem, encoder)
-    inner_model = csiszar_cost(reduced.prior, transform)
-    inner_opts = replace(opts, backend="best_response")
-    rsol = solve(reduced, inner_model, inner_opts)
+    rsol = solve_best_response(reduced, csiszar_cost(reduced.prior, transform), opts)
 
     m = problem.n_actions
     Q = rsol.rule.rows  # (n_attr, n_reduced)
@@ -912,7 +911,7 @@ def _continuity_ok(rows, K):
 # support reduction
 
 
-def reduce_support(problem, model, alpha, lam, sv_tol: float = 1e-9):
+def reduce_support(problem, model, alpha, lam):
     """Shrink the support of alpha without changing the multiplier or value.
 
     Moves alpha along null directions of the stacked gradient system (with a
@@ -935,7 +934,7 @@ def reduce_support(problem, model, alpha, lam, sv_tol: float = 1e-9):
             rows.append(np.ones((1, S.size)))
         M = np.vstack(rows)
         _, sv, vt = np.linalg.svd(M)
-        cutoff = sv_tol * (sv[0] if sv.size else 1.0)
+        cutoff = 1e-9 * (sv[0] if sv.size else 1.0)
         rank = int((sv > cutoff).sum())
         if rank >= vt.shape[0]:
             break
@@ -976,6 +975,7 @@ __all__ = [
     "Solution",
     "SolverError",
     "solve",
+    "solve_best_response",
     "solve_mutual_information",
     "solve_perceptual",
     "multiplier_bounds",
@@ -986,6 +986,5 @@ __all__ = [
     "duality_certificate",
     "foc_residuals",
     "payoff_arguments",
-    "saddle_value",
     "evaluate",
 ]

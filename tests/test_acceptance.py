@@ -42,10 +42,10 @@ from infoacq.costs import (
 )
 from infoacq.oracle import apu_perturbation_from_transform, apu_solve, brute_force_solve
 from infoacq.solver import (
-    SolveOptions,
     chi2_multiplier,
     reduce_solution,
     solve,
+    solve_best_response,
     solve_mutual_information,
     statewise_multiplier,
 )
@@ -79,7 +79,7 @@ def test_criterion_2_entropy_route_recovery():
     for trial in range(20):
         p = random_problem(rng, 3, 3)
         fixed_point = solve_mutual_information(p, 1.0)
-        generic = solve(p, mutual_information_cost(p.prior, 1.0), SolveOptions(backend="best_response"))
+        generic = solve_best_response(p, mutual_information_cost(p.prior, 1.0))
         assert abs(fixed_point.value - generic.value) < 1e-6
         for sol in (fixed_point, generic):
             ppi = sol.rule.unconditional
@@ -138,7 +138,7 @@ def test_criterion_5_inconclusive_evidence():
         assert rep.c_lower < rep.c_upper
         c_mid = 0.5 * (rep.c_lower + rep.c_upper)
         p = guess_with_outside_option(n, 1.0, c_mid)
-        sol = solve(p, csiszar_cost(p.prior, t), SolveOptions(backend="best_response"))
+        sol = solve(p, csiszar_cost(p.prior, t))
         assert sol.converged
         assert np.all(sol.rule.unconditional > 1e-9)  # full n + 1 support
     _report("criterion 5 (inconclusive-evidence thresholds)", start, 30)
@@ -185,7 +185,7 @@ def test_criterion_8_perturbed_utility_equivalence():
         values = np.sort(rng.uniform(-1, 1, size=2))
         p = exchangeable_problem(values, 3)
         t = chi2(1.0) if trial % 2 == 0 else shannon(0.8)
-        sol = solve(p, csiszar_cost(p.prior, t), SolveOptions(backend="best_response"))
+        sol = solve_best_response(p, csiszar_cost(p.prior, t))
         assert sol.converged
         c, cp = apu_perturbation_from_transform(t, 3)
         rows = apu_solve(p.payoffs, c, cp)
@@ -255,13 +255,13 @@ def test_criterion_9_invariant_suite():
     for trial in range(20):
         n = int(rng.integers(2, 4))
         p = random_problem(rng, n, n + 3)
-        sol = solve(p, chi2_cost(p.prior, 1.0), SolveOptions(backend="best_response"))
+        sol = solve(p, chi2_cost(p.prior, 1.0))
         red = reduce_solution(sol)
         assert (red.alpha > 1e-12).sum() <= n + 1
         assert abs(red.value - sol.value) < 1e-8
         if trial < 8:
             ps = posterior_separable_cost(p.prior, shannon_kl_entropy(p.prior, 1.0))
-            sol_ps = solve(p, ps, SolveOptions(backend="best_response"))
+            sol_ps = solve(p, ps)
             red_ps = reduce_solution(sol_ps)
             assert (red_ps.alpha > 1e-12).sum() <= n
             assert abs(red_ps.value - sol_ps.value) < 1e-8

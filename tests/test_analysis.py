@@ -32,7 +32,7 @@ from infoacq.costs import (
     neighborhood_hw_entropy,
     shannon_kl_entropy,
 )
-from infoacq.solver import SolveOptions, solve
+from infoacq.solver import solve, solve_best_response
 from infoacq.transform import chi2, scale_transform, shannon, shift_transform
 
 
@@ -62,7 +62,7 @@ class TestGuessAccuracy:
         for n, m in ((3, 1), (4, 3), (5, 2)):
             acc, _ = guess_state_accuracy(t, n, m, 0.8)
             p = guess_the_state(n, 0.8, m)
-            sol = solve(p, csiszar_cost(p.prior, t), SolveOptions(backend="best_response"))
+            sol = solve(p, csiszar_cost(p.prior, t))
             hit = float(
                 p.prior
                 @ np.array(
@@ -179,7 +179,7 @@ class TestInconclusiveThresholds:
             rep = inconclusive_thresholds(t, n, 1.0)
             c_mid = 0.5 * (rep.c_lower + rep.c_upper)
             p = guess_with_outside_option(n, 1.0, c_mid)
-            sol = solve(p, csiszar_cost(p.prior, t), SolveOptions(backend="best_response"))
+            sol = solve(p, csiszar_cost(p.prior, t))
             assert sol.converged
             assert np.all(sol.rule.unconditional > 1e-9)
 
@@ -302,7 +302,7 @@ class TestEpsilonSplit:
         from infoacq.catalog import epsilon_split_vector, irreducible_problem
 
         p = irreducible_problem(epsilon_split_vector(np.array(d), 1, 2, eps))
-        sol = solve(p, csiszar_cost(p.prior, t), SolveOptions(backend="best_response"))
+        sol = solve(p, csiszar_cost(p.prior, t))
         s_idx = p.states.index("(1," + f"{eps:g}" + f",-{eps:g})")
         llr = math.log(sol.rule.rows[s_idx, 1] / sol.rule.rows[s_idx, 2])
         assert llr == pytest.approx(rep.log_likelihood_ratios[0], abs=1e-7)
@@ -378,7 +378,7 @@ class TestIIA:
                 ("c", [0.2, 0.2, 1.2, 0.70, 1.6, 0.0]),
             ],
         )
-        sol = solve(p, chi2_cost(p.prior, 0.5), SolveOptions(backend="best_response"))
+        sol = solve(p, chi2_cost(p.prior, 0.5))
         assert np.all(sol.rule.unconditional > 1e-6)
         rep = iia_diagnostics(sol)
         assert rep.labels_max_dev is not None and rep.labels_max_dev <= 1e-6
@@ -387,7 +387,7 @@ class TestIIA:
 
     def test_matched_multiplier_pairs_are_invariant(self):
         p = guess_the_state(4, 1.0)
-        sol = solve(p, chi2_cost(p.prior, 1.0), SolveOptions(backend="best_response"))
+        sol = solve(p, chi2_cost(p.prior, 1.0))
         rep = iia_diagnostics(sol)
         assert rep.matched_multiplier_max_dev is not None
         assert rep.matched_multiplier_max_dev <= 1e-6
@@ -410,7 +410,7 @@ class TestSelectivity:
                 ],
             )
             m = csiszar_cost(p.prior, t)
-            sol = solve(p, m, SolveOptions(backend="best_response"))
+            sol = solve_best_response(p, m)
             assert np.all(sol.rule.unconditional > 1e-6)
             sols.append(sol)
         return sols

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 import math
 import os
@@ -11,10 +13,11 @@ import pytest
 from infoacq import io
 from infoacq.cli import main
 from infoacq.core import ValidationError, validate_problem
-from infoacq.solver import SolveOptions, solve
+from infoacq.solver import SolveOptions, solve, solve_best_response
 
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+README_OUTPUTS = os.path.join(os.path.dirname(__file__), "data", "readme")
 
 
 def sample(name):
@@ -75,6 +78,7 @@ class TestSolveCommand:
             ({"family": "nested_shannon", "encoder": ENCODER}, "zeta"),
             ({"family": "mutual_information", "kappa": -1.0}, "kappa"),
             ({"family": "mutual_information", "kappa": "big"}, "kappa"),
+            ({"family": "mutual_information", "kappa": True}, "kappa"),
             ([1, 2], "object"),
             ({"family": "csiszar", "transform": {"family": "tabulated", "psi_prime": [[0, 1], [1, 2]]}}, "three"),
             ({"family": "neighborhood_hw", "neighborhoods": [{"states": ["s0", "s1"]}]}, "uncovered"),
@@ -103,7 +107,15 @@ class TestSolveCommand:
         assert name in err
 
     @pytest.mark.parametrize(
-        "opts, name", [({"box_override": 1.0}, "box_override"), ({"backend": "mirror_prox"}, "mirror_prox")]
+        "opts, name",
+        [
+            ({"box_override": 1.0}, "box_override"),
+            ({"backend": "mirror_prox"}, "backend"),
+            ({"backend": "closed_form_auto"}, "backend"),
+            ({"backend": "best_response"}, "backend"),
+            ({"polish": True}, "polish"),
+            ({"polish": False}, "polish"),
+        ],
     )
     def test_removed_backend_options_are_input_errors(self, tmp_path, capsys, opts, name):
         path = tmp_path / "opts.json"
@@ -115,14 +127,25 @@ class TestSolveCommand:
         assert name in err
 
     SHANNON = {"family": "shannon", "kappa": 1.0}
+    SPLIT = {"kind": "epsilon_split", "transform": {"family": "chi2"}, "d": [1.0, 0.0, 0.0], "i": 1, "j": 2}
 
     @pytest.mark.parametrize(
         "command, data, name",
         [
             ("sweep", {"kind": "response", "transform": SHANNON, "w_grid": [1.0]}, "gamma"),
             ("sweep", {"kind": "response", "transform": SHANNON, "shift": "abc", "gamma": 0.5, "w_grid": [1.0]}, "shift"),
+            ("sweep", {"kind": "response", "transform": SHANNON, "gamma": 0.5, "w_grid": [True]}, "w_grid"),
             ("sweep", [{"kind": "response"}], "object"),
-            ("sweep", {"kind": "epsilon_split", "transform": SHANNON, "d": [1.0, 0.0, 0.0], "i": "a", "j": 2}, "'i'"),
+            ("sweep", {**SPLIT, "i": "a"}, "'i'"),
+            ("sweep", {**SPLIT, "i": 1.5}, "'i'"),
+            ("sweep", {**SPLIT, "j": True}, "'j'"),
+            ("sweep", {**SPLIT, "j": 5}, "j=5"),
+            ("sweep", {**SPLIT, "j": 1}, "distinct"),
+            # chi2 prices the lowered split action out of the support from here on
+            ("sweep", {**SPLIT, "epsilons": [0.9]}, "epsilon 0.9"),
+            ("sweep", {**SPLIT, "epsilons": [0.5, 0.99]}, "epsilon 0.99"),
+            ("sweep", {**SPLIT, "epsilons": [1.0]}, "epsilon 1"),
+            ("sweep", {"kind": "thresholds", "transform": SHANNON, "w": 1.0, "n_grid": [2.5, 3]}, "n_grid"),
             ("solve", {"family": "nested_shannon", "encoder": {}, "zeta": 0.5}, "rows"),
         ],
     )
@@ -399,7 +422,7 @@ class TestSweepCommand:
 
     def test_non_converged_solve_exits_best_effort(self, tmp_path, capsys):
         opts = tmp_path / "opts.json"
-        opts.write_text('{"backend": "best_response", "max_iter": 5, "polish": false}')
+        opts.write_text('{"max_iter": 2}')
         problem = tmp_path / "p.json"
         problem.write_text(
             json.dumps(
@@ -431,9 +454,9 @@ class TestSweepCommand:
 
     def test_overflow_scale_best_response_solve_converges(self, tmp_path, capsys):
         # payoffs of 800 overflow the mutual-information conjugate at a
-        # uniform start; the best response still meets tol and exits 0
+        # uniform start; the solve exits 0, and the best response meets tol too
         opts = tmp_path / "opts.json"
-        opts.write_text('{"backend": "best_response", "max_iter": 2000}')
+        opts.write_text('{"max_iter": 2000}')
         problem = tmp_path / "p.json"
         problem.write_text(
             json.dumps(
@@ -452,10 +475,13 @@ class TestSweepCommand:
         argv += ["--opts", str(opts), "--out", str(tmp_path / "sol.json")]
         with np.errstate(all="ignore"):
             assert main(argv) == 0
-        data = json.loads((tmp_path / "sol.json").read_text())
-        assert data["converged"] and data["backend"] == "best_response"
-        assert max(data["residual_alpha"], data["residual_lambda"]) <= 1e-8
-        assert all(math.isfinite(a) for a in data["alpha"].values())
+            p = io.load_problem(str(problem))
+            best = solve_best_response(p, io.load_cost(sample("mi_cost.json"), p), SolveOptions(max_iter=2000))
+        assert best.backend == "best_response"
+        for data in (json.loads((tmp_path / "sol.json").read_text()), io.solution_to_dict(best)):
+            assert data["converged"]
+            assert max(data["residual_alpha"], data["residual_lambda"]) <= 1e-8
+            assert all(math.isfinite(a) for a in data["alpha"].values())
 
     def test_parallel_matches_serial(self, tmp_path):
         serial = tmp_path / "s.csv"
@@ -509,14 +535,14 @@ class TestFileFormats:
         with pytest.raises(Exception, match="bogus"):
             io.load_options(str(path))
 
-    @pytest.mark.parametrize("backend", ["closed_form_auto", "best_response"])
-    def test_perceptual_box_containment_is_reported_as_null(self, backend):
+    @pytest.mark.parametrize("route", [solve, solve_best_response])
+    def test_perceptual_box_containment_is_reported_as_null(self, route):
         # the perceptual box bounds the attribute-space multiplier, so
-        # containment of the lifted one is unknown under every backend
+        # containment of the lifted one is unknown on every route
         problem = io.load_problem(sample("guess3_problem.json"))
         cost = {"family": "perceptual_csiszar", "transform": {"family": "chi2"}}
         cost["encoder"] = TestSolveCommand.ENCODER
-        sol = solve(problem, io.cost_from_dict(cost, problem), SolveOptions(backend=backend))
+        sol = route(problem, io.cost_from_dict(cost, problem))
         diagnostics = io.solution_to_dict(sol)["diagnostics"]
         assert "box_contains_multiplier" in diagnostics
         assert diagnostics["box_contains_multiplier"] is None
@@ -539,9 +565,65 @@ class TestReadmeCommands:
     def test_block_is_found(self):
         assert [argv[0] for argv in _readme_commands()] == ["solve", "verify", "oracle", "sweep", "sweep"]
 
-    def test_every_documented_command_succeeds(self, tmp_path, monkeypatch):
-        # run in order: verify reads the solution that solve wrote
+    def test_every_documented_command_reproduces_its_output(self, tmp_path, monkeypatch, capsys):
+        # run in order: verify reads the solution that solve wrote.  The
+        # expected outputs were written by these commands and the thresholds
+        # sample sweep; a command without --out is compared on its stdout
         shutil.copytree(SAMPLES, tmp_path / "samples")
         monkeypatch.chdir(tmp_path)
-        for argv in _readme_commands():
+        thresholds = ["sweep", "--spec", "samples/thresholds_sweep.json", "--out", "thresholds.csv"]
+        outputs = {}
+        for argv in _readme_commands() + [thresholds]:
             assert main(argv) == 0, argv
+            stdout = capsys.readouterr().out
+            if "--out" in argv:
+                name = argv[argv.index("--out") + 1]
+                outputs[name] = (tmp_path / name).read_text()
+            else:
+                outputs[f"{argv[0]}.json"] = stdout
+        assert sorted(outputs) == sorted(os.listdir(README_OUTPUTS))
+        for name, text in outputs.items():
+            with open(os.path.join(README_OUTPUTS, name)) as f:
+                _assert_matches(_parse_output(name, text), _parse_output(name, f.read()), name)
+
+    def test_option_keys_sentence_names_the_option_fields(self):
+        with open(README) as f:
+            sentence = re.search(r"option files\s+accept (.*?)\.", f.read(), re.S).group(1)
+        assert re.findall(r"`(\w+)`", sentence) == [f.name for f in dataclasses.fields(SolveOptions)]
+
+
+def _parse_output(name, text):
+    """A JSON output as parsed; a CSV one as rows of cells read as int, float or string."""
+    if name.endswith(".json"):
+        return json.loads(text)
+    return [[_cell(c) for c in row] for row in csv.reader(text.splitlines())]
+
+
+def _cell(text):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _assert_matches(got, want, where):
+    """Keys, strings, booleans and integers equal; floats within 1e-12 max(1, |x|).
+
+    The tolerance absorbs last-bit differences between SIMD builds of NumPy.
+    """
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), where
+        for key in want:
+            _assert_matches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches(g, w, f"{where}[{i}]")
+    elif float in (type(got), type(want)):
+        # a float without a fraction prints, and reads back, as an integer
+        assert {type(got), type(want)} <= {int, float}, (where, got, want)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (where, got, want)
+    else:
+        assert type(got) is type(want) and got == want, (where, got, want)

@@ -419,7 +419,7 @@ class TestNumericConjugate:
         h.grad_fn = lambda p: calls.append(1) or grad_fn(p)
         val, arg = numeric_conjugate(h, x)
         assert len(calls) <= 2_000
-        assert h.gap_fn(x, arg) <= h.numeric_tol
+        assert h.gap_fn(x, arg) <= costs.NUMERIC_TOL
         assert val == pytest.approx(float(arg @ x) - value_fn(arg), abs=1e-9)
         assert val == pytest.approx(283.1856, abs=1e-3)
 

@@ -47,9 +47,8 @@ SCRIPT = textwrap.dedent(
     )
 
     p = guess_the_state(3, 2.0)
-    opts = infoacq.SolveOptions(backend="best_response")
-    ps = infoacq.solve(p, posterior_separable_cost(p.prior, shannon_kl_entropy(p.prior, 1.0)), opts)
-    mi = infoacq.solve(p, mutual_information_cost(p.prior, 1.0), opts)
+    ps = infoacq.solve(p, posterior_separable_cost(p.prior, shannon_kl_entropy(p.prior, 1.0)))
+    mi = infoacq.solve_best_response(p, mutual_information_cost(p.prior, 1.0))
     assert ps.converged, ps.diagnostics
     assert abs(ps.value - mi.value) < 1e-7, (ps.value, mi.value)
 

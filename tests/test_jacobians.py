@@ -21,7 +21,7 @@ from infoacq.costs import (
     scale,
     shannon_kl_entropy,
 )
-from infoacq.solver import SolveOptions, _kkt_system, _slice_basis, solve
+from infoacq.solver import SolveOptions, _kkt_system, _slice_basis, solve, solve_best_response
 from infoacq.transform import chi2, tabulated
 
 
@@ -239,9 +239,9 @@ class TestExactJacobianPolish:
     @pytest.mark.parametrize("family", sorted(_COSTS))
     def test_agrees_with_finite_difference_path(self, n, family):
         p = random_problem(np.random.default_rng(n), n, n, prior_floor=0.1 / n)
-        opts = SolveOptions(backend="best_response")
-        exact = solve(p, _COSTS[family](p.prior), opts)
-        fd = solve(p, _without_hessian(_COSTS[family](p.prior)), opts)
+        opts = SolveOptions()
+        exact = solve_best_response(p, _COSTS[family](p.prior), opts)
+        fd = solve_best_response(p, _without_hessian(_COSTS[family](p.prior)), opts)
         for sol in (exact, fd):
             assert sol.converged
             assert max(sol.residual_alpha, sol.residual_lambda) <= opts.tol
@@ -251,7 +251,7 @@ class TestExactJacobianPolish:
     def test_nested_shannon_agrees_with_finite_difference_path(self, zeta):
         p = random_problem(np.random.default_rng(7), 4, 5, prior_floor=0.05)
         encoder = build_encoder(np.array([[0.7, 0.3], [0.6, 0.4], [0.2, 0.8], [0.1, 0.9]]), p.prior)
-        opts = SolveOptions(backend="best_response")
+        opts = SolveOptions()
         exact = solve(p, nested_shannon_cost(p.prior, encoder, zeta, [0.5, 1.5]), opts)
         fd = solve(p, _without_hessian(nested_shannon_cost(p.prior, encoder, zeta, [0.5, 1.5])), opts)
         for sol in (exact, fd):
@@ -259,7 +259,7 @@ class TestExactJacobianPolish:
             assert max(sol.residual_alpha, sol.residual_lambda) <= opts.tol
         assert exact.value == pytest.approx(fd.value, abs=1e-12)
 
-    def _polish_evaluations(self, monkeypatch, p, model, opts):
+    def _polish_evaluations(self, monkeypatch, p, model, route=solve):
         calls = []
         real_system = solver._kkt_system
 
@@ -268,7 +268,7 @@ class TestExactJacobianPolish:
             return real_system(*args, **kwargs)
 
         monkeypatch.setattr(solver, "_kkt_system", counting_system)
-        sol = solve(p, model, opts)
+        sol = route(p, model)
         assert sol.converged
         return sol, len(calls)
 
@@ -276,7 +276,7 @@ class TestExactJacobianPolish:
         # evaluations of the optimality system by the Newton polish; the
         # active-set polish it replaced made about 1,560 on this solve
         p = random_problem(np.random.default_rng(20), 20, 20, prior_floor=0.1 / 20)
-        _, evaluations = self._polish_evaluations(monkeypatch, p, chi2_cost(p.prior), SolveOptions())
+        _, evaluations = self._polish_evaluations(monkeypatch, p, chi2_cost(p.prior))
         assert 0 < evaluations < 2000
 
     def test_polish_work_stays_bounded_under_mutual_information(self, monkeypatch):
@@ -284,9 +284,7 @@ class TestExactJacobianPolish:
         # all of them on support guesses that still held dominated actions
         p = random_problem(np.random.default_rng(20), 20, 20, prior_floor=0.005)
         model = mutual_information_cost(p.prior)
-        sol, evaluations = self._polish_evaluations(
-            monkeypatch, p, model, SolveOptions(backend="best_response")
-        )
+        sol, evaluations = self._polish_evaluations(monkeypatch, p, model, solve_best_response)
         assert 0 < evaluations < 2000
         # the multiplicative fixed point is an independent route to the value
         reference = solve(p, model, SolveOptions(tol=1e-11))

@@ -15,7 +15,7 @@ from infoacq.oracle import (
     salience_adjusted_perturbation,
     verify_focs,
 )
-from infoacq.solver import SolveOptions, multiplier_bounds, solve
+from infoacq.solver import multiplier_bounds, solve
 from infoacq.transform import chi2
 
 
@@ -178,7 +178,7 @@ class TestPerStatePerturbedChoice:
     def test_exchangeable_match_with_saddle_solution(self):
         p = exchangeable_problem([0.9, 0.1], 3)
         t = chi2(1.0)
-        sol = solve(p, chi2_cost(p.prior, 1.0), SolveOptions(backend="best_response"))
+        sol = solve(p, chi2_cost(p.prior, 1.0))
         c, cp = apu_perturbation_from_transform(t, 3)
         rows = apu_solve(p.payoffs, c, cp)
         np.testing.assert_allclose(rows, sol.rule.rows, atol=1e-6)
@@ -187,12 +187,12 @@ class TestPerStatePerturbedChoice:
         rng = np.random.default_rng(5)
         p = random_problem(rng, 2, 3)
         t = chi2(1.0)
-        sol = solve(p, chi2_cost(p.prior, 1.0), SolveOptions(backend="best_response"))
+        sol = solve(p, chi2_cost(p.prior, 1.0))
         if sol.alpha.min() < 1e-9:
             keep = sol.alpha > 1e-9
             names = [n for n, k in zip(p.action_names, keep) if k]
             p = validate_problem(p.states, p.prior, [(n, p.action_payoffs(n)) for n in names])
-            sol = solve(p, chi2_cost(p.prior, 1.0), SolveOptions(backend="best_response"))
+            sol = solve(p, chi2_cost(p.prior, 1.0))
         c, cp = salience_adjusted_perturbation(t, sol.alpha)
         rows = apu_solve(p.payoffs, c, cp)
         np.testing.assert_allclose(rows, sol.rule.rows, atol=1e-6)

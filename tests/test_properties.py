@@ -15,7 +15,7 @@ from infoacq.costs import (
     shannon_kl_entropy,
 )
 from infoacq.oracle import verify_focs
-from infoacq.solver import SolveOptions, SolverError, solve
+from infoacq.solver import SolveOptions, SolverError, solve, solve_best_response
 
 _COSTS = {
     "mutual_information": mutual_information_cost,
@@ -45,28 +45,28 @@ def problems(draw):
 def test_converged_solves_meet_tolerance(p):
     for family, cost in sorted(_COSTS.items()):
         model = cost(p.prior)
-        backends = ("best_response",)
+        routes = (solve_best_response,)
         if family == "mutual_information":
-            backends = ("closed_form_auto",) + backends
-        for backend in backends:
-            opts = SolveOptions(backend=backend, max_iter=2000)
+            routes = (solve,) + routes
+        opts = SolveOptions(max_iter=2000)
+        for route in routes:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 try:
-                    sol = solve(p, model, opts)
+                    sol = route(p, model, opts)
                 except (ValidationError, SolverError):
                     continue  # typed failures keep the contract; any other error escapes
             if sol.converged:
                 report = verify_focs(p, model, sol.alpha, sol.lam)
-                assert max(report.residual_alpha, report.residual_lambda) <= opts.tol, (family, backend)
+                assert max(report.residual_alpha, report.residual_lambda) <= opts.tol, (family, route)
 
 
 def _solve_or_typed_failure(p, model, opts):
-    """The solution, or None for a typed failure; any other error escapes."""
+    """The best response, or None for a typed failure; any other error escapes."""
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore", RuntimeWarning)
         try:
-            return solve(p, model, opts)
+            return solve_best_response(p, model, opts)
         except (ValidationError, SolverError):
             return None
 
@@ -75,7 +75,7 @@ def _solve_or_typed_failure(p, model, opts):
 def test_multiplier_inside_the_box_is_reported(p):
     for family, cost in sorted(_COSTS.items()):
         model = cost(p.prior)
-        sol = _solve_or_typed_failure(p, model, SolveOptions(backend="best_response", max_iter=2000))
+        sol = _solve_or_typed_failure(p, model, SolveOptions(max_iter=2000))
         if sol is None:
             continue
         lam = sol.lam - sol.lam.sum() * p.prior if sol.box.translation_slice else sol.lam
@@ -95,16 +95,16 @@ def test_overflow_scale_payoffs_fail_typed_or_flagged(p):
     big = validate_problem(p.states, p.prior, list(zip(p.action_names, 800 * p.payoffs)))
     for family in ("chi2", "mutual_information"):
         model = _COSTS[family](big.prior)
-        for backend in ("closed_form_auto", "best_response"):
-            opts = SolveOptions(backend=backend, max_iter=200)
+        opts = SolveOptions(max_iter=200)
+        for route in (solve, solve_best_response):
             with warnings.catch_warnings(), np.errstate(all="ignore"):
                 warnings.simplefilter("ignore", RuntimeWarning)
                 try:
-                    sol = solve(big, model, opts)
+                    sol = route(big, model, opts)
                 except SolverError:
                     continue
             if not sol.converged:
-                assert np.all(np.isfinite(sol.alpha)), (family, backend)
+                assert np.all(np.isfinite(sol.alpha)), (family, route)
                 continue
             report = verify_focs(big, model, sol.alpha, sol.lam)
-            assert max(report.residual_alpha, report.residual_lambda) <= opts.tol, (family, backend)
+            assert max(report.residual_alpha, report.residual_lambda) <= opts.tol, (family, route)

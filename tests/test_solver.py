@@ -38,6 +38,7 @@ from infoacq.solver import (
     reduce_solution,
     reduce_support,
     solve,
+    solve_best_response,
     solve_mutual_information,
     solve_perceptual,
     statewise_multiplier,
@@ -185,7 +186,7 @@ class TestBoxRetry:
         monkeypatch.setattr(solver, "_best_response_backend", lambda *a: calls.append(a) or backend(*a))
         monkeypatch.setattr(solver, "multiplier_bounds", lambda *a: solver.MultiplierBox(1e-6, 0.5))
         p = guess_the_state(3, 1.0)
-        sol = solve(p, chi2_cost(p.prior, 1.0), SolveOptions(backend="best_response"))
+        sol = solve(p, chi2_cost(p.prior, 1.0))
         assert len(calls) == 1
         assert sol.converged
         assert sol.box.bound == 1e-6
@@ -294,7 +295,7 @@ class TestSolve:
         rng = np.random.default_rng(3)
         p = random_problem(rng, 2, 2)
         m = chi2_cost(p.prior, 1.0)
-        sol = solve(p, m, SolveOptions(backend="best_response"))
+        sol = solve(p, m)
         bf = brute_force_solve(p, m, 0.01)
         assert sol.converged
         assert abs(sol.value - bf.value) < 2e-4
@@ -305,8 +306,8 @@ class TestSolve:
         p = random_problem(rng, 3, 2)
         q = normalize_binary(p)
         for m_build in (lambda pr: mutual_information_cost(pr, 1.0), lambda pr: chi2_cost(pr, 1.0)):
-            sp = solve(p, m_build(p.prior), SolveOptions(backend="best_response"))
-            sq = solve(q, m_build(q.prior), SolveOptions(backend="best_response"))
+            sp = solve_best_response(p, m_build(p.prior))
+            sq = solve_best_response(q, m_build(q.prior))
             np.testing.assert_allclose(sp.rule.rows, sq.rule.rows, atol=1e-7)
 
     def test_row_sums_within_tolerance(self):
@@ -322,7 +323,7 @@ class TestSolve:
         for _ in range(5):
             p = random_problem(rng, 2, 3)
             for m in (mutual_information_cost(p.prior, 1.0), chi2_cost(p.prior, 1.0)):
-                sol = solve(p, m, SolveOptions(backend="best_response"))
+                sol = solve_best_response(p, m)
                 primal = sol.rule.expected_payoff() - m.primal_cost(sol.rule)
                 assert sol.value == pytest.approx(primal, abs=1e-7)
 
@@ -330,12 +331,12 @@ class TestSolve:
         rng = np.random.default_rng(8)
         p = random_problem(rng, 3, 4)
         for m in (mutual_information_cost(p.prior, 1.0), chi2_cost(p.prior, 1.0)):
-            s1 = solve(p, m, SolveOptions(backend="best_response", seed=1))
-            s2 = solve(p, m, SolveOptions(backend="best_response", seed=2))
+            s1 = solve_best_response(p, m, SolveOptions(seed=1))
+            s2 = solve_best_response(p, m, SolveOptions(seed=2))
             np.testing.assert_allclose(s1.lam, s2.lam, atol=1e-6)
         mps = posterior_separable_cost(p.prior, shannon_kl_entropy(p.prior, 1.0))
-        s1 = solve(p, mps, SolveOptions(backend="best_response", seed=1))
-        s2 = solve(p, mps, SolveOptions(backend="best_response", seed=2))
+        s1 = solve(p, mps, SolveOptions(seed=1))
+        s2 = solve(p, mps, SolveOptions(seed=2))
         l1 = s1.lam - s1.lam.sum() * p.prior
         l2 = s2.lam - s2.lam.sum() * p.prior
         np.testing.assert_allclose(l1, l2, atol=1e-6)
@@ -385,7 +386,7 @@ class TestSolve:
             p = validate_problem(
                 ["s0", "s1", "s2"], [1 / 3] * 3, [("risky", r), ("safe", [0, 0, 0])]
             )
-            sol = solve(p, chi2_cost(p.prior, 1.0), SolveOptions(backend="best_response"))
+            sol = solve(p, chi2_cost(p.prior, 1.0))
             if np.all(sol.rule.unconditional > 1e-9):
                 p_risky = sol.rule.rows[:, 0]
                 assert np.all(np.diff(p_risky) >= -1e-9)
@@ -412,7 +413,7 @@ class TestMutualInformationRoute:
         for _ in range(5):
             p = random_problem(rng, 3, 3)
             a = solve_mutual_information(p, 1.0)
-            b = solve(p, mutual_information_cost(p.prior, 1.0), SolveOptions(backend="best_response"))
+            b = solve_best_response(p, mutual_information_cost(p.prior, 1.0))
             assert a.value == pytest.approx(b.value, abs=1e-6)
             for idx in range(p.n_actions):
                 if a.rule.unconditional[idx] > 1e-7 and b.rule.unconditional[idx] > 1e-7:
@@ -502,19 +503,6 @@ class TestMutualInformationInSolve:
         assert sol.iterations > 20
         _assert_same_solution(sol, solve_mutual_information(p, 1.0))
 
-    def test_polish_off_runs_the_pure_fixed_point(self, monkeypatch):
-        from infoacq import solver
-
-        def fail(*args, **kwargs):
-            raise AssertionError("polish ran with polish=False")
-
-        monkeypatch.setattr(solver, "_polish", fail)
-        p = random_problem(np.random.default_rng(8), 8, 8)
-        opts = SolveOptions(polish=False)
-        sol = solve(p, mutual_information_cost(p.prior, 1.0), opts)
-        assert sol.backend == "blahut_arimoto" and sol.converged
-        _assert_same_solution(sol, solve_mutual_information(p, 1.0, opts))
-
     def test_agrees_with_the_shannon_kl_posterior_separable_cost(self):
         # the same cost on two routes; the fixed point alone stops about 1e-10 off
         p = _large_suite_problems()[20]
@@ -557,7 +545,7 @@ class TestPerceptualRoute:
         p = random_problem(rng, 3, 2)
         enc = build_encoder(np.eye(3), p.prior)
         a = solve_perceptual(p, chi2(1.0), enc)
-        b = solve(p, chi2_cost(p.prior, 1.0), SolveOptions(backend="best_response"))
+        b = solve(p, chi2_cost(p.prior, 1.0))
         assert a.value == pytest.approx(b.value, abs=1e-8)
         np.testing.assert_allclose(a.rule.rows, b.rule.rows, atol=1e-7)
 
@@ -612,7 +600,7 @@ class TestSupportReduction:
             [("a", [1, 0]), ("a2", [1, 0]), ("b", [0, 1])],
         )
         m = chi2_cost(p.prior, 1.0)
-        sol = solve(p, m, SolveOptions(backend="best_response"))
+        sol = solve(p, m)
         reduced = reduce_solution(sol)
         assert len([x for x in reduced.alpha if x > 1e-12]) <= p.n_states + 1
         assert reduced.value == pytest.approx(sol.value, abs=1e-9)
@@ -623,7 +611,7 @@ class TestSupportReduction:
             n = int(rng.integers(2, 4))
             p = random_problem(rng, n, n + 3)
             m = chi2_cost(p.prior, 1.0)
-            sol = solve(p, m, SolveOptions(backend="best_response"))
+            sol = solve(p, m)
             red = reduce_solution(sol)
             assert red.value == pytest.approx(sol.value, abs=1e-8)
             assert (red.alpha > 1e-12).sum() <= n + 1
@@ -631,7 +619,7 @@ class TestSupportReduction:
             n = int(rng.integers(2, 4))
             p = random_problem(rng, n, n + 3)
             m = posterior_separable_cost(p.prior, shannon_kl_entropy(p.prior, 1.0))
-            sol = solve(p, m, SolveOptions(backend="best_response"))
+            sol = solve(p, m)
             red = reduce_solution(sol)
             assert red.value == pytest.approx(sol.value, abs=1e-8)
             assert (red.alpha > 1e-12).sum() <= n
@@ -640,7 +628,7 @@ class TestSupportReduction:
         rng = np.random.default_rng(16)
         p = random_problem(rng, 2, 5)
         m = chi2_cost(p.prior, 1.0)
-        sol = solve(p, m, SolveOptions(backend="best_response"))
+        sol = solve(p, m)
         once = reduce_support(p, m, sol.alpha, sol.lam)
         twice = reduce_support(p, m, once, sol.lam)
         np.testing.assert_allclose(once, twice, atol=1e-12)
@@ -656,7 +644,7 @@ class TestSupportReduction:
         c_hat = mutual_information_threshold(2, w, 1.0)
         p = guess_with_outside_option(2, w, c_hat)
         m = posterior_separable_cost(p.prior, shannon_kl_entropy(p.prior, 1.0))
-        sol = solve(p, m, SolveOptions(backend="best_response"))
+        sol = solve(p, m)
         red = reduce_solution(sol)
         assert (red.alpha > 1e-12).sum() <= 2
         assert red.value == pytest.approx(sol.value, abs=1e-8)
@@ -667,7 +655,7 @@ class TestBestEffort:
         rng = np.random.default_rng(21)
         p = random_problem(rng, 3, 4)
         m = chi2_cost(p.prior, 1.0)
-        sol = solve(p, m, SolveOptions(backend="best_response", max_iter=5, polish=False))
+        sol = solve(p, m, SolveOptions(max_iter=2))
         assert not sol.converged
         assert np.isfinite(sol.value)
         assert sol.rule.rows.shape == (3, 4)
@@ -700,7 +688,7 @@ class TestInnerMinimization:
         model = posterior_separable_cost(big.prior, shannon_kl_entropy(big.prior))
         start = time.perf_counter()
         with np.errstate(all="ignore"):
-            sol = solve(big, model, SolveOptions(backend="best_response", max_iter=200))
+            sol = solve(big, model, SolveOptions(max_iter=200))
         assert time.perf_counter() - start < 3.0
         assert sol.converged
         rep = verify_focs(big, model, sol.alpha, sol.lam)
@@ -830,13 +818,13 @@ class TestLazyBox:
         monkeypatch.setattr(solver, "multiplier_bounds", lambda *a: calls.append(1) or bounds(*a))
         return calls
 
-    @pytest.mark.parametrize("backend", ["closed_form_auto", "best_response"])
+    @pytest.mark.parametrize("route", [solve, solve_best_response])
     @pytest.mark.parametrize("cost", [chi2_cost, mutual_information_cost])
-    def test_box_is_built_once_on_first_read(self, monkeypatch, backend, cost):
+    def test_box_is_built_once_on_first_read(self, monkeypatch, route, cost):
         calls = self._counting_bounds(monkeypatch)
         p = guess_the_state(3, 1.0)
         model = cost(p.prior)
-        sol = solve(p, model, SolveOptions(backend=backend))
+        sol = route(p, model)
         assert calls == []
         box = sol.box
         assert sol.box is box and len(calls) == 1
@@ -860,9 +848,8 @@ class TestCertificate:
     def test_scaled_kappa_gives_the_unscaled_certificate(self, cost, kappa):
         # costs.scale records the factor apart from the transform's kappa
         p = guess_the_state(3, 2.0)
-        opts = SolveOptions(backend="best_response")
-        scaled = solve(p, scale(cost(p.prior), kappa), opts)
-        direct = solve(p, cost(p.prior, kappa), opts)
+        scaled = solve_best_response(p, scale(cost(p.prior), kappa))
+        direct = solve_best_response(p, cost(p.prior, kappa))
         assert scaled.gap == pytest.approx(0.0, abs=1e-9)
         assert scaled.gap == pytest.approx(direct.gap, abs=1e-12)
         assert scaled.value == pytest.approx(direct.value, abs=1e-10)

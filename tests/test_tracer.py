@@ -42,7 +42,7 @@ def test_best_response_iterations_are_counted_once(tracer_class):
     try:
         tracer.install()
         tracer.active = True
-        sol = solver.solve(p, chi2_cost(p.prior, 1.0), solver.SolveOptions(backend="best_response"))
+        sol = solver.solve(p, chi2_cost(p.prior, 1.0))
     finally:
         tracer.active = False
         tracer.uninstall()

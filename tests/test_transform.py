@@ -232,7 +232,7 @@ class TestTabulated:
         p = guess_the_state(3, 2.0)
         m = csiszar_cost(p.prior, self._coarse())
         start = time.monotonic()
-        sol = solve(p, m, SolveOptions(backend="best_response"))
+        sol = solve(p, m)
         assert time.monotonic() - start < 10.0
         assert sol.converged
         assert max(sol.residual_alpha, sol.residual_lambda) <= SolveOptions().tol
