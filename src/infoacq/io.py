@@ -130,11 +130,11 @@ def _field(data: dict, key: str, where: str):
 
 
 def _number(value, key: str, where: str) -> float:
-    try:
-        # bool is an int subclass, but true/false is no number in an input file
-        return float(None if isinstance(value, bool) else value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{where}: field {key!r} must be a number, got {value!r}") from exc
+    # a JSON number only: bool is an int subclass, but true/false is no number
+    # in an input file, and neither is a numeric string such as "2"
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValidationError(f"{where}: field {key!r} must be a number, got {value!r}")
 
 
 def _integer(value, key: str, where: str) -> int:

@@ -4,7 +4,17 @@ per-state perturbed-utility solver.
 The brute-force search enumerates every stochastic choice rule whose rows lie
 on a lattice over the action simplex and evaluates the primal objective
 directly; it shares no code with the saddle-point machinery beyond the primal
-cost evaluators.
+cost evaluators.  A rule's value is assembled from per-state tables over the
+R lattice rows, built once per search: the prior-weighted payoff
+``pi_s gains[r, s]`` and, for the two costs whose f-information has a closed
+form in a prior-weighted sum over states, the pieces of that form.  Mutual
+information is ``kappa (sum_s pi_s sum_a r_a log r_a - sum_a p_a log p_a)``
+with the marginal ``p_a = sum_s pi_s P_sa``.  Under chi2 the f-mean is
+``alpha_a ~ sqrt(c_a)`` with ``c_a = sum_s pi_s P_sa^2``, so the cost is
+``kappa/2 ((sum_a sqrt(c_a))^2 - 1)``, the order-2 case of Sibson's
+alpha-mutual information (Sibson 1969; Verdu 2015).  Every other cost prices
+the explicit rules of a block through the two-action golden section or
+``model.primal_cost``.
 """
 
 from __future__ import annotations
@@ -18,9 +28,12 @@ import numpy as np
 from ._rootfind import maximize_on_simplex, stationary_point
 from .core import ChoiceRule, DecisionProblem, SolverError, ValidationError
 from .costs import CostModel, CsiszarCost
-from .solver import MultiplierBox, foc_residuals
+from .solver import MultiplierBox, _check_shared_prior, foc_residuals
 
 EVAL_CAP = 100_000_000
+# rule values per block of the lattice walk: the walk's memory is bounded by
+# this, not by the R ** (n - 1) lead rows
+BLOCK_VALUES = 20_000
 
 
 def _lattice_rows(k: int, m: int) -> np.ndarray:
@@ -64,6 +77,80 @@ def _golden_reference_min(chunk: np.ndarray, prior: np.ndarray, transform) -> np
     return dval(0.5 * (a + b))
 
 
+def _xlogx(p: np.ndarray) -> np.ndarray:
+    return p * np.log(np.where(p > 0, p, 1.0))
+
+
+def _lead_sum(table: np.ndarray, lead: np.ndarray) -> np.ndarray:
+    """sum over the lead states s of ``table[s, lead[..., s]]``, in state order."""
+    out = np.zeros(lead.shape[:-1] + table.shape[2:])
+    for s in range(lead.shape[-1]):
+        out += table[s, lead[..., s]]
+    return out
+
+
+class _LatticeTables:
+    """Per-state tables over the lattice rows, and the rule values built from them.
+
+    ``gain[s, r]`` is ``pi_s gains[r, s]``.  Under mutual information
+    ``separable[s, r]`` is ``kappa pi_s sum_a r_a log r_a`` and ``weighted[s, r]``
+    is ``pi_s r``; under chi2 ``weighted[s, r]`` is ``pi_s r**2``.  Sums over
+    states and over actions run in index order, whatever the shape of the
+    block, so a rule's value does not depend on the block that holds it.
+    """
+
+    def __init__(self, problem: DecisionProblem, model: CostModel, rows: np.ndarray):
+        prior = problem.prior
+        self.problem, self.model, self.rows = problem, model, rows
+        self.gain = prior[:, None] * (rows @ problem.payoffs).T
+        family = model.transform.family if isinstance(model, CsiszarCost) else None
+        self.family = family if family in ("shannon", "chi2") else None
+        if self.family is not None:
+            self.kappa = model.transform.kappa
+        if self.family == "shannon":
+            entropy = _xlogx(rows[:, 0])
+            for a in range(1, rows.shape[1]):
+                entropy = entropy + _xlogx(rows[:, a])
+            self.separable = self.kappa * prior[:, None] * entropy
+            self.weighted = prior[:, None, None] * rows
+        elif self.family == "chi2":
+            self.weighted = prior[:, None, None] * rows**2
+
+    def values(self, lead: np.ndarray, last: np.ndarray) -> np.ndarray:
+        """Values of the rules whose first n - 1 rows are ``lead`` and last row ``last``.
+
+        Both hold lattice-row indices, ``lead`` with the states on its last
+        axis; the result has the broadcast shape of ``lead[..., 0]`` and
+        ``last``.
+        """
+        payoff = _lead_sum(self.gain, lead) + self.gain[-1, last]
+        if self.family is None:
+            return payoff - self._explicit_costs(lead, last)
+        lead_w = _lead_sum(self.weighted, lead)
+        total = 0.0
+        for a in range(self.rows.shape[1]):
+            stat = lead_w[..., a] + self.weighted[-1, last, a]
+            total = total + (_xlogx(stat) if self.family == "shannon" else np.sqrt(stat))
+        if self.family == "shannon":
+            cost = _lead_sum(self.separable, lead) + self.separable[-1, last] - self.kappa * total
+        else:
+            cost = 0.5 * self.kappa * (total * total - 1.0)
+        return payoff - cost
+
+    def _explicit_costs(self, lead: np.ndarray, last: np.ndarray) -> np.ndarray:
+        shape = np.broadcast_shapes(lead.shape[:-1], last.shape)
+        idx = np.concatenate(
+            [np.broadcast_to(lead, shape + lead.shape[-1:]), np.broadcast_to(last, shape)[..., None]],
+            axis=-1,
+        )
+        chunk = self.rows[idx.reshape(-1, idx.shape[-1])]  # (rules, n, m)
+        if isinstance(self.model, CsiszarCost) and chunk.shape[2] == 2:
+            costs = _golden_reference_min(chunk, self.problem.prior, self.model.transform)
+        else:
+            costs = [self.model.primal_cost(ChoiceRule.build(self.problem, rule)) for rule in chunk]
+        return np.asarray(costs, dtype=float).reshape(shape)
+
+
 @dataclass
 class BruteForceResult:
     value: float
@@ -75,68 +162,55 @@ class BruteForceResult:
 def brute_force_solve(problem: DecisionProblem, model: CostModel, grid_step: float) -> BruteForceResult:
     """Exhaustive primal search over rules with rows on the grid lattice.
 
-    Intended for problems with at most three states and actions; the number
-    of rule evaluations is hard-capped at 1e8.
+    The rules are walked in product order, the last state's row varying
+    fastest, and the first maximizer is kept.  Each block crosses a slice of
+    the lead rows (the first n - 1 states) with all R rows of the last state,
+    about ``BLOCK_VALUES`` rule values at a time, so memory is bounded by the
+    block, never by ``R ** (n - 1)``.  Under mutual information and chi2 a
+    block's values are lead sums of the per-state tables plus the last
+    state's tables plus one closed-form term per action column: no rule is
+    gathered and no log is taken per state.  Other costs price the block's
+    explicit rules.  Intended for problems with at most three states and
+    actions; the number of rule evaluations is hard-capped at 1e8.  Raises
+    ``ValidationError`` when the model was built on another prior.
     """
+    _check_shared_prior(problem, model)
     k = round(1.0 / grid_step)
     if abs(k * grid_step - 1.0) > 1e-12:
         raise ValidationError("grid_step must divide 1")
-    n, m = problem.n_states, problem.n_actions
-    rows = _lattice_rows(k, m)
+    n = problem.n_states
+    rows = _lattice_rows(k, problem.n_actions)
     n_rows = rows.shape[0]
     total = n_rows**n
     if total > EVAL_CAP:
         raise ValidationError(f"lattice too large: {total} rule evaluations exceeds cap")
 
-    prior = problem.prior
-    payoffs = problem.payoffs  # (m, n)
-    gains = rows @ payoffs  # (n_rows, n): expected payoff of a row in each state
-
+    tables = _LatticeTables(problem, model, rows)
+    n_lead = n_rows ** (n - 1)
+    per_block = max(1, BLOCK_VALUES // n_rows)
+    every_row = np.arange(n_rows)
     best_val = -math.inf
     best_idx = None
     skipped = 0
-    chunk_size = max(1, 50_000 // max(n * m, 1))
-    for start in range(0, total, chunk_size):
-        # rules start..stop-1 in the order of itertools.product: the last
-        # state's row varies fastest, so the first maximizer is kept
-        flat = np.arange(start, min(start + chunk_size, total))
-        idx = np.stack(np.unravel_index(flat, (n_rows,) * n), axis=1)  # (B, n)
-        payoff_term = np.array([gains[idx[:, s], s] for s in range(n)]).T @ prior
-        chunk = rows[idx]  # (B, n, m)
-        cost = _chunk_costs(chunk, problem, model)
-        vals = payoff_term - cost
+    for start in range(0, n_lead, per_block):
+        flat = np.arange(start, min(start + per_block, n_lead))
+        if n > 1:
+            lead = np.stack(np.unravel_index(flat, (n_rows,) * (n - 1)), axis=1)
+        else:
+            lead = np.zeros((flat.size, 0), dtype=np.intp)
+        # row-major (lead, last) is the order of itertools.product
+        vals = tables.values(lead[:, None, :], every_row).ravel()
         finite = np.isfinite(vals)
         skipped += int((~finite).sum())
         if np.any(finite):
-            j = int(np.nanargmax(np.where(finite, vals, -np.inf)))
+            j = int(np.argmax(np.where(finite, vals, -np.inf)))
             if vals[j] > best_val:
                 best_val = float(vals[j])
-                best_idx = idx[j].copy()
+                best_idx = np.append(lead[j // n_rows], j % n_rows)
     if best_idx is None:
         raise ValidationError("no finite-cost rule on the lattice")
     rule = ChoiceRule.build(problem, rows[best_idx])
     return BruteForceResult(best_val, rule, total, skipped)
-
-
-def _chunk_costs(chunk: np.ndarray, problem: DecisionProblem, model: CostModel) -> np.ndarray:
-    prior = problem.prior
-    B, n, m = chunk.shape
-    if isinstance(model, CsiszarCost) and model.transform.family == "shannon":
-        kappa = model.transform.kappa
-        p_pi = np.einsum("s,bsa->ba", prior, chunk)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logratio = np.log(chunk) - np.log(p_pi[:, None, :])
-            term = np.where(chunk > 0, chunk * logratio, 0.0)
-        infinite = (chunk > 0) & (p_pi[:, None, :] <= 0)
-        out = kappa * np.einsum("s,bsa->b", prior, term)
-        out[np.any(infinite, axis=(1, 2))] = np.inf
-        return out
-    if isinstance(model, CsiszarCost) and m == 2:
-        return _golden_reference_min(chunk, prior, model.transform)
-    out = np.empty(B)
-    for b in range(B):
-        out[b] = model.primal_cost(ChoiceRule.build(problem, chunk[b]))
-    return out
 
 
 @dataclass
@@ -151,7 +225,11 @@ class FocReport:
 
 
 def verify_focs(problem, model, alpha, lam, box: MultiplierBox | None = None) -> FocReport:
-    """Residuals of the saddle first-order conditions at a candidate pair."""
+    """Residuals of the saddle first-order conditions at a candidate pair.
+
+    Raises ``ValidationError`` when the model was built on another prior.
+    """
+    _check_shared_prior(problem, model)
     alpha = np.asarray(alpha, dtype=float)
     lam = np.asarray(lam, dtype=float)
     res_a, res_l, _, _ = foc_residuals(problem, model, alpha, lam)

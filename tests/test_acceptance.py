@@ -73,6 +73,26 @@ def test_criterion_1_oracle_equivalence():
     _report("criterion 1 (lattice-oracle equivalence, 20 problems x 2 costs)", start, 120)
 
 
+def test_criterion_1_oracle_equivalence_three_by_three():
+    # A lattice rule is feasible, so it cannot beat the saddle value beyond
+    # the solve tolerance.  The gap bound scales the 2e-4 of the 2x2 check at
+    # grid h = 0.01, which is 2 h^2: at the optimum the objective is
+    # stationary along the face of the simplex that holds each row, so
+    # rounding the rows to the lattice within that face loses O(h^2), and at
+    # h = 0.1 the same 2 h^2 is 0.02.
+    start = time.monotonic()
+    rng = np.random.default_rng(103)
+    for trial in range(20):
+        p = random_problem(rng, 3, 3)
+        for model in (mutual_information_cost(p.prior, 1.0), chi2_cost(p.prior, 1.0)):
+            sol = solve(p, model)
+            assert sol.converged
+            bf = brute_force_solve(p, model, 0.1)
+            assert bf.value <= sol.value + 1e-9
+            assert sol.value - bf.value < 0.02
+    _report("criterion 1 (lattice-oracle equivalence, 20 3x3 problems x 2 costs)", start, 120)
+
+
 def test_criterion_2_entropy_route_recovery():
     start = time.monotonic()
     rng = np.random.default_rng(202)

@@ -79,6 +79,7 @@ class TestSolveCommand:
             ({"family": "mutual_information", "kappa": -1.0}, "kappa"),
             ({"family": "mutual_information", "kappa": "big"}, "kappa"),
             ({"family": "mutual_information", "kappa": True}, "kappa"),
+            ({"family": "mutual_information", "kappa": "2"}, "kappa"),
             ([1, 2], "object"),
             ({"family": "csiszar", "transform": {"family": "tabulated", "psi_prime": [[0, 1], [1, 2]]}}, "three"),
             ({"family": "neighborhood_hw", "neighborhoods": [{"states": ["s0", "s1"]}]}, "uncovered"),
@@ -135,6 +136,7 @@ class TestSolveCommand:
             ("sweep", {"kind": "response", "transform": SHANNON, "w_grid": [1.0]}, "gamma"),
             ("sweep", {"kind": "response", "transform": SHANNON, "shift": "abc", "gamma": 0.5, "w_grid": [1.0]}, "shift"),
             ("sweep", {"kind": "response", "transform": SHANNON, "gamma": 0.5, "w_grid": [True]}, "w_grid"),
+            ("sweep", {"kind": "response", "transform": SHANNON, "gamma": "0.5", "w_grid": [1.0]}, "gamma"),
             ("sweep", [{"kind": "response"}], "object"),
             ("sweep", {**SPLIT, "i": "a"}, "'i'"),
             ("sweep", {**SPLIT, "i": 1.5}, "'i'"),

@@ -3,12 +3,20 @@ import itertools
 import numpy as np
 import pytest
 
+from infoacq import oracle
 from infoacq.catalog import exchangeable_problem, random_problem
-from infoacq.core import SolverError, validate_problem
-from infoacq.costs import chi2_cost, mutual_information_cost, scale
+from infoacq.core import ChoiceRule, SolverError, ValidationError, validate_problem
+from infoacq.costs import (
+    chi2_cost,
+    csiszar_cost,
+    mutual_information_cost,
+    posterior_separable_cost,
+    scale,
+    shannon_kl_entropy,
+)
 from infoacq.oracle import (
-    _chunk_costs,
     _lattice_rows,
+    _LatticeTables,
     apu_perturbation_from_transform,
     apu_solve,
     brute_force_solve,
@@ -16,7 +24,7 @@ from infoacq.oracle import (
     verify_focs,
 )
 from infoacq.solver import multiplier_bounds, solve
-from infoacq.transform import chi2
+from infoacq.transform import chi2, shift_transform
 
 
 class TestBruteForce:
@@ -56,14 +64,64 @@ class TestBruteForce:
         assert abs(res.value - sol.value) < 2e-4
         assert res.value <= sol.value + 10 * 1e-8
 
+    def test_cost_on_another_prior_is_refused(self):
+        # solve refuses this pair; the oracle must not price it with either prior
+        p = validate_problem(["s0", "s1"], [0.3, 0.7], [("a", [1, 0]), ("b", [0, 1])])
+        for model in (mutual_information_cost([0.5, 0.5], 1.0), chi2_cost([0.5, 0.5], 1.0)):
+            with pytest.raises(ValidationError, match="share the prior"):
+                brute_force_solve(p, model, 0.25)
+
+
+class TestLatticeValues:
+    @pytest.mark.parametrize("family", ["mutual_information", "chi2"])
+    def test_tables_match_the_primal_cost_of_each_rule(self, family):
+        # the tables price MI and chi2 in closed form; primal_cost goes through
+        # divergence.f_mean, numeric for chi2, so this check is independent.
+        # A value is a difference of O(1) payoff and cost terms, so one that
+        # cancels toward 0 is held to 1e-15 absolute, a few roundings of them
+        rng = np.random.default_rng(31)
+        build = mutual_information_cost if family == "mutual_information" else chi2_cost
+        for n, m in itertools.product((2, 3, 4), repeat=2):
+            p = random_problem(rng, n, m)
+            model = build(p.prior, float(rng.uniform(0.3, 3.0)))
+            rows = _lattice_rows(4, m)
+            idx = rng.integers(0, rows.shape[0], size=(5, n))
+            values = _LatticeTables(p, model, rows).values(idx[:, :-1], idx[:, -1])
+            for rule_idx, value in zip(idx, values):
+                rule = ChoiceRule.build(p, rows[rule_idx])
+                payoff = float(p.prior @ np.sum(rule.rows.T * p.payoffs, axis=0))
+                assert value == pytest.approx(payoff - model.primal_cost(rule), rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("n_actions", [2, 3])
+    def test_explicit_pricing_agrees_with_the_closed_forms(self, n_actions):
+        # chi2 shifted at k = 1 is chi2 itself, and PS-KL is MI, but neither
+        # takes the tables: the two-action golden section and primal_cost
+        # price the explicit rules of each block (coarser with three actions,
+        # where each rule takes a numeric f-mean)
+        p = random_problem(np.random.default_rng(41), 2, n_actions)
+        grid = 0.25 if n_actions == 2 else 0.5
+        pairs = [
+            (csiszar_cost(p.prior, shift_transform(chi2(1.0), 1.0)), chi2_cost(p.prior, 1.0)),
+            (posterior_separable_cost(p.prior, shannon_kl_entropy(p.prior, 0.7)), mutual_information_cost(p.prior, 0.7)),
+        ]
+        for explicit, closed in pairs:
+            res = brute_force_solve(p, explicit, grid)
+            ref = brute_force_solve(p, closed, grid)
+            # the golden section pays 1e-12 phi(0) on an unused action
+            assert res.value == pytest.approx(ref.value, rel=0, abs=1e-11)
+            np.testing.assert_array_equal(res.rule.rows, ref.rule.rows)
+            assert res.evaluations == ref.evaluations and res.skipped_infinite == 0
+
 
 def _product_reference(problem, model, grid_step):
-    """Every lattice rule in one batch, listed by itertools.product: (value, rows, count)."""
+    """Every lattice rule in one batch, listed by itertools.product: (value, rows, count).
+
+    The rules are priced by the oracle's own tables: what this pins is the
+    enumeration order and the rule it keeps.
+    """
     rows = _lattice_rows(round(1.0 / grid_step), problem.n_actions)
-    gains = rows @ problem.payoffs
     idx = np.array(list(itertools.product(range(rows.shape[0]), repeat=problem.n_states)))
-    payoff = np.array([gains[idx[:, s], s] for s in range(problem.n_states)]).T @ problem.prior
-    vals = payoff - _chunk_costs(rows[idx], problem, model)
+    vals = _LatticeTables(problem, model, rows).values(idx[:, :-1], idx[:, -1])
     j = int(np.argmax(np.where(np.isfinite(vals), vals, -np.inf)))  # the first maximizer
     return float(vals[j]), rows[idx[j]], idx.shape[0]
 
@@ -72,7 +130,9 @@ _TIED = validate_problem(["s0", "s1"], [0.5, 0.5], [(a, [0.0, 0.0]) for a in "ab
 _RANDOM2 = random_problem(np.random.default_rng(6), 2, 2)
 _RANDOM3 = random_problem(np.random.default_rng(7), 3, 3)
 # actions a and b are identical: at kappa 0.25 four rules tie for the
-# maximum, in the 4th, 7th, 9th and 10th of the 11 batches
+# maximum, with lead rows 423, 773, 983 and 1088 of 1,225 (35 lattice rows
+# per state); the default walk meets the first in its first block and the
+# other three in its second
 _DUPLICATED = validate_problem(
     ["s0", "s1", "s2"],
     [0.2, 0.3, 0.5],
@@ -105,6 +165,18 @@ class TestLatticeEnumeration:
         res = brute_force_solve(_DUPLICATED, mutual_information_cost(_DUPLICATED.prior, 0.25), 0.25)
         np.testing.assert_array_equal(res.rule.rows[0], [0.0, 0.75, 0.0, 0.25])
 
+    @pytest.mark.parametrize("block_values", [35, 35 * 100])
+    def test_ties_in_separate_blocks_keep_the_first_maximizer(self, monkeypatch, block_values):
+        # 100 lead rows a block puts the four ties in the 5th, 8th, 10th and
+        # 11th of 13 blocks; one lead row a block gives each its own block
+        model = mutual_information_cost(_DUPLICATED.prior, 0.25)
+        expected = brute_force_solve(_DUPLICATED, model, 0.25)
+        monkeypatch.setattr(oracle, "BLOCK_VALUES", block_values)
+        res = brute_force_solve(_DUPLICATED, model, 0.25)
+        assert res.value == expected.value
+        np.testing.assert_array_equal(res.rule.rows, expected.rule.rows)
+        np.testing.assert_array_equal(res.rule.rows[0], [0.0, 0.75, 0.0, 0.25])
+
 
 class TestVerifyFocs:
     def test_converged_solution_passes(self):
@@ -133,6 +205,11 @@ class TestVerifyFocs:
         m = mutual_information_cost(p.prior, 1.0)
         rep = verify_focs(p, m, alpha, lam, multiplier_bounds(p, m))
         assert rep.residual_alpha < 1e-9 and rep.residual_lambda < 1e-9
+
+    def test_cost_on_another_prior_is_refused(self):
+        p = validate_problem(["s0", "s1"], [0.3, 0.7], [("a", [1, 0]), ("b", [0, 1])])
+        with pytest.raises(ValidationError, match="share the prior"):
+            verify_focs(p, chi2_cost([0.5, 0.5], 1.0), np.full(2, 0.5), np.zeros(2))
 
 
 class TestPerStatePerturbedChoice:
