@@ -94,6 +94,26 @@ def fd_jacobian(F: Callable[[np.ndarray], np.ndarray], z: np.ndarray, Fz: np.nda
     return J
 
 
+def newton_step(J: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Solution of ``J step = -F`` for a Newton step.
+
+    A square J is solved by LU, and its step kept when it is finite and
+    ``|J step + F| <= 1e-10 |F|``.  Otherwise, as for a non-square J or one
+    made singular by tied or duplicated actions, the step is the
+    minimum-norm least-squares solution.  Raises ``LinAlgError`` when that
+    does not converge.
+    """
+    if J.shape[0] == J.shape[1]:
+        try:
+            step = np.linalg.solve(J, -F)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            if np.all(np.isfinite(step)) and np.linalg.norm(J @ step + F) <= 1e-10 * np.linalg.norm(F):
+                return step
+    return np.linalg.lstsq(J, -F, rcond=None)[0]
+
+
 def newton(
     F: Callable[[np.ndarray], np.ndarray],
     z0,
@@ -103,8 +123,9 @@ def newton(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton solve of ``F(z) = 0``; ``(z, F(z))`` at the last accepted iterate.
 
-    Steps are least-squares solutions of ``J step = -F``, so a singular or
-    rank-deficient Jacobian still gives the minimum-norm step.  Each step is
+    Steps are the ``newton_step`` solutions of ``J step = -F``: LU steps,
+    with the minimum-norm least-squares step for a non-square or singular
+    Jacobian, or an LU step that fails its residual check.  Each step is
     halved up to ``max_halvings`` times until it meets the Armijo condition
     on ``|F|^2 / 2``; the solve stops when none does, when a step is not a
     descent direction, after 50 steps, or, without taking it, once a step
@@ -120,7 +141,7 @@ def newton(
     for _ in range(50):
         J = jac(z) if jac is not None else fd_jacobian(F, z, Fz)
         try:
-            step = np.linalg.lstsq(J, -Fz, rcond=None)[0]
+            step = newton_step(J, Fz)
         except np.linalg.LinAlgError:
             break
         if np.max(np.abs(step)) <= 1e-13 * (1.0 + np.max(np.abs(z))):
@@ -154,10 +175,10 @@ def descend(
     at most 500 steps.  Each step is a regularized Newton step, solving ``(mu I - J) d = F`` with
     ``mu = |F|`` and ``J`` the Jacobian of F (forward differences without
     ``jac``), so ``-J`` is the Hessian of f.  Where f is nearly linear, as
-    where softmax-type conjugates saturate and Newton's least-squares steps
-    stall, the step is a gradient step of length about one; a full step
-    that meets the Armijo condition on f is doubled while f keeps falling,
-    and one that does not is halved until it does.  The descent stops once
+    where softmax-type conjugates saturate and Newton's own steps stall,
+    the step is a gradient step of length about one; a full step that
+    meets the Armijo condition on f is doubled while f keeps falling, and
+    one that does not is halved until it does.  The descent stops once
     f no longer falls, which near a root happens at the rounding of f, well
     before F is small: ``newton`` finishes from there.
     """
@@ -248,7 +269,7 @@ def stationary_point(grad, p0, face=None, jac=None, accept=None) -> np.ndarray |
         return None
     if idx.size > 1 and np.max(np.abs(Fz)) > 1e-9 * (1.0 + abs(z[-1])):
         J_z = J(z) if jac is not None else fd_jacobian(F, z, Fz)
-        low = z[:-1] + np.linalg.lstsq(J_z, -Fz, rcond=None)[0][:-1] < math.log(1e-300)
+        low = z[:-1] + newton_step(J_z, Fz)[:-1] < math.log(1e-300)
         if low.any() and not low.all():
             keep = np.zeros(n, dtype=bool)
             keep[idx[~low]] = True

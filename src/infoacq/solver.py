@@ -315,29 +315,44 @@ def chi2_multiplier(alpha, payoffs_state, kappa: float = 1.0) -> float:
     Actions in the support are ranked by payoff (descending, ties by index);
     the cutoff keeps every action whose payoff gap to the running mixture is
     below kappa, and the multiplier is the truncated mixture average shifted
-    by the unused budget.
+    by the unused budget.  One column of ``_chi2_statewise``.
     """
-    alpha = np.asarray(alpha, dtype=float)
     pay = np.asarray(payoffs_state, dtype=float)
+    return float(_chi2_statewise(alpha, pay[:, None], kappa)[0])
+
+
+def _chi2_statewise(alpha, payoffs, kappa):
+    """``chi2_multiplier`` of every column of the ``(actions, states)`` payoffs."""
+    alpha = np.asarray(alpha, dtype=float)
     keep = np.flatnonzero(alpha > 0.0)
     if keep.size == 0:
         raise ValidationError("empty support")
-    order = keep[np.lexsort((keep, -pay[keep]))]
-    a = pay[order]
-    w = alpha[order]
-    cum_w = np.cumsum(w)
-    cum_wa = np.cumsum(w * a)
+    pay = payoffs[keep]
+    # a stable sort keeps tied payoffs in index order
+    order = np.argsort(-pay, axis=0, kind="stable")
+    a = np.take_along_axis(pay, order, axis=0)
+    w = alpha[keep][order]
+    cum_w = np.cumsum(w, axis=0)
+    cum_wa = np.cumsum(w * a, axis=0)
     gaps = cum_wa - cum_w * a  # sum_{j<=i} alpha_j (a_j - a_i)
     inside = gaps < kappa
-    istar = int(np.max(np.flatnonzero(inside)))
-    s = cum_w[istar]
-    return float(cum_wa[istar] / s - kappa / s + kappa)
+    # the last action inside; the first always is, with a gap of zero
+    istar = keep.size - 1 - np.argmax(inside[::-1], axis=0)
+    cols = np.arange(pay.shape[1])
+    s = cum_w[istar, cols]
+    return cum_wa[istar, cols] / s - kappa / s + kappa
 
 
-def _mi_statewise(alpha, payoffs_state, kappa):
-    logits = np.where(alpha > 0, np.log(np.maximum(alpha, 1e-300)) + payoffs_state / kappa, -np.inf)
-    mx = logits.max()
-    return kappa * (mx + math.log(np.exp(logits - mx).sum()))
+def _mi_statewise(alpha, payoffs, kappa):
+    """Shannon statewise multipliers: ``kappa`` times the logsumexp over the
+    support of ``log alpha + payoffs / kappa`` in every state."""
+    # one contiguous row per state, so each row sums in the order of a
+    # one-state sum
+    logits = np.where(
+        alpha > 0, np.log(np.maximum(alpha, 1e-300)) + np.ascontiguousarray(payoffs.T) / kappa, -np.inf
+    )
+    mx = logits.max(axis=1)
+    return kappa * (mx + np.log(np.exp(logits - mx[:, None]).sum(axis=1)))
 
 
 def scipy_root(*args, **kwargs):
@@ -345,8 +360,8 @@ def scipy_root(*args, **kwargs):
 
     Nothing in the library calls it: every vector root goes through
     ``_rootfind.newton``.  It is kept only because ``bench/tracer.py`` binds
-    this name when it installs, until the in-library solve trace of ROADMAP
-    item 2 replaces that tracer.
+    this name when it installs, until the bench rework of ROADMAP item 4
+    replaces that tracer.
     """
     from scipy.optimize import root
 
@@ -367,15 +382,12 @@ def _inner_minimize(problem, model, alpha, lam0, inner_tol=1e-11):
     n = problem.n_states
     if isinstance(model, CsiszarCost):
         t = model.transform
-        lam_pi = np.empty(n)
-        for s in range(n):
-            pay = problem.payoffs[:, s]
-            if t.family == "shannon":
-                lam_pi[s] = _mi_statewise(alpha, pay, t.kappa)
-            elif t.family == "chi2":
-                lam_pi[s] = chi2_multiplier(alpha, pay, t.kappa)
-            else:
-                lam_pi[s] = statewise_multiplier(alpha, pay, t)
+        if t.family == "shannon":
+            lam_pi = _mi_statewise(alpha, problem.payoffs, t.kappa)
+        elif t.family == "chi2":
+            lam_pi = _chi2_statewise(alpha, problem.payoffs, t.kappa)
+        else:
+            lam_pi = np.array([statewise_multiplier(alpha, pay, t) for pay in problem.payoffs.T])
         return prior * lam_pi
 
     lam = np.zeros(n) if lam0 is None else lam0.copy()
@@ -490,10 +502,11 @@ def _kkt_system(problem, model, z, basis=None, jac=False):
 def _polish_once(problem, model, alpha0, lam0):
     """Semismooth Newton solve of the Fischer-Burmeister system from (alpha0, lam0).
 
-    The solve is ``_rootfind.newton``: least-squares steps, since tied or
-    duplicated actions make the Jacobian singular, with Armijo backtracking
-    on ``|F|^2 / 2``, stopping before a rounding-level step, so the result is
-    the accepted iterate with the smallest residual norm.  Weights
+    The solve is ``_rootfind.newton``: LU steps, with least squares only for
+    a singular Jacobian, as tied or duplicated actions make it, or a step
+    that fails the residual check; Armijo backtracking on ``|F|^2 / 2``; and
+    a stop before a rounding-level step, so the result is the accepted
+    iterate with the smallest residual norm.  Weights
     that the complementarity leaves at or below ``t - v_a`` are set to zero.
     Returns ``(alpha, lam)``, or None when F is not finite at the start,
     such as at an overflowed iterate, or no weight survives.
@@ -593,7 +606,7 @@ def _best_response_backend(problem, model, opts):
 
 
 # ``bench/tracer.py`` binds this name when it installs; the name goes with the
-# benchmark rework of ROADMAP item 3
+# bench rework of ROADMAP item 4
 _mirror_prox_backend = _best_response_backend
 
 

@@ -2,7 +2,9 @@
 of ``infoacq._rootfind``."""
 
 import numpy as np
+import pytest
 
+from infoacq import _rootfind
 from infoacq._rootfind import (
     SIMPLEX_STEPS,
     descend,
@@ -22,14 +24,25 @@ def _circle_line_jac(z):
     return np.array([[2.0 * z[0], 2.0 * z[1]], [1.0, -1.0]])
 
 
+@pytest.fixture
+def lstsq_calls(monkeypatch):
+    """Count the least-squares solves of ``_rootfind``."""
+    calls = []
+    lstsq = _rootfind.np.linalg.lstsq
+    monkeypatch.setattr(_rootfind.np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+    return calls
+
+
 class TestNewton:
-    def test_smooth_system_converges_to_rounding(self):
+    def test_smooth_system_converges_to_rounding(self, lstsq_calls):
         z, F = newton(_circle_line, [1.0, 0.5], _circle_line_jac)
         np.testing.assert_allclose(z, [np.sqrt(2.0), np.sqrt(2.0)], rtol=0, atol=1e-15)
         assert np.max(np.abs(F)) <= 1e-14
         np.testing.assert_array_equal(F, _circle_line(z))
+        # a square nonsingular Jacobian takes LU steps only
+        assert lstsq_calls == []
 
-    def test_singular_jacobian_takes_the_least_squares_step(self):
+    def test_singular_jacobian_takes_the_least_squares_step(self, lstsq_calls):
         # rank one: every point of z0 + z1 = 2 is a root; from the origin the
         # least-squares step is the minimum-norm one, straight to (1, 1)
         def F(z):
@@ -38,6 +51,17 @@ class TestNewton:
         z, Fz = newton(F, [0.0, 0.0], lambda z: np.array([[1.0, 1.0], [2.0, 2.0]]))
         np.testing.assert_allclose(z, [1.0, 1.0], rtol=0, atol=1e-15)
         assert np.max(np.abs(Fz)) <= 1e-14
+        assert lstsq_calls
+
+    def test_non_square_jacobian_takes_the_least_squares_step(self, lstsq_calls):
+        # three consistent equations in two unknowns, with root (1, 2)
+        def F(z):
+            return np.array([z[0] - 1.0, z[1] - 2.0, z[0] + z[1] - 3.0])
+
+        z, Fz = newton(F, [0.0, 0.0], lambda z: np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+        np.testing.assert_allclose(z, [1.0, 2.0], rtol=0, atol=1e-15)
+        assert np.max(np.abs(Fz)) <= 1e-15
+        assert lstsq_calls
 
     def test_non_finite_start_is_returned(self):
         calls = []

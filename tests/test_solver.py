@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from infoacq import solver
 from infoacq.analysis import multitask_experiment
@@ -271,8 +273,66 @@ class TestStatewiseMultipliers:
             b = statewise_multiplier(alpha, pay, chi2(kappa))
             assert a == pytest.approx(b, abs=1e-10)
 
+    @given(st.integers(0, 2**32 - 1))
+    def test_batched_quadratic_rule_matches_each_column(self, seed):
+        alpha, pay, kappa = _statewise_draw(seed)
+        batched = solver._chi2_statewise(alpha, pay, kappa)
+        for s in range(pay.shape[1]):
+            assert batched[s] == chi2_multiplier(alpha, pay[:, s], kappa)
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_batched_entropy_rule_matches_each_column(self, seed):
+        alpha, pay, kappa = _statewise_draw(seed)
+        batched = solver._mi_statewise(alpha, pay, kappa)
+        for s in range(pay.shape[1]):
+            # the per-state form: the log of the sum is the C library's and
+            # the batched one NumPy's, which may differ by one ulp, carried
+            # through the sum with the max and the product with kappa
+            logits = np.where(alpha > 0, np.log(np.maximum(alpha, 1e-300)) + pay[:, s] / kappa, -np.inf)
+            mx = logits.max()
+            log_sum = math.log(np.exp(logits - mx).sum())
+            ref = kappa * (mx + log_sum)
+            ulps = kappa * (np.spacing(abs(log_sum)) + np.spacing(abs(mx + log_sum))) + np.spacing(abs(ref))
+            assert abs(batched[s] - ref) <= ulps
+
+
+def _statewise_draw(seed):
+    """Weights with zeros, payoffs with ties and a budget, for 1-8 actions
+    and 1-6 states."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+    alpha = rng.dirichlet(np.ones(m))
+    alpha[rng.random(m) < 0.3] = 0.0
+    if not alpha.any():
+        alpha[rng.integers(m)] = 1.0
+    pay = rng.normal(size=(m, n)) * rng.choice([0.1, 1.0, 10.0])
+    if rng.random() < 0.5:
+        pay = np.round(pay, 1)
+    return alpha, pay, float(rng.choice([0.05, 0.5, 1.0, 3.0]))
+
 
 class TestSolve:
+    def test_duplicated_supported_action_takes_the_least_squares_step(self, monkeypatch):
+        # both copies of action 0 carry weight, so the rows of their
+        # complementarity conditions coincide at the solution and the
+        # Jacobian is singular there: the LU step fails and Newton falls back
+        # to least squares.  Any split of the copies' weight solves the
+        # problem; from the uniform start of this symmetric one the split
+        # stays even to the tolerance
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        g = guess_the_state(3, 1.0)
+        p = validate_problem(g.states, g.prior, [*zip(g.action_names, g.payoffs), ("copy", g.payoffs[0])])
+        model = posterior_separable_cost(p.prior, shannon_kl_entropy(p.prior))
+        opts = SolveOptions()
+        sol = solve(p, model, opts)
+        assert sol.converged and calls
+        rep = verify_focs(p, model, sol.alpha, sol.lam)
+        assert max(rep.residual_alpha, rep.residual_lambda) <= opts.tol
+        assert sol.alpha[0] > 0.1
+        assert sol.alpha[0] == pytest.approx(sol.alpha[-1], abs=opts.tol)
+
     def test_identical_actions_mean_no_learning(self):
         pay = [0.4, -0.2]
         p = validate_problem(["s0", "s1"], [0.5, 0.5], [("a", pay), ("b", pay)])
@@ -680,7 +740,7 @@ class TestBestEffort:
 
 class TestInnerMinimization:
     def test_overflow_scale_posterior_separable_best_response(self):
-        # Newton's least-squares steps stall where the softmax posteriors
+        # Newton's own steps stall where the softmax posteriors
         # saturate; the inner minimization must still meet inner_tol there,
         # in milliseconds, for the whole solve to fit the bound
         p = random_problem(np.random.default_rng(2), 8, 3)
