@@ -1,8 +1,9 @@
-"""Root finding: bracketed scalar roots (bisection first, then safeguarded
-secant steps), a damped Newton method for smooth vector systems, and the
-simplex maximization behind the numeric conjugate, the f-mean and the
-per-state perturbed-utility oracle: exponentiated-gradient ascent finished
-by a Newton solve of the stationarity conditions on a face."""
+"""Root finding: bracketed scalar roots by Brent's method (inverse-quadratic
+and secant steps with a bisection fallback), a damped Newton method for
+smooth vector systems, and the simplex maximization behind the numeric
+conjugate, the f-mean and the per-state perturbed-utility oracle:
+exponentiated-gradient ascent finished by a Newton solve of the
+stationarity conditions on a face."""
 
 from __future__ import annotations
 
@@ -10,6 +11,9 @@ import math
 from typing import Callable
 
 import numpy as np
+
+
+_EPS = float(np.finfo(float).eps)
 
 
 class BracketError(RuntimeError):
@@ -26,9 +30,15 @@ def bracketed_root(
 ) -> float:
     """Root of a continuous ``f`` on ``[lo, hi]`` with a sign change across it.
 
-    A secant step from the bracket endpoints is accepted only while it lands
-    strictly inside the current bracket; otherwise the step falls back to the
-    midpoint, so progress never degrades below bisection.
+    Brent's method (Brent 1973, *Algorithms for Minimization without
+    Derivatives*, ch. 4): each step is an inverse-quadratic or secant step
+    through the last three iterates, taken while it lands well inside the
+    bracket and is under half the step before last, and a bisection step
+    otherwise.  An endpoint where f is exactly zero is returned as it is.
+    Otherwise the result is the end of the final bracket with the smaller
+    ``|f|``, and that bracket is at most ``xtol max(1, |x|)`` wide (or
+    ``4 eps |x|``, where that is wider), unless ``max_iter`` steps ran out
+    first.  Raises ``BracketError`` when f has the same sign at both ends.
     """
     a, b = float(lo), float(hi)
     fa, fb = float(f(a)), float(f(b))
@@ -36,30 +46,48 @@ def bracketed_root(
         return a
     if fb == 0.0:
         return b
-    if np.sign(fa) == np.sign(fb):
+    if (fa > 0.0 and fb > 0.0) or (fa < 0.0 and fb < 0.0):
         raise BracketError(
             f"no sign change on [{lo:.6g}, {hi:.6g}]: f(lo)={fa:.6g}, f(hi)={fb:.6g}"
         )
+    # b is the best iterate and c the bracket end across the sign change from
+    # it; a is the previous b, d the last step and e the one before it
+    c, fc = a, fa
+    d = e = b - a
     for _ in range(max_iter):
-        width = abs(b - a)
-        if width <= xtol * max(1.0, abs(a), abs(b)):
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = max(0.5 * xtol * max(1.0, abs(b)), 2.0 * _EPS * abs(b))
+        half = 0.5 * (c - b)
+        if abs(half) <= tol:
             break
-        guard = 0.01 * width
-        if fb != fa:
-            x = b - fb * (b - a) / (fb - fa)
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * half * s, 1.0 - s
+            else:  # inverse quadratic through (a, fa), (b, fb), (c, fc)
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * half * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = half
         else:
-            x = 0.5 * (a + b)
-        inner_lo, inner_hi = min(a, b) + guard, max(a, b) - guard
-        if not (inner_lo <= x <= inner_hi):
-            x = 0.5 * (a + b)
-        fx = float(f(x))
-        if fx == 0.0:
-            return x
-        if np.sign(fx) == np.sign(fa):
-            a, fa = x, fx
-        else:
-            b, fb = x, fx
-    return 0.5 * (a + b)
+            d = e = half
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, half)
+        fb = float(f(b))
+        if fb == 0.0:
+            return b
+    return b
 
 
 def expand_bracket(

@@ -101,16 +101,27 @@ def mutual_information_threshold(n: int, w: float, kappa: float = 1.0) -> float:
     return kappa * math.log(math.exp(w / kappa) / n + (n - 1) / n)
 
 
-def _curvature_trend(t: Transform, lo: float, hi: float, samples: int = 41) -> str:
+def _curvature_samples(t: Transform, lo: float, hi: float, samples: int = 41) -> np.ndarray:
+    """Curvature index psi''/psi' on ``samples`` evenly spaced points of [lo, hi].
+
+    Points within 1e-4 of a kink are skipped, and so are points where
+    ``psi' <= 0`` or ``psi'' == 0``.  Without an analytic ``psi''`` it takes
+    the centered differences of ``risk_indices``, all points in one call.
+    """
     xs = np.linspace(lo, hi, samples)
-    vals = []
-    for x in xs:
-        if t.near_kink(x, 1e-4):
-            continue
-        try:
-            vals.append(risk_indices(t, float(x))[0])
-        except ValueError:
-            continue
+    xs = xs[np.all(np.abs(xs[:, None] - np.asarray(t.kinks, dtype=float)) >= 1e-4, axis=1)]
+    p1 = t.psi_prime(xs)
+    if t.psi_pp is not None:
+        p2 = t.psi_pp(xs)
+    else:
+        h = 1e-5 * np.maximum(1.0, np.abs(xs))
+        p2 = (t.psi_prime(xs + h) - t.psi_prime(xs - h)) / (2 * h)
+    keep = ~(p1 <= 0.0) & (p2 != 0.0)  # a NaN psi' is kept, as in risk_indices
+    return p2[keep] / p1[keep]
+
+
+def _curvature_trend(t: Transform, lo: float, hi: float, samples: int = 41) -> str:
+    vals = _curvature_samples(t, lo, hi, samples)
     if len(vals) < 3:
         return "mixed"
     diffs = np.diff(vals)

@@ -215,35 +215,41 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--opts")
     p_solve.add_argument("--out")
     p_solve.add_argument("--seed", type=int)
-    p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="re-check a solution file")
     p_verify.add_argument("--problem", required=True)
     p_verify.add_argument("--cost", required=True)
     p_verify.add_argument("--solution", required=True)
     p_verify.add_argument("--out")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_oracle = sub.add_parser("oracle", help="brute-force lattice search")
     p_oracle.add_argument("--problem", required=True)
     p_oracle.add_argument("--cost", required=True)
     p_oracle.add_argument("--grid", type=float, default=0.01)
     p_oracle.add_argument("--out")
-    p_oracle.set_defaults(func=cmd_oracle)
 
     p_sweep = sub.add_parser("sweep", help="tabulate an application curve as CSV")
     p_sweep.add_argument("--spec", required=True)
     p_sweep.add_argument("--out")
     p_sweep.add_argument("--parallel", type=int, default=0)
-    p_sweep.set_defaults(func=cmd_sweep)
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; the parser is built on the first call of the process.
+
+    The command runs as the module's current ``cmd_<command>`` attribute,
+    so a function rebound there after that first call is the one that runs.
+    """
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

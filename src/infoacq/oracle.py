@@ -54,6 +54,9 @@ def _golden_reference_min(chunk: np.ndarray, prior: np.ndarray, transform) -> np
     """Vectorized golden-section minimization of D(P || (s, 1-s)) over s, per rule.
 
     Only for two actions; the divergence is convex in the reference weight.
+    The search keeps s in [1e-12, 1 - 1e-12], so a rule that never takes an
+    action is also priced at the reference weight 0 on it, where that
+    column adds ``0 phi(0/0) = 0``, and keeps the smaller value.
     """
     R = chunk.shape[0]
 
@@ -74,7 +77,13 @@ def _golden_reference_min(chunk: np.ndarray, prior: np.ndarray, transform) -> np
         left = dval(c) <= dval(d)
         b = np.where(left, d, b)
         a = np.where(left, a, c)
-    return dval(0.5 * (a + b))
+    out = dval(0.5 * (a + b))
+    for col in (0, 1):
+        unused = ~chunk[:, :, col].any(axis=1)
+        if unused.any():
+            used = chunk[unused][:, :, 1 - col]
+            out[unused] = np.minimum(out[unused], np.asarray(transform.phi(used)) @ prior)
+    return out
 
 
 def _xlogx(p: np.ndarray) -> np.ndarray:

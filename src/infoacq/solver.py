@@ -283,10 +283,11 @@ def multiplier_bounds(problem: DecisionProblem, model: CostModel) -> MultiplierB
 def statewise_multiplier(alpha, payoffs_state, transform: Transform, tol: float = 1e-12) -> float:
     """Prior-adjusted multiplier in one state given the action distribution.
 
-    Solves ``sum_a alpha(a) psi'(a(s) - l) = 1`` on the bracket spanned by
-    the supported payoffs (the equation is decreasing in ``l`` and the
-    normalization psi'(0)=1 pins the signs at the endpoints), then refines by
-    safeguarded secant.
+    Solves ``sum_a alpha(a) psi'(a(s) - l) = 1`` by Brent's method
+    (``bracketed_root``) on the bracket spanned by the supported payoffs: the
+    equation is decreasing in ``l``, and the normalization psi'(0) = 1 pins
+    the signs at the endpoints.  The root is accurate to ``tol`` relative to
+    ``max(1, |l|)``.
     """
     alpha = np.asarray(alpha, dtype=float)
     pay = np.asarray(payoffs_state, dtype=float)

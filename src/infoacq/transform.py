@@ -362,7 +362,12 @@ def risk_indices(t: Transform, x: float) -> tuple[float, float]:
 
 
 def psi_inverse(t: Transform, y: float) -> float:
-    """Inverse of the increasing map psi, by bracketed root finding."""
+    """Inverse of the increasing map psi.
+
+    The bracket [-1, 1] doubles about its centre until ``psi - y`` changes
+    sign across it; Brent's method (``bracketed_root``) then finds x within
+    ``1e-13 max(1, |x|)``.
+    """
     f = lambda x: float(t.psi(x)) - y
     lo, hi = expand_bracket(f, -1.0, 1.0)
     return bracketed_root(f, lo, hi)

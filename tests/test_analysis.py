@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from infoacq.analysis import (
+    _curvature_samples,
+    _curvature_trend,
     epsilon_split_experiment,
     guess_state_accuracy,
     iia_diagnostics,
@@ -33,7 +36,14 @@ from infoacq.costs import (
     shannon_kl_entropy,
 )
 from infoacq.solver import solve, solve_best_response
-from infoacq.transform import chi2, scale_transform, shannon, shift_transform
+from infoacq.transform import (
+    chi2,
+    risk_indices,
+    scale_transform,
+    shannon,
+    shift_transform,
+    tabulated,
+)
 
 
 def _mi_response(gamma, w, kappa=1.0):
@@ -462,3 +472,64 @@ class TestShapeDiagnostics:
             b = response_curve(chi2(1.0), gamma, grid).rho
             diffs.append(np.max(np.abs(a - b)))
         assert max(diffs) > 1e-3
+
+
+def _reference_curvature(t, lo, hi, samples=41):
+    """The curvature scan one ``risk_indices`` call per sample, and its trend."""
+    vals = []
+    for x in np.linspace(lo, hi, samples):
+        if t.near_kink(x, 1e-4):
+            continue
+        try:
+            vals.append(risk_indices(t, float(x))[0])
+        except ValueError:
+            continue
+    if len(vals) < 3:
+        return np.array(vals), "mixed"
+    diffs = np.diff(vals)
+    scale = max(1e-12, np.abs(vals).max())
+    if np.all(np.abs(diffs) <= 1e-9 * scale):
+        return np.array(vals), "constant"
+    if np.all(diffs >= -1e-9 * scale):
+        return np.array(vals), "increasing"
+    if np.all(diffs <= 1e-9 * scale):
+        return np.array(vals), "decreasing"
+    return np.array(vals), "mixed"
+
+
+def _curvature_transforms():
+    ts = np.linspace(-3.0, 3.0, 25)
+    table = tabulated(np.column_stack([ts, np.exp(ts) * (1.0 + 0.1 * np.sin(ts))]))
+    return {
+        "chi2": chi2(1.0),
+        "shannon": shannon(0.7),
+        "scaled_chi2": scale_transform(chi2(1.0), 2.5),
+        "shifted_chi2": shift_transform(chi2(1.0), 0.5),
+        "shifted_shannon": shift_transform(shannon(1.0), 2.0),
+        "tabulated": table,
+        # no psi'': the scan takes centered differences of psi'
+        "chi2_without_psi_pp": dataclasses.replace(chi2(0.8), psi_pp=None),
+        "tabulated_without_psi_pp": dataclasses.replace(table, psi_pp=None),
+    }
+
+
+class TestCurvatureScan:
+    @pytest.mark.parametrize("name", list(_curvature_transforms()))
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (-1.0, 1.0),  # the chi2 kink at -1 is a grid point
+            (-4.0, 4.0),  # reaches where chi2's psi' and psi'' vanish
+            (0.2, 5.0),
+        ],
+    )
+    def test_matches_the_per_sample_loop(self, name, lo, hi):
+        t = _curvature_transforms()[name]
+        want, trend = _reference_curvature(t, lo, hi)
+        got = _curvature_samples(t, lo, hi)
+        assert got.shape == want.shape
+        # the same arithmetic on the same points; only a vectorized exp may
+        # differ from the scalar one in its last bit, which the centered
+        # differences without psi'' magnify by about 1 / h = 1e5
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+        assert _curvature_trend(t, lo, hi) == trend

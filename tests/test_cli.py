@@ -10,7 +10,7 @@ import shutil
 import numpy as np
 import pytest
 
-from infoacq import io
+from infoacq import cli, io
 from infoacq.cli import main
 from infoacq.core import ValidationError, validate_problem
 from infoacq.solver import SolveOptions, solve, solve_best_response
@@ -510,6 +510,37 @@ class TestSweepCommand:
             assert main(argv + ["--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestDispatch:
+    def test_two_calls_build_one_parser(self, tmp_path, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        for kind in ("thresholds", "response"):
+            argv = ["sweep", "--spec", sample(f"{kind}_sweep.json"), "--out", str(tmp_path / f"{kind}.csv")]
+            assert main(argv) == 0
+        assert built == [1]
+
+    def test_a_rebound_command_is_the_one_that_runs(self, tmp_path, monkeypatch):
+        # the parser exists before the rebinding, as it does for a tracer
+        # that wraps cli.cmd_* after a warm-up call
+        assert main(["sweep", "--spec", sample("thresholds_sweep.json"), "--out", str(tmp_path / "a.csv")]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_sweep", lambda args: seen.append(args) or 7)
+        assert main(["sweep", "--spec", "spec.json", "--parallel", "2"]) == 7
+        assert [(args.spec, args.parallel) for args in seen] == [("spec.json", 2)]
+
+    def test_invalid_argv_exits_2_and_the_parser_still_works(self, tmp_path, capsys):
+        for argv in (["sweep"], ["bogus"], ["solve", "--problem", "p.json"], []):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert "usage: infoacq" in capsys.readouterr().err
+        out = tmp_path / "th.csv"
+        assert main(["sweep", "--spec", sample("thresholds_sweep.json"), "--out", str(out)]) == 0
+        assert out.read_text().startswith("n,w,c_lower,c_upper,c_hat\n")
 
 
 class TestFileFormats:

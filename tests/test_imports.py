@@ -1,5 +1,6 @@
 """Cold-path contract: the package, the CLI, MI, chi2 and posterior-separable
-solves (nested Shannon included) and the lattice oracle load no SciPy.
+solves (nested Shannon included), the threshold and response sweeps, whose
+scalar roots run in the library, and the lattice oracle load no SciPy.
 
 SciPy is imported inside the functions that use it. The check runs in a fresh
 interpreter, because the test session itself has long since imported SciPy.
@@ -28,7 +29,9 @@ SCRIPT = textwrap.dedent(
         sol = f"{out}/{cost}_sol.json"
         assert main(["solve", *args, "--opts", "samples/opts.json", "--out", sol]) == 0
         assert main(["verify", *args, "--solution", sol, "--out", f"{out}/{cost}_verify.json"]) == 0
-
+    for kind in ("thresholds", "response"):
+        spec = f"samples/{kind}_sweep.json"
+        assert main(["sweep", "--spec", spec, "--out", f"{out}/{kind}.csv"]) == 0
 
     def scipy_modules():
         return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))

@@ -92,6 +92,19 @@ class TestLatticeValues:
                 payoff = float(p.prior @ np.sum(rule.rows.T * p.payoffs, axis=0))
                 assert value == pytest.approx(payoff - model.primal_cost(rule), rel=1e-13, abs=1e-15)
 
+    def test_two_action_rule_with_an_unused_action_pays_no_reference_mass(self):
+        # the golden section stops 1e-12 short of the reference weight 0; an
+        # unused action is priced there too, where its column adds 0 phi(0/0) = 0
+        p = random_problem(np.random.default_rng(43), 3, 2)
+        t = shift_transform(chi2(1.0), 0.5)
+        rows = _lattice_rows(4, 2)  # (0, 1), (1/4, 3/4), ..., (1, 0)
+        tables = _LatticeTables(p, csiszar_cost(p.prior, t), rows)
+        for used, r in ((1, 0), (0, 4)):
+            value = tables.values(np.full((1, 2), r), np.array([r]))[0]
+            payoff = p.prior @ p.payoffs[used]
+            cost = float(p.prior @ t.phi(np.ones(3)))  # sum_s pi_s phi(P_s,used)
+            assert value == pytest.approx(payoff - cost, rel=0, abs=1e-15)
+
     @pytest.mark.parametrize("n_actions", [2, 3])
     def test_explicit_pricing_agrees_with_the_closed_forms(self, n_actions):
         # chi2 shifted at k = 1 is chi2 itself, and PS-KL is MI, but neither
@@ -107,8 +120,9 @@ class TestLatticeValues:
         for explicit, closed in pairs:
             res = brute_force_solve(p, explicit, grid)
             ref = brute_force_solve(p, closed, grid)
-            # the golden section pays 1e-12 phi(0) on an unused action
-            assert res.value == pytest.approx(ref.value, rel=0, abs=1e-11)
+            # the best rule takes a single action, which both routes price at
+            # zero cost
+            assert res.value == pytest.approx(ref.value, rel=0, abs=1e-15)
             np.testing.assert_array_equal(res.rule.rows, ref.rule.rows)
             assert res.evaluations == ref.evaluations and res.skipped_infinite == 0
 

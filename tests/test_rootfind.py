@@ -1,18 +1,112 @@
-"""The damped Newton method, the convex descent and the simplex maximization
-of ``infoacq._rootfind``."""
+"""The bracketed scalar root, the damped Newton method, the convex descent
+and the simplex maximization of ``infoacq._rootfind``."""
+
+import math
 
 import numpy as np
 import pytest
 
-from infoacq import _rootfind
+from infoacq import _rootfind, analysis, transform
 from infoacq._rootfind import (
     SIMPLEX_STEPS,
+    BracketError,
+    bracketed_root,
     descend,
     fd_jacobian,
     maximize_on_simplex,
     newton,
     stationary_point,
 )
+
+
+def _counted(f, calls):
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g
+
+
+class TestBracketedRoot:
+    def test_no_sign_change_raises(self):
+        with pytest.raises(BracketError, match="no sign change"):
+            bracketed_root(lambda x: x * x + 1.0, -1.0, 1.0)
+        with pytest.raises(BracketError):
+            bracketed_root(lambda x: -1.0 - x * x, -1.0, 1.0)
+
+    @pytest.mark.parametrize("lo, hi, root", [(0.0, 2.0, 0.0), (-3.0, 0.5, 0.5)])
+    def test_exact_zero_endpoint_is_returned_as_is(self, lo, hi, root):
+        calls = []
+        x = bracketed_root(_counted(lambda x: math.tanh(x - root), calls), lo, hi)
+        assert x == root
+        assert calls == [lo, hi]
+
+    @pytest.mark.parametrize(
+        "f, lo, hi, root",
+        [
+            # smooth: the fixed point of cos
+            (lambda x: math.cos(x) - x, 0.0, 1.0, 0.7390851332151607),
+            # convex across a wide bracket: the endpoint at 30 stalls a plain
+            # regula falsi, which then creeps in from the left
+            (lambda x: math.exp(x) - 2.0, -30.0, 30.0, math.log(2.0)),
+            # a large root, where the tolerance is relative
+            (lambda x: math.log(x / 3.0e6), 1.0, 1.0e7, 3.0e6),
+        ],
+    )
+    @pytest.mark.parametrize("xtol", [1e-13, 1e-10])
+    def test_root_is_within_tolerance(self, f, lo, hi, root, xtol):
+        calls = []
+        x = bracketed_root(_counted(f, calls), lo, hi, xtol=xtol)
+        assert abs(x - root) <= xtol * max(1.0, abs(x))
+        # bisection alone would take about 35 to 50 evaluations here
+        assert len(calls) <= 20
+
+    @pytest.mark.parametrize("y", [-0.2, 0.3, 4.0])
+    def test_kinked_chi2_psi_is_inverted(self, y):
+        # psi is flat at -kappa/2 left of the kink at -kappa and a parabola
+        # right of it; the bracket spans both pieces
+        for kappa in (0.5, 1.0, 3.0):
+            t = transform.chi2(kappa)
+            x = bracketed_root(lambda x: float(t.psi(x)) - y, -10.0 * kappa, 10.0 * kappa)
+            root = kappa * (math.sqrt(1.0 + 2.0 * y / kappa) - 1.0)
+            assert abs(x - root) <= 1e-13 * max(1.0, abs(x))
+
+    @pytest.mark.parametrize("xtol", [1e-3, 1e-8, 1e-13])
+    def test_returns_the_bracket_end_with_the_smaller_residual(self, xtol):
+        f = lambda x: math.exp(x) - 2.0
+        calls = []
+        x = bracketed_root(_counted(f, calls), -30.0, 30.0, xtol=xtol)
+        assert x in calls
+        if f(x) == 0.0:  # an exact root ends the search
+            return
+        # the other end of the final bracket: the nearest evaluated point
+        # where f has the other sign
+        other = min((c for c in calls if (f(c) > 0.0) != (f(x) > 0.0)), key=lambda c: abs(c - x))
+        assert abs(other - x) <= xtol * max(1.0, abs(x))
+        assert abs(f(x)) <= abs(f(other))
+
+    def test_cli_sweep_roots_stay_within_budget(self, monkeypatch):
+        # the response and threshold sweeps of the cli-apps benchmark: chi2
+        # at kappa 1, gamma 0.4 on twelve rewards, thresholds for n = 2..7
+        evaluations = []
+
+        def counting(f, lo, hi, **kwargs):
+            calls = []
+            x = _rootfind.bracketed_root(_counted(f, calls), lo, hi, **kwargs)
+            evaluations.append(len(calls))
+            return x
+
+        monkeypatch.setattr(analysis, "bracketed_root", counting)
+        monkeypatch.setattr(transform, "bracketed_root", counting)
+        t = transform.chi2(1.0)
+        for w in np.linspace(0.25, 5.0, 12):
+            analysis.response_curve(t, 0.4, [w])
+        for n in range(2, 8):
+            analysis.inconclusive_thresholds(t, n, 1.0)
+        # one root a reward, three a threshold row (c_upper, the multiplier
+        # and psi_inverse)
+        assert len(evaluations) == 12 + 3 * 6
+        assert max(evaluations) <= 15
 
 
 def _circle_line(z):
