@@ -8,6 +8,8 @@ works with the dense index order fixed at validation time.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +46,14 @@ def clean_weights(weights, what: str = "distribution") -> np.ndarray:
     if abs(total - 1.0) > SIMPLEX_SUM_TOL:
         raise ValidationError(f"{what}: weights sum to {total:.17g}, not 1")
     return arr / total
+
+
+def finite_positive(value, what: str) -> float:
+    """``value`` as a float; a ValidationError unless it is a finite positive number."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value) and value > 0):
+        raise ValidationError(f"{what} must be finite and positive, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import divergence
 from ._rootfind import SIMPLEX_STEPS, descend, maximize_on_simplex, newton, stationary_point
-from .core import ChoiceRule, SolverError, ValidationError, clean_weights
+from .core import ChoiceRule, SolverError, ValidationError, clean_weights, finite_positive
 from .transform import Transform, scale_transform, shannon, chi2
 
 COST_FAMILIES = (
@@ -303,7 +303,7 @@ def numeric_conjugate(h: Entropy, x):
 def shannon_kl_entropy(prior, kappa: float = 1.0) -> Entropy:
     """H(p) = kappa * KL(p || prior)."""
     prior = clean_weights(prior, "prior")
-    k = float(kappa)
+    k = finite_positive(kappa, "kappa")
     logpi = np.log(prior)
 
     def value(p):
@@ -343,12 +343,10 @@ def nested_shannon_entropy(encoder: Encoder, zeta: float, etas) -> Entropy:
     nested-logit surplus of :func:`_nested_logit`; the entropy value is its
     dual, :func:`_nested_shannon_dual`.
     """
-    if zeta <= 0:
-        raise ValidationError("zeta must be positive")
+    zeta = finite_positive(zeta, "zeta")
     etas = np.asarray(etas, dtype=float) * np.ones(encoder.n_attributes)
-    if np.any(etas <= 0):
-        raise ValidationError("etas must be positive")
-    zeta = float(zeta)
+    if not np.all(np.isfinite(etas) & (etas > 0)):
+        raise ValidationError("etas must be finite and positive")
     lognu = np.log(encoder.nu)
     with np.errstate(divide="ignore"):
         logmu = np.log(encoder.mu)
@@ -498,11 +496,8 @@ def _neighborhood_blocks(n: int, neighborhoods) -> list[tuple[tuple[int, ...], f
             raise ValidationError(f"neighborhood {idx!r}: states must lie in [0, {n})")
         if len(set(idx)) != len(idx):
             raise ValidationError(f"neighborhood {idx!r} repeats a state")
-        real = isinstance(kap, numbers.Real) and not isinstance(kap, bool)
-        if not (real and math.isfinite(kap) and kap > 0):
-            raise ValidationError(f"neighborhood weights must be finite and positive, got {kap!r}")
         key = tuple(sorted(int(i) for i in idx))
-        merged[key] = merged.get(key, 0.0) + float(kap)
+        merged[key] = merged.get(key, 0.0) + finite_positive(kap, "neighborhood weights")
     covered = np.zeros(n, dtype=bool)
     for idx in merged:
         covered[list(idx)] = True
@@ -930,9 +925,7 @@ def perceptual_csiszar_cost(prior, transform: Transform, encoder: Encoder) -> Pe
 
 def scale(model: CostModel, kappa: float) -> CostModel:
     """The cost kappa * I_f; conjugate kappa f*(x / kappa), implemented per family."""
-    if kappa <= 0:
-        raise ValidationError("kappa must be positive")
-    if kappa == 1.0:
+    if finite_positive(kappa, "kappa") == 1.0:
         return model
     if isinstance(model, CsiszarCost):
         return CsiszarCost(model.prior, scale_transform(model.transform, kappa), model.family)
@@ -948,7 +941,7 @@ def scale(model: CostModel, kappa: float) -> CostModel:
 
 
 def scale_entropy(h: Entropy, kappa: float) -> Entropy:
-    k = float(kappa)
+    k = finite_positive(kappa, "kappa")
     hess = h.conj_hess_fn
     return Entropy(
         family=h.family,

@@ -11,20 +11,21 @@ maximal on the support of alpha, and the reconstructed rows
 
     P[s, a] = alpha(a) * grad_s f*(a pi - lambda)
 
-sum to one in every state.  ``solve`` takes one route per cost model: the
-reduction to the attribute problem for perceptual costs; for mutual
-information a short Blahut-Arimoto warm start finished by a semismooth Newton
-polish of the Fischer-Burmeister form of these conditions, with the full
-fixed point (``solve_mutual_information``) only when the polish fails; and
-otherwise ``solve_best_response``, an exact-inner-minimization best response
-finished by the same polish.  Every vector root is the damped Newton of
-``_rootfind.newton``, with exact Jacobians from the conjugate Hessians where
-the model has them, and forward differences otherwise.
+sum to one in every state.  ``solve`` reduces perceptual costs to the
+attribute problem, and runs every other cost model, mutual information
+included, through ``solve_best_response``: an exact-inner-minimization best
+response finished by a semismooth Newton polish of the Fischer-Burmeister
+form of these conditions.  ``solve_mutual_information``, the Blahut-Arimoto
+fixed point, is kept as an independent reference.  Every vector root is the
+damped Newton of ``_rootfind.newton``, with exact Jacobians from the
+conjugate Hessians where the model has them, and forward differences
+otherwise.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, partial
 from typing import Callable
@@ -37,6 +38,7 @@ from .core import (
     DecisionProblem,
     SolverError,
     ValidationError,
+    finite_positive,
     validate_problem,
 )
 from .costs import (
@@ -61,10 +63,11 @@ class SolveOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValidationError("tolerance must be positive")
-        if self.max_iter < 1:
-            raise ValidationError("iteration cap must be at least 1")
+        finite_positive(self.tol, "tol")
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+            raise ValidationError(f"iteration cap must be an integer of at least 1, got {self.max_iter!r}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass
@@ -673,13 +676,12 @@ def _check_shared_prior(problem: DecisionProblem, model: CostModel) -> None:
 
 
 def solve(problem: DecisionProblem, model: CostModel, opts: SolveOptions | None = None) -> Solution:
-    """Find a saddle point on the route the cost model selects, and reconstruct the choice rule."""
+    """Find a saddle point and reconstruct the choice rule: perceptual costs
+    through the attribute reduction, every other cost by the best response."""
     opts = opts or SolveOptions()
     _check_shared_prior(problem, model)
     if isinstance(model, PerceptualCsiszarCost):
         return solve_perceptual(problem, model.transform, model.encoder, opts)
-    if isinstance(model, CsiszarCost) and model.transform.family == "shannon":
-        return _solve_mi(problem, model, opts)
     return solve_best_response(problem, model, opts)
 
 
@@ -702,12 +704,6 @@ def solve_best_response(
 def _lse_vec(v):
     mx = v.max()
     return mx + math.log(np.exp(v - mx).sum())
-
-
-# Blahut-Arimoto steps run before the Newton polish takes over under mutual
-# information; most problems meet tol only after thousands of these linearly
-# convergent steps, while symmetric ones meet it within a few
-MI_WARM_STEPS = 20
 
 
 def _mi_fixed_point(problem, kappa, alpha, max_iter, tol):
@@ -763,13 +759,24 @@ def _mi_fixed_point(problem, kappa, alpha, max_iter, tol):
     return alpha, kappa * prior * lse, iters, converged
 
 
-def _mi_solution(problem, kappa, alpha, lam, iters, converged, backend):
-    """Assemble an MI pair, with the gap between alpha and the unconditional
-    distribution of the rule that the pair reconstructs."""
+def solve_mutual_information(
+    problem: DecisionProblem, kappa: float = 1.0, opts: SolveOptions | None = None
+) -> Solution:
+    """Entropy-cost solver: the Blahut-Arimoto fixed point run to ``opts.tol``.
+
+    This is the pure multiplicative route of ``_mi_fixed_point``, with no
+    Newton polish, so it stays an independent check of ``solve``.  Its
+    diagnostics add ``alpha_vs_unconditional``, the gap between alpha and the
+    unconditional distribution of the rule that the pair reconstructs.
+    """
+    opts = opts or SolveOptions()
+    kappa = finite_positive(kappa, "kappa")
     prior = problem.prior
+    alpha0 = _init_alpha(problem.n_actions, opts.seed)
+    alpha, lam, iters, converged = _mi_fixed_point(problem, kappa, alpha0, opts.max_iter, opts.tol)
+    lse = lam / (kappa * prior)
     with np.errstate(divide="ignore"):
         log_alpha = np.log(alpha)
-    lse = lam / (kappa * prior)
     ppi = prior @ np.exp(log_alpha[None, :] + problem.payoffs.T / kappa - lse[:, None])
     model = mutual_information_cost(prior, kappa)
     return _assemble(
@@ -779,46 +786,10 @@ def _mi_solution(problem, kappa, alpha, lam, iters, converged, backend):
         lam,
         iters,
         converged,
-        backend,
+        "blahut_arimoto",
         partial(multiplier_bounds, problem, model),
         extra={"alpha_vs_unconditional": float(np.abs(ppi - alpha).max())},
     )
-
-
-def _solve_mi(problem, model, opts):
-    """Mutual information in ``solve``: a short Blahut-Arimoto warm start
-    finished by the Newton polish.
-
-    A warm start that already meets tol is returned as it is.  The full fixed
-    point runs from scratch only when the polish fails.
-    """
-    kappa = model.transform.kappa
-    alpha0 = _init_alpha(problem.n_actions, opts.seed)
-    steps = min(MI_WARM_STEPS, opts.max_iter)
-    alpha, lam, iters, converged = _mi_fixed_point(problem, kappa, alpha0, steps, opts.tol)
-    if converged:
-        return _mi_solution(problem, kappa, alpha, lam, iters, True, "blahut_arimoto")
-    got = _polish(problem, model, alpha, lam, opts.tol)
-    if got is not None:
-        alpha, lam, _ = got
-        return _mi_solution(problem, kappa, alpha, lam, iters, True, "blahut_arimoto+newton")
-    return solve_mutual_information(problem, kappa, opts)
-
-
-def solve_mutual_information(
-    problem: DecisionProblem, kappa: float = 1.0, opts: SolveOptions | None = None
-) -> Solution:
-    """Entropy-cost solver: the Blahut-Arimoto fixed point run to ``opts.tol``.
-
-    This is the pure multiplicative route of ``_mi_fixed_point``, with no
-    Newton polish, so it stays an independent check of the generic backends.
-    """
-    opts = opts or SolveOptions()
-    if kappa <= 0:
-        raise ValidationError("kappa must be positive")
-    alpha0 = _init_alpha(problem.n_actions, opts.seed)
-    alpha, lam, iters, converged = _mi_fixed_point(problem, kappa, alpha0, opts.max_iter, opts.tol)
-    return _mi_solution(problem, kappa, alpha, lam, iters, converged, "blahut_arimoto")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from ._rootfind import BracketError, bracketed_root, expand_bracket
-from .core import ValidationError
+from .core import ValidationError, finite_positive
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,7 @@ class Transform:
 
 def shannon(kappa: float = 1.0) -> Transform:
     """phi(t) = kappa (t log t - t + 1); psi(t) = kappa (e^{t/kappa} - 1)."""
-    if kappa <= 0:
-        raise ValidationError("kappa must be positive")
-    k = float(kappa)
+    k = finite_positive(kappa, "kappa")
 
     def phi(t):
         t = np.asarray(t, dtype=float)
@@ -83,9 +81,7 @@ def chi2(kappa: float = 1.0) -> Transform:
     psi'' at the kink t = -kappa is set to 1/(2 kappa) by convention;
     curvature indices are unreliable within ~1e-6 of the kink.
     """
-    if kappa <= 0:
-        raise ValidationError("kappa must be positive")
-    k = float(kappa)
+    k = finite_positive(kappa, "kappa")
 
     def psi(t):
         # the parabola is tangent to the flat level at the kink and lies above
@@ -237,11 +233,9 @@ def tabulated(psi_prime_table) -> Transform:
 
 def scale_transform(t: Transform, kappa: float) -> Transform:
     """Transform of the cost scaled by kappa: phi_k = kappa phi, psi_k = kappa psi(t/kappa)."""
-    if kappa <= 0:
-        raise ValidationError("kappa must be positive")
-    if kappa == 1.0:
+    k = finite_positive(kappa, "kappa")
+    if k == 1.0:
         return t
-    k = float(kappa)
     lo, hi = t.psi_prime_range
     return Transform(
         family=t.family,

@@ -83,6 +83,14 @@ class TestSolveCommand:
             ([1, 2], "object"),
             ({"family": "csiszar", "transform": {"family": "tabulated", "psi_prime": [[0, 1], [1, 2]]}}, "three"),
             ({"family": "neighborhood_hw", "neighborhoods": [{"states": ["s0", "s1"]}]}, "uncovered"),
+            ({"family": "mutual_information", "kappa": math.nan}, "kappa"),
+            ({"family": "mutual_information", "kappa": math.inf}, "kappa"),
+            ({"family": "chi2", "kappa": math.nan}, "kappa"),
+            ({"family": "csiszar", "transform": {"family": "shannon"}, "kappa": math.inf}, "kappa"),
+            ({"family": "posterior_separable", "kappa": -1.0}, "kappa"),
+            ({"family": "posterior_separable", "entropy": {"family": "shannon_kl", "kappa": math.nan}}, "kappa"),
+            ({"family": "nested_shannon", "encoder": ENCODER, "zeta": math.nan}, "zeta"),
+            ({"family": "nested_shannon", "encoder": ENCODER, "zeta": 1.0, "etas": [1.0, math.inf]}, "etas"),
         ],
     )
     def test_malformed_cost_is_an_input_error(self, tmp_path, capsys, cost, name):
@@ -95,7 +103,15 @@ class TestSolveCommand:
         assert name in err
 
     @pytest.mark.parametrize(
-        "opts, name", [({"tol": "small"}, "tol"), ({"max_iter": "many"}, "max_iter"), ([1], "object")]
+        "opts, name",
+        [
+            ({"tol": "small"}, "tol"),
+            ({"max_iter": "many"}, "max_iter"),
+            ([1], "object"),
+            ({"tol": math.nan}, "tol"),
+            ({"tol": math.inf}, "tol"),
+            ({"seed": -1}, "seed"),
+        ],
     )
     def test_malformed_option_is_an_input_error(self, tmp_path, capsys, opts, name):
         path = tmp_path / "opts.json"
@@ -618,6 +634,14 @@ class TestReadmeCommands:
         for name, text in outputs.items():
             with open(os.path.join(README_OUTPUTS, name)) as f:
                 _assert_matches(_parse_output(name, text), _parse_output(name, f.read()), name)
+
+    def test_library_quick_start_runs(self):
+        with open(README) as f:
+            block = re.search(r"## Library quick start\s+```python\n(.*?)```", f.read(), re.S).group(1)
+        namespace = {}
+        exec(compile(block, "README library quick start", "exec"), namespace)
+        assert namespace["sol"].converged and namespace["mi"].converged
+        assert namespace["mi"].backend == "best_response"
 
     def test_option_keys_sentence_names_the_option_fields(self):
         with open(README) as f:

@@ -45,20 +45,16 @@ def problems(draw):
 def test_converged_solves_meet_tolerance(p):
     for family, cost in sorted(_COSTS.items()):
         model = cost(p.prior)
-        routes = (solve_best_response,)
-        if family == "mutual_information":
-            routes = (solve,) + routes
         opts = SolveOptions(max_iter=2000)
-        for route in routes:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                try:
-                    sol = route(p, model, opts)
-                except (ValidationError, SolverError):
-                    continue  # typed failures keep the contract; any other error escapes
-            if sol.converged:
-                report = verify_focs(p, model, sol.alpha, sol.lam)
-                assert max(report.residual_alpha, report.residual_lambda) <= opts.tol, (family, route)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                sol = solve(p, model, opts)
+            except (ValidationError, SolverError):
+                continue  # typed failures keep the contract; any other error escapes
+        if sol.converged:
+            report = verify_focs(p, model, sol.alpha, sol.lam)
+            assert max(report.residual_alpha, report.residual_lambda) <= opts.tol, family
 
 
 def _solve_or_typed_failure(p, model, opts):
@@ -96,15 +92,14 @@ def test_overflow_scale_payoffs_fail_typed_or_flagged(p):
     for family in ("chi2", "mutual_information"):
         model = _COSTS[family](big.prior)
         opts = SolveOptions(max_iter=200)
-        for route in (solve, solve_best_response):
-            with warnings.catch_warnings(), np.errstate(all="ignore"):
-                warnings.simplefilter("ignore", RuntimeWarning)
-                try:
-                    sol = route(big, model, opts)
-                except SolverError:
-                    continue
-            if not sol.converged:
-                assert np.all(np.isfinite(sol.alpha)), (family, route)
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                sol = solve(big, model, opts)
+            except SolverError:
                 continue
-            report = verify_focs(big, model, sol.alpha, sol.lam)
-            assert max(report.residual_alpha, report.residual_lambda) <= opts.tol, (family, route)
+        if not sol.converged:
+            assert np.all(np.isfinite(sol.alpha)), family
+            continue
+        report = verify_focs(big, model, sol.alpha, sol.lam)
+        assert max(report.residual_alpha, report.residual_lambda) <= opts.tol, family

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import threading
@@ -17,7 +18,7 @@ from infoacq.catalog import (
     multitask_problems,
     random_problem,
 )
-from infoacq.core import normalize_binary, validate_problem
+from infoacq.core import ValidationError, normalize_binary, validate_problem
 from infoacq.costs import (
     build_encoder,
     chi2_cost,
@@ -312,6 +313,23 @@ def _statewise_draw(seed):
 
 
 class TestSolve:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tol": 0.0},
+            {"tol": math.nan},
+            {"tol": math.inf},
+            {"max_iter": 0},
+            {"max_iter": math.nan},
+            {"max_iter": 2.5},
+            {"seed": -1},
+            {"seed": 1.5},
+        ],
+    )
+    def test_malformed_options_are_validation_errors(self, kwargs):
+        with pytest.raises(ValidationError, match=r"tol|iteration cap|seed"):
+            SolveOptions(**kwargs)
+
     def test_duplicated_supported_action_takes_the_least_squares_step(self, monkeypatch):
         # both copies of action 0 carry weight, so the rows of their
         # complementarity conditions coincide at the solution and the
@@ -523,45 +541,39 @@ def _assert_same_solution(a, b):
     assert (a.iterations, a.backend, a.box, a.diagnostics) == (b.iterations, b.backend, b.box, b.diagnostics)
 
 
+@functools.cache
+def _mi_cases():
+    """MI problems at kappa 0.1, 1 and 3, each with the value of the pure fixed point.
+
+    Built once: the fixed point takes thousands of steps on the 30-state problem.
+    """
+    rng = np.random.default_rng(7)
+    problems = [random_problem(np.random.default_rng(30), 30, 30, prior_floor=0.2 / 30)]
+    problems += [random_problem(rng, n, n) for n in (3, 5, 8)]
+    problems += [guess_the_state(n, 1.0) for n in (6, 7, 8)]
+    return [(p, kappa, solve_mutual_information(p, kappa).value) for p in problems for kappa in (0.1, 1.0, 3.0)]
+
+
 class TestMutualInformationInSolve:
-    """``solve`` under MI: a Blahut-Arimoto warm start finished by the Newton polish."""
+    """``solve`` under MI is the best response; the pure fixed point is its reference."""
 
     def test_backend_names_the_route(self):
         p = random_problem(np.random.default_rng(30), 30, 30, prior_floor=0.2 / 30)
-        assert solve(p, mutual_information_cost(p.prior, 1.0)).backend == "blahut_arimoto+newton"
-        g = guess_the_state(3, 1.0)
-        sol = solve(g, mutual_information_cost(g.prior, 1.0))
-        assert sol.backend == "blahut_arimoto"
-        assert sol.converged and sol.iterations <= 20
+        for q in (p, guess_the_state(3, 1.0)):
+            sol = solve(q, mutual_information_cost(q.prior, 1.0))
+            assert sol.converged and sol.backend == "best_response"
+            _assert_same_solution(sol, solve_best_response(q, mutual_information_cost(q.prior, 1.0)))
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-10])
     def test_converged_means_residuals_within_tol(self, tol):
-        rng = np.random.default_rng(7)
-        problems = [random_problem(np.random.default_rng(30), 30, 30, prior_floor=0.2 / 30)]
-        problems += [random_problem(rng, n, n) for n in (3, 5, 8)]
-        for p in problems:
-            model = mutual_information_cost(p.prior, 1.0)
+        for p, kappa, reference in _mi_cases():
+            model = mutual_information_cost(p.prior, kappa)
             sol = solve(p, model, SolveOptions(tol=tol))
             assert sol.converged
             assert max(sol.residual_alpha, sol.residual_lambda) <= tol
             rep = verify_focs(p, model, sol.alpha, sol.lam)
             assert max(rep.residual_alpha, rep.residual_lambda) <= tol
-
-    def test_failed_polish_falls_back_to_the_full_fixed_point(self, monkeypatch):
-        from infoacq import solver
-
-        calls = []
-
-        def no_polish(*args, **kwargs):
-            calls.append(1)
-            return None
-
-        monkeypatch.setattr(solver, "_polish", no_polish)
-        p = random_problem(np.random.default_rng(8), 8, 8)
-        sol = solve(p, mutual_information_cost(p.prior, 1.0))
-        assert calls == [1]
-        assert sol.iterations > 20
-        _assert_same_solution(sol, solve_mutual_information(p, 1.0))
+            assert sol.value == pytest.approx(reference, abs=1e-9)
 
     def test_agrees_with_the_shannon_kl_posterior_separable_cost(self):
         # the same cost on two routes; the fixed point alone stops about 1e-10 off
@@ -570,23 +582,6 @@ class TestMutualInformationInSolve:
         kl = solve(p, posterior_separable_cost(p.prior, shannon_kl_entropy(p.prior, 1.0)))
         assert mi.converged and kl.converged
         assert mi.value == pytest.approx(kl.value, abs=1e-12)
-
-    def test_warm_start_work_stays_bounded(self, monkeypatch):
-        from infoacq import solver
-
-        steps = []
-        fixed_point = solver._mi_fixed_point
-
-        def counted(*args, **kwargs):
-            out = fixed_point(*args, **kwargs)
-            steps.append(out[2])
-            return out
-
-        monkeypatch.setattr(solver, "_mi_fixed_point", counted)
-        p = _large_suite_problems()[50]
-        sol = solve(p, mutual_information_cost(p.prior, 1.0))
-        assert sol.converged and sol.backend == "blahut_arimoto+newton"
-        assert sum(steps) <= 20
 
     def test_scaled_cost_is_solved_at_its_own_kappa(self):
         # costs.scale keeps the Shannon family and records the factor apart
