@@ -724,15 +724,21 @@ def primal_cost(model: CostModel, rule: ChoiceRule) -> float:
     return model.primal_cost(rule)
 
 
-def _certified_f_mean(spec, rows) -> float:
-    """Value of the f-mean of ``rows``; ``SolverError`` without a certificate."""
-    result = divergence.f_mean(spec, rows)
-    if not result.converged:
+def _certified_f_mean(spec, rows):
+    """Value of the f-mean of ``rows``, or of each rule of a Csiszar stack (rules,
+    n, m) in one solve; ``SolverError`` without a certificate."""
+    if rows.ndim == 3:
+        _, value, residual = divergence.csiszar_f_means(spec, rows)
+        converged = residual <= divergence.F_MEAN_TOL
+    else:
+        result = divergence.f_mean(spec, rows)
+        value, converged, residual = result.value, result.converged, result.residual
+    if not np.all(converged):
         raise SolverError(
-            f"f-mean did not reach its stationarity gap within {SIMPLEX_STEPS} steps "
-            f"(gap {result.residual:.1e})"
+            f"f-mean did not reach its stationarity gap within {divergence.F_MEAN_STEPS} Newton steps "
+            f"(gap {np.max(residual):.1e})"
         )
-    return result.value
+    return value
 
 
 class CsiszarCost(CostModel):
@@ -774,6 +780,10 @@ class CsiszarCost(CostModel):
 
     def primal_cost(self, rule: ChoiceRule) -> float:
         return _certified_f_mean(self.divergence_spec(), rule.rows)
+
+    def primal_costs(self, rows: np.ndarray) -> np.ndarray:
+        """``primal_cost`` of each rule of a stack of rows (rules, n, m), in one solve."""
+        return _certified_f_mean(self.divergence_spec(), rows)
 
 
 def mutual_information_cost(prior, kappa: float = 1.0) -> CsiszarCost:

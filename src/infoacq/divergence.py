@@ -16,7 +16,6 @@ from typing import Callable
 
 import numpy as np
 
-from ._rootfind import maximize_on_simplex, stationary_point
 from .core import clean_weights
 from .transform import Transform
 
@@ -84,70 +83,98 @@ class FMeanResult:
     residual: float
 
 
-def _csiszar_mean_subgradient(spec, rows, alpha, active):
-    """d/d alpha_w of D_f(P || alpha): sum_s prior_s (phi(r) - r phi'(r))."""
-    t = spec.transform
+F_MEAN_STEPS = 100  # Newton steps of the f-mean solve before it stops uncertified
+F_MEAN_TOL = 1e-9  # largest stationarity gap of a certified f-mean
+
+
+def _state_sum(prior: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_s prior_s x[:, s] in state order, for a stack x of shape (rules, n, m)."""
+    out = prior[0] * x[:, 0]
+    for s in range(1, prior.size):
+        out = out + prior[s] * x[:, s]
+    return out
+
+
+def _csiszar_terms(t: Transform, prior, rows, alpha, active):
+    """D_f(P || alpha), ``g_w = sum_s prior_s (phi(r) - r phi'(r))`` with ``r = P_sw /
+    alpha_w`` and ``g'_w = sum_s prior_s r^2 phi''(r) / alpha_w`` per rule, zero off
+    ``active``; ``phi'' = 1 / psi''(phi')``, or a centered difference of ``phi'``
+    at the relative step 1e-5 without ``psi''``."""
+    a = np.where(active, alpha, 1.0)[:, None, :]
+    r = rows / a
+    pos = r > 0.0
+    rp = np.where(pos, r, 1.0)  # phi' may be infinite at 0
+    dphi = np.asarray(t.phi_prime(rp), dtype=float)
+    if t.psi_pp is not None:
+        curv = rp * rp / np.asarray(t.psi_pp(dphi), dtype=float)
+    else:
+        curv = rp * (np.asarray(t.phi_prime(1.00001 * rp)) - np.asarray(t.phi_prime(0.99999 * rp))) / 2e-5
+    phi = np.asarray(t.phi(r), dtype=float)
+    value = np.where(active, alpha * _state_sum(prior, phi), 0.0).sum(axis=1)
+    g = np.where(active, _state_sum(prior, phi - np.where(pos, r * dphi, 0.0)), 0.0)
+    gp = np.where(active, _state_sum(prior, np.where(pos, curv, 0.0)) / a[:, 0], 0.0)
+    return value, g, gp
+
+
+def csiszar_f_means(spec: DivergenceSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The f-means of a stack of experiments ``rows`` (rules, n, m) under a Csiszar spec.
+
+    The derivative ``g_w`` of D_f(P || alpha) in ``alpha_w`` depends on
+    ``alpha_w`` alone and increases in it, so the minimizer solves
+    ``g_w(alpha_w) = c`` on the active outcomes (those with mass in a state
+    of positive prior), ``sum alpha = 1``, with ``alpha_w = 0`` exactly
+    elsewhere.  Newton on that system, from the unconditional distribution,
+    has a diagonal-plus-border Jacobian, so each step is in closed form:
+    ``c = (sum_w g_w / g'_w - (sum alpha - 1)) / sum_w 1 / g'_w`` and
+    ``delta alpha_w = (c - g_w) / g'_w``, shortened so that no mass falls
+    below half its value.  A rule stops once its step is within 4 ulp of
+    every mass, or below 1e-12 and no longer halving, or after
+    ``F_MEAN_STEPS`` steps, at the last point evaluated.  Its certificate
+    ``alpha . g - min_active g`` bounds D_f(P || alpha) minus the f-mean, by
+    convexity.  Returns the references ``alpha`` (rules, m), the values
+    and the certificates; a rule's result does not depend on the stack.
+    """
     prior = spec.prior
-    g = np.zeros(rows.shape[1])
-    phi0 = t.phi_at_zero()
-    for w in np.flatnonzero(active):
-        r = rows[:, w] / alpha[w]
-        pos = r > 0.0
-        vals = np.empty_like(r)
-        vals[~pos] = phi0
-        if np.any(pos):
-            vals[pos] = t.phi(r[pos]) - r[pos] * t.phi_prime(r[pos])
-        g[w] = float(prior @ vals)
-    return g
+    rows = np.asarray(rows, dtype=float)
+    active = _state_sum(prior, rows > 0.0) > 0.0
+    alpha = np.where(active, _state_sum(prior, rows), 0.0)
+    value, residual, last = (np.full(rows.shape[0], np.inf) for _ in range(3))
+    todo = np.arange(rows.shape[0])
+    for steps in range(F_MEAN_STEPS + 1):
+        a, act = alpha[todo], active[todo]
+        value[todo], g, gp = _csiszar_terms(spec.transform, prior, rows[todo], a, act)
+        residual[todo] = (a * g).sum(axis=1) - np.where(act, g, np.inf).min(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = np.where(act, 1.0 / gp, 0.0)
+            c = ((g * inv).sum(axis=1) - (a.sum(axis=1) - 1.0)) / inv.sum(axis=1)
+            step = np.where(act, (c[:, None] - g) * inv, 0.0)
+            shrink = np.where(step < 0.0, -step / np.where(act, a, 1.0), 0.0).max(axis=1)
+        size = np.abs(step).max(axis=1)
+        go = np.any(np.abs(step) > 4.0 * np.finfo(float).eps * a, axis=1) & np.isfinite(size)
+        go &= (size > 1e-12) | (size < 0.5 * last[todo])
+        last[todo] = size
+        todo, a, step, shrink = todo[go], a[go], step[go], shrink[go]
+        if todo.size == 0 or steps == F_MEAN_STEPS:
+            break
+        alpha[todo] = a + (0.5 / np.maximum(shrink, 0.5))[:, None] * step
+    return alpha, value, residual
 
 
-def f_mean(spec: DivergenceSpec, rows: np.ndarray, tol: float = 1e-9) -> FMeanResult:
+def f_mean(spec: DivergenceSpec, rows: np.ndarray, tol: float = F_MEAN_TOL) -> FMeanResult:
     """Minimize D_f(P || .) over reference distributions.
 
     For posterior-separable specs the minimizer is the unconditional
-    distribution; the same holds in closed form for the shannon transform.
-    Otherwise ``_rootfind.maximize_on_simplex`` maximizes -D_f with exact
-    subgradients from the unconditional distribution, moved inside the face
-    of outcomes that carry mass.  The objective has infinite slope toward
-    zero mass on such an outcome, so the minimizer is interior on that face,
-    where the subgradient is constant: the refinement solves that system by
-    ``_rootfind.stationary_point``.  The reference is certified once the
-    simplex stationarity gap falls below ``tol``; without a certificate the
-    iterate with the smallest gap is returned with ``converged=False``.
+    distribution.  A Csiszar spec is ``csiszar_f_means`` of a stack of one
+    rule, whose Newton starts from the unconditional distribution, the root
+    under the shannon transform; ``converged=False`` marks a reference
+    whose stationarity gap exceeds ``tol``.
     """
     rows = np.asarray(rows, dtype=float)
-    prior = spec.prior
-    p_pi = prior @ rows
-    if spec.kind == "posterior_separable" or spec.transform.family == "shannon":
-        value = f_divergence(spec, rows, p_pi)
-        return FMeanResult(p_pi, value, True, 0.0)
-
-    active = (prior @ (rows > 0)) > 0  # outcomes with positive mass somewhere
-    alpha = p_pi.copy()
-    if alpha[active].min() <= 0.0:
-        # start interior on the active face
-        alpha[active] = np.maximum(alpha[active], 1e-12)
-    alpha[~active] = 0.0
-    alpha /= alpha.sum()
-
-    def subgradient(a):
-        return _csiszar_mean_subgradient(spec, rows, a, active)
-
-    def residual_at(a):
-        g = subgradient(a)
-        return float(a @ g) - float(g[active].min())
-
-    alpha, converged = maximize_on_simplex(
-        lambda a: -f_divergence(spec, rows, a),
-        lambda a: -subgradient(a),
-        residual_at,
-        alpha,
-        tol=tol,
-        refine=lambda a: stationary_point(
-            subgradient, a, active, accept=lambda q: residual_at(q) <= tol
-        ),
-    )
-    return FMeanResult(alpha, f_divergence(spec, rows, alpha), converged, residual_at(alpha))
+    if spec.kind == "posterior_separable":
+        p_pi = spec.prior @ rows
+        return FMeanResult(p_pi, f_divergence(spec, rows, p_pi), True, 0.0)
+    alpha, value, residual = csiszar_f_means(spec, rows[None])
+    return FMeanResult(alpha[0], float(value[0]), bool(residual[0] <= tol), float(residual[0]))
 
 
 __all__ = [
@@ -156,5 +183,6 @@ __all__ = [
     "posterior_separable_spec",
     "f_divergence",
     "f_mean",
+    "csiszar_f_means",
     "FMeanResult",
 ]

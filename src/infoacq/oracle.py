@@ -12,9 +12,9 @@ information is ``kappa (sum_s pi_s sum_a r_a log r_a - sum_a p_a log p_a)``
 with the marginal ``p_a = sum_s pi_s P_sa``.  Under chi2 the f-mean is
 ``alpha_a ~ sqrt(c_a)`` with ``c_a = sum_s pi_s P_sa^2``, so the cost is
 ``kappa/2 ((sum_a sqrt(c_a))^2 - 1)``, the order-2 case of Sibson's
-alpha-mutual information (Sibson 1969; Verdu 2015).  Every other cost prices
-the explicit rules of a block through the two-action golden section or
-``model.primal_cost``.
+alpha-mutual information (Sibson 1969; Verdu 2015).  Every other Csiszar
+cost prices the explicit rules of a block by one batched f-mean solve
+(``CsiszarCost.primal_costs``), and other costs by ``model.primal_cost``.
 """
 
 from __future__ import annotations
@@ -48,42 +48,6 @@ def _lattice_rows(k: int, m: int) -> np.ndarray:
         parts.append(k + m - 2 - prev)
         rows.append(parts)
     return np.asarray(rows, dtype=float) / k
-
-
-def _golden_reference_min(chunk: np.ndarray, prior: np.ndarray, transform) -> np.ndarray:
-    """Vectorized golden-section minimization of D(P || (s, 1-s)) over s, per rule.
-
-    Only for two actions; the divergence is convex in the reference weight.
-    The search keeps s in [1e-12, 1 - 1e-12], so a rule that never takes an
-    action is also priced at the reference weight 0 on it, where that
-    column adds ``0 phi(0/0) = 0``, and keeps the smaller value.
-    """
-    R = chunk.shape[0]
-
-    def dval(s):
-        # s in (0, 1): reference weight on action 0, one entry per rule
-        out = np.zeros(R)
-        for col, w in ((0, s), (1, 1.0 - s)):
-            ratio = chunk[:, :, col] / w[:, None]
-            out += (w[:, None] * np.asarray(transform.phi(ratio))) @ prior
-        return out
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a = np.full(R, 1e-12)
-    b = np.full(R, 1.0 - 1e-12)
-    for _ in range(64):
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        left = dval(c) <= dval(d)
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
-    out = dval(0.5 * (a + b))
-    for col in (0, 1):
-        unused = ~chunk[:, :, col].any(axis=1)
-        if unused.any():
-            used = chunk[unused][:, :, 1 - col]
-            out[unused] = np.minimum(out[unused], np.asarray(transform.phi(used)) @ prior)
-    return out
 
 
 def _xlogx(p: np.ndarray) -> np.ndarray:
@@ -153,8 +117,8 @@ class _LatticeTables:
             axis=-1,
         )
         chunk = self.rows[idx.reshape(-1, idx.shape[-1])]  # (rules, n, m)
-        if isinstance(self.model, CsiszarCost) and chunk.shape[2] == 2:
-            costs = _golden_reference_min(chunk, self.problem.prior, self.model.transform)
+        if isinstance(self.model, CsiszarCost):
+            costs = self.model.primal_costs(chunk)
         else:
             costs = [self.model.primal_cost(ChoiceRule.build(self.problem, rule)) for rule in chunk]
         return np.asarray(costs, dtype=float).reshape(shape)

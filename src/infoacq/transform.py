@@ -43,9 +43,6 @@ class Transform:
     def near_kink(self, x: float, tol: float = 1e-6) -> bool:
         return any(abs(x - k) < tol for k in self.kinks)
 
-    def phi_at_zero(self) -> float:
-        return float(self.phi(0.0))
-
 
 def shannon(kappa: float = 1.0) -> Transform:
     """phi(t) = kappa (t log t - t + 1); psi(t) = kappa (e^{t/kappa} - 1)."""

@@ -1,16 +1,71 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from infoacq._rootfind import maximize_on_simplex, stationary_point
 from infoacq.catalog import random_kernel
 from infoacq.divergence import csiszar_spec, f_divergence, f_mean, posterior_separable_spec
 from infoacq.costs import shannon_kl_entropy
-from infoacq.transform import chi2, shannon
+from infoacq.transform import chi2, scale_transform, shannon, shift_transform, tabulated
 
 
 def _uniform_spec(transform, n=2):
     return csiszar_spec(np.full(n, 1.0 / n), transform)
+
+
+@functools.cache
+def _table():
+    ts = np.linspace(-3.0, 3.0, 25)
+    return tabulated(np.column_stack([ts, np.exp(ts) * (1.0 + 0.1 * np.sin(ts))]))
+
+
+def _transforms(kappa):
+    """chi2, shifted chi2, a tabulated transform and chi2 without psi'', at scale kappa."""
+    return {
+        "chi2": chi2(kappa),
+        "shifted_chi2": shift_transform(chi2(kappa), 0.5),
+        "tabulated": scale_transform(_table(), kappa),
+        "chi2_without_psi_pp": dataclasses.replace(chi2(kappa), psi_pp=None),
+    }
+
+
+TRANSFORMS = list(_transforms(1.0))
+
+
+def _ascent_f_mean(spec, rows):
+    """The f-mean by a simplex ascent on -D_f, refined by a stationarity Newton.
+
+    This is the route the batched Newton of ``f_mean`` replaced; it shares
+    no code with it, so it serves as an independent reference.
+    """
+    t, prior = spec.transform, spec.prior
+    active = prior @ (rows > 0) > 0
+
+    def grad(alpha):  # d D_f / d alpha_w = sum_s prior_s (phi(r) - r phi'(r))
+        g = np.zeros(rows.shape[1])
+        for w in np.flatnonzero(active):
+            r = rows[:, w] / alpha[w]
+            r_pos = np.where(r > 0, r, 1.0)
+            g[w] = prior @ np.where(r > 0, t.phi(r_pos) - r_pos * t.phi_prime(r_pos), t.phi(0.0))
+        return g
+
+    def gap(alpha):
+        g = grad(alpha)
+        return float(alpha @ g - g[active].min())
+
+    alpha, certified = maximize_on_simplex(
+        lambda a: -f_divergence(spec, rows, a),
+        lambda a: -grad(a),
+        gap,
+        np.where(active, prior @ rows, 0.0),
+        tol=1e-9,
+        refine=lambda a: stationary_point(grad, a, active, accept=lambda q: gap(q) <= 1e-9),
+    )
+    assert certified
+    return f_divergence(spec, rows, alpha)
 
 
 class TestDivergence:
@@ -97,23 +152,36 @@ class TestFMean:
         assert res.value == pytest.approx(min(vals), abs=1e-5)
 
     def test_mean_value_is_minimal(self):
-        rng = np.random.default_rng(3)
-        spec = _uniform_spec(chi2(0.8), 3)
-        rows = rng.dirichlet(np.ones(3), size=3)
-        res = f_mean(spec, rows)
-        for _ in range(100):
-            beta = rng.dirichlet(np.ones(3))
-            assert res.value <= f_divergence(spec, rows, beta) + 1e-9
+        for transform in _transforms(0.8).values():
+            rng = np.random.default_rng(3)
+            spec = _uniform_spec(transform, 3)
+            rows = rng.dirichlet(np.ones(3), size=3)
+            res = f_mean(spec, rows)
+            for _ in range(100):
+                beta = rng.dirichlet(np.ones(3))
+                assert res.value <= f_divergence(spec, rows, beta) + 1e-9
 
     def test_sparse_rows_under_a_skewed_prior_certify(self):
         # outcomes missing from some states and states of tiny mass: the
         # minimizer sits near faces of the simplex
-        rng = np.random.default_rng(6)
-        for _ in range(40):
-            k, m = rng.integers(2, 9, size=2)
-            prior = np.maximum(rng.dirichlet(np.full(k, 0.3)), 1e-6)
-            spec = csiszar_spec(prior / prior.sum(), chi2(rng.uniform(0.1, 3.0)))
-            rows = rng.dirichlet(np.full(m, 0.2), size=k)
-            rows[rows < 1e-3] = 0.0
-            res = f_mean(spec, rows / rows.sum(axis=1, keepdims=True))
+        for name in TRANSFORMS:
+            rng = np.random.default_rng(6)
+            for _ in range(40):
+                k, m = rng.integers(2, 9, size=2)
+                prior = np.maximum(rng.dirichlet(np.full(k, 0.3)), 1e-6)
+                spec = csiszar_spec(prior / prior.sum(), _transforms(rng.uniform(0.1, 3.0))[name])
+                rows = rng.dirichlet(np.full(m, 0.2), size=k)
+                rows[rows < 1e-3] = 0.0
+                res = f_mean(spec, rows / rows.sum(axis=1, keepdims=True))
+                assert res.converged and res.residual <= 1e-9, name
+
+    @pytest.mark.parametrize("name", TRANSFORMS)
+    def test_mean_matches_the_simplex_ascent(self, name):
+        rng = np.random.default_rng(9)
+        for _ in range(8):
+            k, m = rng.integers(2, 6, size=2)
+            spec = csiszar_spec(rng.dirichlet(np.ones(k)), _transforms(rng.uniform(0.3, 3.0))[name])
+            rows = rng.dirichlet(np.full(m, 0.5), size=k)
+            res = f_mean(spec, rows)
             assert res.converged and res.residual <= 1e-9
+            assert res.value == pytest.approx(_ascent_f_mean(spec, rows), rel=1e-12)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from infoacq import oracle
+from infoacq import divergence, oracle
 from infoacq.catalog import exchangeable_problem, random_problem
 from infoacq.core import ChoiceRule, SolverError, ValidationError, validate_problem
 from infoacq.costs import (
@@ -73,12 +73,15 @@ class TestBruteForce:
 
 
 class TestLatticeValues:
-    @pytest.mark.parametrize("family", ["mutual_information", "chi2"])
+    @pytest.mark.parametrize("family", ["mutual_information", "chi2", "shifted_chi2"])
     def test_tables_match_the_primal_cost_of_each_rule(self, family):
         # the tables price MI and chi2 in closed form; primal_cost goes through
-        # divergence.f_mean, numeric for chi2, so this check is independent.
-        # A value is a difference of O(1) payoff and cost terms, so one that
-        # cancels toward 0 is held to 1e-15 absolute, a few roundings of them
+        # the Newton of divergence.f_mean for chi2, so this check is
+        # independent.  chi2 shifted at k = 1 is chi2 itself, which the
+        # oracle prices by its explicit batch of f-means: those values are
+        # held to the chi2 tables.  A value is a difference of O(1) payoff and
+        # cost terms, so one that cancels toward 0 is held to 1e-15 absolute,
+        # a few roundings of them
         rng = np.random.default_rng(31)
         build = mutual_information_cost if family == "mutual_information" else chi2_cost
         for n, m in itertools.product((2, 3, 4), repeat=2):
@@ -86,6 +89,12 @@ class TestLatticeValues:
             model = build(p.prior, float(rng.uniform(0.3, 3.0)))
             rows = _lattice_rows(4, m)
             idx = rng.integers(0, rows.shape[0], size=(5, n))
+            if family == "shifted_chi2":
+                explicit = csiszar_cost(p.prior, shift_transform(chi2(1.0), 1.0))
+                values = _LatticeTables(p, explicit, rows).values(idx[:, :-1], idx[:, -1])
+                tables = _LatticeTables(p, chi2_cost(p.prior, 1.0), rows).values(idx[:, :-1], idx[:, -1])
+                assert values == pytest.approx(tables, rel=1e-13, abs=1e-15)
+                continue
             values = _LatticeTables(p, model, rows).values(idx[:, :-1], idx[:, -1])
             for rule_idx, value in zip(idx, values):
                 rule = ChoiceRule.build(p, rows[rule_idx])
@@ -93,8 +102,8 @@ class TestLatticeValues:
                 assert value == pytest.approx(payoff - model.primal_cost(rule), rel=1e-13, abs=1e-15)
 
     def test_two_action_rule_with_an_unused_action_pays_no_reference_mass(self):
-        # the golden section stops 1e-12 short of the reference weight 0; an
-        # unused action is priced there too, where its column adds 0 phi(0/0) = 0
+        # the explicit batch keeps the reference weight of an unused action at
+        # 0 exactly, where its column adds 0 phi(0/0) = 0
         p = random_problem(np.random.default_rng(43), 3, 2)
         t = shift_transform(chi2(1.0), 0.5)
         rows = _lattice_rows(4, 2)  # (0, 1), (1/4, 3/4), ..., (1, 0)
@@ -105,12 +114,21 @@ class TestLatticeValues:
             cost = float(p.prior @ t.phi(np.ones(3)))  # sum_s pi_s phi(P_s,used)
             assert value == pytest.approx(payoff - cost, rel=0, abs=1e-15)
 
+    def test_uncertified_f_mean_in_a_block_is_a_typed_failure(self, monkeypatch):
+        # with no Newton step the unconditional distribution is not the chi2
+        # f-mean of an informative rule, so its gap is left uncertified
+        p = random_problem(np.random.default_rng(47), 2, 3)
+        model = csiszar_cost(p.prior, shift_transform(chi2(1.0), 0.5))
+        assert np.isfinite(brute_force_solve(p, model, 0.5).value)
+        monkeypatch.setattr(divergence, "F_MEAN_STEPS", 0)
+        with pytest.raises(SolverError, match="f-mean did not reach"):
+            brute_force_solve(p, model, 0.5)
+
     @pytest.mark.parametrize("n_actions", [2, 3])
     def test_explicit_pricing_agrees_with_the_closed_forms(self, n_actions):
         # chi2 shifted at k = 1 is chi2 itself, and PS-KL is MI, but neither
-        # takes the tables: the two-action golden section and primal_cost
-        # price the explicit rules of each block (coarser with three actions,
-        # where each rule takes a numeric f-mean)
+        # takes the tables: the batched f-mean and primal_cost price the
+        # explicit rules of each block (coarser with three actions)
         p = random_problem(np.random.default_rng(41), 2, n_actions)
         grid = 0.25 if n_actions == 2 else 0.5
         pairs = [
