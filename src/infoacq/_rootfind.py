@@ -137,8 +137,15 @@ def newton_step(J: np.ndarray, F: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError:
             pass
         else:
-            if np.all(np.isfinite(step)) and np.linalg.norm(J @ step + F) <= 1e-10 * np.linalg.norm(F):
-                return step
+            if np.all(np.isfinite(step)):
+                # a huge finite step of a near-singular J can overflow the
+                # residual or its norm; the overflow reads inf (or nan) and
+                # fails the check like any other inaccurate step, so it is
+                # not reported
+                with np.errstate(over="ignore", invalid="ignore"):
+                    accurate = np.linalg.norm(J @ step + F) <= 1e-10 * np.linalg.norm(F)
+                if accurate:
+                    return step
     return np.linalg.lstsq(J, -F, rcond=None)[0]
 
 
@@ -159,8 +166,10 @@ def newton(
     descent direction, after 50 steps, or, without taking it, once a step
     falls below ``1e-13 (1 + |z|_inf)``, where F may be noisier than at the
     current iterate.  ``jac`` maps z to the Jacobian; without it forward
-    differences are used.  A start where F is not finite is returned as it
-    is.
+    differences are used.  ``jac`` is handed the very array object that F
+    was last handed, the start or the trial point just accepted, so a
+    caller can reuse what F computed there.  A start where F is not finite
+    is returned as it is.
     """
     z = np.array(z0, dtype=float)
     Fz = np.asarray(F(z), dtype=float)
@@ -179,13 +188,14 @@ def newton(
             break
         s = 1.0
         for _ in range(max_halvings):
-            F_new = np.asarray(F(z + s * step), dtype=float)
+            trial = z + s * step
+            F_new = np.asarray(F(trial), dtype=float)
             if 0.5 * (F_new @ F_new) <= merit + 1e-4 * s * slope:
                 break
             s *= 0.5
         else:
             break
-        z, Fz = z + s * step, F_new
+        z, Fz = trial, F_new
     return z, Fz
 
 

@@ -350,15 +350,16 @@ def multitask_experiment(zeta: float, eta: float, model_builder=None, opts=None)
     the grid) with across-nest weight zeta and within-nest weight eta.
     """
     problems = multitask_problems()
-    encoder = multitask_encoder()
+    if model_builder is None:
+        encoder = multitask_encoder()
+
+        def model_builder(p):
+            return nested_shannon_cost(p.prior, encoder, zeta, eta)
+
     sols = []
     accs = []
     for p in problems:
-        if model_builder is None:
-            model = nested_shannon_cost(p.prior, encoder, zeta, eta)
-        else:
-            model = model_builder(p)
-        sol = solve(p, model, opts or SolveOptions(tol=1e-9))
+        sol = solve(p, model_builder(p), opts or SolveOptions(tol=1e-9))
         sols.append(sol)
         accs.append(sol.rule.expected_payoff())  # rewards are indicators
     return MultitaskReport(zeta, eta, tuple(accs), tuple(sols))

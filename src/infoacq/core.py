@@ -48,6 +48,25 @@ def clean_weights(weights, what: str = "distribution") -> np.ndarray:
     return arr / total
 
 
+def _clean_rows(arr: np.ndarray, what: str, labels) -> np.ndarray:
+    """``clean_weights`` of every row of a 2-D array, row ``i`` named
+    ``labels[i]`` in errors.
+
+    The rows are checked together and, when all pass, cleaned with the same
+    arithmetic as one ``clean_weights`` call per row, so the result is the
+    same to the bit.  When any row fails, or there are none, the rows go
+    through ``clean_weights`` one at a time, so the error names the first
+    bad row.
+    """
+    if arr.size and np.isfinite(arr).all() and arr.min() >= SIMPLEX_NEG_CLIP:
+        # C order, so each row sums in the order of a one-row sum
+        arr = np.ascontiguousarray(np.where(arr < 0.0, 0.0, arr))
+        totals = arr.sum(axis=1)
+        if np.all(np.abs(totals - 1.0) <= SIMPLEX_SUM_TOL):
+            return arr / totals[:, None]
+    return np.vstack([clean_weights(arr[i], f"{what} row {labels[i]!r}") for i in range(len(labels))])
+
+
 def finite_positive(value, what: str) -> float:
     """``value`` as a float; a ValidationError unless it is a finite positive number."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -167,9 +186,7 @@ class Kernel:
                 f"{what}: rows have shape {arr.shape}, expected "
                 f"({len(source)}, {len(target)})"
             )
-        cleaned = np.vstack(
-            [clean_weights(arr[i], f"{what} row {source[i]!r}") for i in range(len(source))]
-        )
+        cleaned = _clean_rows(arr, what, source)
         cleaned.flags.writeable = False
         return cls(source, target, cleaned)
 
@@ -198,12 +215,7 @@ class ChoiceRule:
                 f"{what}: rows have shape {arr.shape}, expected "
                 f"({problem.n_states}, {problem.n_actions})"
             )
-        cleaned = np.vstack(
-            [
-                clean_weights(arr[i], f"{what} row {problem.states[i]!r}")
-                for i in range(problem.n_states)
-            ]
-        )
+        cleaned = _clean_rows(arr, what, problem.states)
         cleaned.flags.writeable = False
         return cls(problem, cleaned)
 

@@ -140,9 +140,11 @@ class _ConjugateMemo:
 class Entropy:
     """A convex entropy over posteriors with H(prior) = 0.
 
-    The conjugate maps are row-batched: ``conj_fn``, ``conj_grad_fn`` and
-    ``conj_hess_fn`` take an ``(m, n)`` matrix of posterior-space vectors to
-    ``(m,)`` values, ``(m, n)`` gradients and ``(m, n, n)`` Hessians.
+    The conjugate maps are row-batched: ``conj_fn`` and ``conj_grad_fn``
+    take an ``(m, n)`` matrix of posterior-space vectors to ``(m,)`` values
+    and ``(m, n)`` gradients, and ``conj_hess_fn(Y, w)`` to the ``(n, n)``
+    weighted sum ``sum_a w_a Hess H*(Y_a)`` of the row Hessians, so no
+    family builds one matrix per row.
     Without ``conj_fn`` and ``conj_grad_fn`` the conjugate is computed row by
     row by :func:`numeric_conjugate` to a stationarity gap of
     ``NUMERIC_TOL`` within a fixed step cap, raising ``SolverError`` past
@@ -167,13 +169,13 @@ class Entropy:
     grad_fn: Callable[[np.ndarray], np.ndarray] | None = None
     gap_fn: Callable[[np.ndarray, np.ndarray], float] | None = None
     faces_fn: Callable[[np.ndarray, np.ndarray], list] | None = None
-    conj_hess_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    conj_hess_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     hess_fn: Callable[[np.ndarray], np.ndarray] | None = None
     _memo: _ConjugateMemo = field(default_factory=_ConjugateMemo, repr=False)
 
     def __post_init__(self):
         if self.conj_fn is None and self.hess_fn is not None and self.conj_hess_fn is None:
-            self.conj_hess_fn = lambda Y: _implicit_conj_hess(self, Y)
+            self.conj_hess_fn = lambda Y, w: _implicit_conj_hess(self, Y, w)
 
     def value(self, p) -> float:
         return float(self.value_fn(np.asarray(p, dtype=float)))
@@ -199,18 +201,21 @@ class Entropy:
         return self.conj_grad_rows(np.asarray(x, dtype=float)[None, :])[0]
 
 
-def _implicit_conj_hess(h: Entropy, Y) -> np.ndarray:
-    """Conjugate Hessians of the rows of Y by the implicit function theorem.
+def _implicit_conj_hess(h: Entropy, Y, w) -> np.ndarray:
+    """``sum_r w_r`` times the conjugate Hessian at row r of Y, by the implicit
+    function theorem.
 
     At the argmax p the stationarity system ``y_f - dH(p)_f = c 1``,
     ``1.p_f = 1`` holds on the face ``f = {p > 1e-10}``; differentiating it
     gives dp_f/dy_f as the top-left block of ``[[d2H(p)_ff, 1], [1^T, 0]]^-1``.
-    Coordinates off the face stay at zero.
+    Coordinates off the face stay at zero, and rows of weight zero are
+    skipped.
     """
     Y = np.asarray(Y, dtype=float)
-    m, n = Y.shape
-    out = np.zeros((m, n, n))
-    for r in range(m):
+    w = np.asarray(w, dtype=float)
+    n = Y.shape[1]
+    out = np.zeros((n, n))
+    for r in np.flatnonzero(w != 0.0):
         p = numeric_conjugate(h, Y[r])[1]
         f = np.flatnonzero(p > 1e-10)
         k = f.size
@@ -219,7 +224,7 @@ def _implicit_conj_hess(h: Entropy, Y) -> np.ndarray:
         B[:k, k] = 1.0
         B[k, :k] = 1.0
         # pinv: the bordered matrix is singular where H is linear on the face
-        out[r][np.ix_(f, f)] = np.linalg.pinv(B)[:k, :k]
+        out[np.ix_(f, f)] += w[r] * np.linalg.pinv(B)[:k, :k]
     return out
 
 
@@ -325,12 +330,10 @@ def shannon_kl_entropy(prior, kappa: float = 1.0) -> Entropy:
         w = np.exp(z)
         return w / w.sum(axis=1, keepdims=True)
 
-    def conj_hess(Y):
-        q = conj_grad(Y)
-        H = -q[:, :, None] * q[:, None, :]
-        diag = np.arange(q.shape[1])
-        H[:, diag, diag] += q
-        return H / k
+    def conj_hess(Y, w):
+        # sum_a w_a (diag q_a - q_a q_a^T) / k: one GEMM
+        q, w = conj_grad(Y), np.asarray(w, dtype=float)
+        return (np.diag(w @ q) - (q * w[:, None]).T @ q) / k
 
     return Entropy("shannon_kl", prior, value, conj, conj_grad, grad, conj_hess_fn=conj_hess)
 
@@ -367,7 +370,9 @@ def _nested_logit(lognu, logmu, etas, zeta):
     within-nest conditionals q_i, and its Hessian is
     ``sum_i (r_i / eta_i)(diag q_i - q_i q_i^T) + (sum_i r_i q_i q_i^T - g g^T) / zeta``.
     The conjugate and its gradient serve both one vector and a matrix of
-    rows; the Hessian comes row-batched.
+    rows; ``conj_hess(Y, w)`` is the w-weighted sum of the Hessians at the
+    rows of Y, a diagonal plus two GEMMs: one over every (row, nest) pair
+    and one over the gradients.
     """
 
     # the maps take one posterior-space vector (n,) or a matrix of rows
@@ -397,12 +402,14 @@ def _nested_logit(lognu, logmu, etas, zeta):
     def conj_grad(Y):
         return _split(Y)[2]
 
-    def conj_hess(Y):
+    def conj_hess(Y, w):
         r, q, g = _split(Y)
-        H = (q.transpose(0, 2, 1) * (r * (1.0 / zeta - 1.0 / etas))[:, None, :]) @ q
-        H -= g[:, :, None] * g[:, None, :] / zeta
-        diag = np.arange(g.shape[1])
-        H[:, diag, diag] += ((r / etas)[:, None, :] @ q)[:, 0, :]
+        n, w = g.shape[1], np.asarray(w, dtype=float)
+        wr = w[:, None] * r
+        q_flat = q.reshape(-1, n)
+        H = np.diag((wr / etas).reshape(-1) @ q_flat)
+        H += (q_flat * (wr * (1.0 / zeta - 1.0 / etas)).reshape(-1, 1)).T @ q_flat
+        H -= (g * w[:, None]).T @ g / zeta
         return H
 
     return conj, conj_grad, conj_hess
@@ -454,7 +461,7 @@ def _entropy_value_from_conjugate(conj, conj_grad, conj_hess, p):
         return (p - conj_grad(lift(z)))[free]
 
     def J(z):
-        return -conj_hess(lift(z)[None, :])[0][np.ix_(free, free)]
+        return -conj_hess(lift(z)[None, :], np.ones(1))[np.ix_(free, free)]
 
     def objective(z):
         x = lift(z)
@@ -463,7 +470,7 @@ def _entropy_value_from_conjugate(conj, conj_grad, conj_hess, p):
     # Shannon start: for H* = kappa log sum_s pi_s exp(x_s / kappa) the dual
     # point is kappa log(p / pi), and kappa = (k - 1) / tr(diag(1 / pi) Hess)
     q0 = conj_grad(x0)
-    kappa = (k - 1) / float(np.sum(np.diagonal(conj_hess(x0[None, :])[0]) / q0))
+    kappa = (k - 1) / float(np.sum(np.diagonal(conj_hess(x0[None, :], np.ones(1))) / q0))
     z0 = kappa * (np.log(p) - np.log(q0))
     z0 = (z0 - z0[pin])[free]
     z, Fz = newton(F, z0, J)
@@ -666,18 +673,17 @@ class CostModel:
     def grad_rows(self, X) -> np.ndarray:
         return np.array([self.grad_f_star(x) for x in np.asarray(X, dtype=float)])
 
-    def hess_rows(self, X) -> np.ndarray | None:
-        """Conjugate Hessians of the rows of X, or None without a closed form.
+    def weighted_hessian(self, X, w) -> np.ndarray | None:
+        """``sum_a w_a`` times the conjugate Hessian at row a of X, an ``(n, n)``
+        matrix, or None without a closed form.
 
-        A family returns either an ``(m, n)`` array, read as the diagonals of
-        diagonal Hessians, or a full ``(m, n, n)`` stack.  With None the
-        Newton polish falls back to finite-difference Jacobians.
+        With None the Newton solves fall back to finite-difference Jacobians.
         """
         return None
 
     @property
     def has_hessian(self) -> bool:
-        """Whether ``hess_rows`` returns closed-form Hessians rather than None."""
+        """Whether ``weighted_hessian`` returns closed-form Hessians rather than None."""
         return False
 
     def evaluate_rows(self, X) -> tuple[np.ndarray, np.ndarray]:
@@ -769,11 +775,12 @@ class CsiszarCost(CostModel):
     def has_hessian(self) -> bool:
         return self.transform.psi_pp is not None
 
-    def hess_rows(self, X):
+    def weighted_hessian(self, X, w):
+        # each row's Hessian is diagonal: psi''(x / pi) / pi
         if self.transform.psi_pp is None:
             return None
         ratios = np.asarray(X, dtype=float) / self.prior[None, :]
-        return np.asarray(self.transform.psi_pp(ratios), dtype=float) / self.prior[None, :]
+        return np.diag(w @ (np.asarray(self.transform.psi_pp(ratios), dtype=float) / self.prior[None, :]))
 
     def divergence_spec(self):
         return divergence.csiszar_spec(self.prior, self.transform)
@@ -827,12 +834,13 @@ class PosteriorSeparableCost(CostModel):
     def has_hessian(self) -> bool:
         return self.entropy.conj_hess_fn is not None
 
-    def hess_rows(self, X):
+    def weighted_hessian(self, X, w):
+        # f*(x) = H*(x / pi), so the Hessian is the entropy's scaled by 1/pi on both sides
         if self.entropy.conj_hess_fn is None:
             return None
         Y = np.asarray(X, dtype=float) / self.prior[None, :]
         inv = 1.0 / self.prior
-        return self.entropy.conj_hess_fn(Y) * inv[None, :, None] * inv[None, None, :]
+        return self.entropy.conj_hess_fn(Y, w) * inv[:, None] * inv[None, :]
 
     def divergence_spec(self):
         return divergence.DivergenceSpec(prior=self.prior, entropy_value=self.entropy.value)
@@ -960,7 +968,7 @@ def scale_entropy(h: Entropy, kappa: float) -> Entropy:
         conj_fn=lambda Y: k * h.conj_rows(Y / k),
         conj_grad_fn=lambda Y: h.conj_grad_rows(Y / k),
         grad_fn=(lambda p: k * np.asarray(h.grad_fn(p), dtype=float)) if h.grad_fn else None,
-        conj_hess_fn=(lambda Y: hess(Y / k) / k) if hess else None,
+        conj_hess_fn=(lambda Y, w: hess(Y / k, w) / k) if hess else None,
     )
 
 

@@ -8,6 +8,7 @@ from infoacq.core import (
     Simplex,
     ValidationError,
     apply_garbling,
+    clean_weights,
     detect_symmetries,
     normalize_binary,
     unconditional_distribution,
@@ -67,6 +68,41 @@ class TestValidation:
         s = Simplex.build(["x", "y"], [1.0 + 1e-15, -1e-15])
         assert s.weights[1] == 0.0
         assert s.weights.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+class TestRowValidation:
+    """``ChoiceRule.build`` and ``Kernel.build`` check all rows in one pass."""
+
+    def _rows(self, rng, n, m):
+        rows = rng.dirichlet(np.ones(m) * 0.3, size=n)
+        rows[rng.random((n, m)) < 0.2] = -1e-15
+        rows /= rows.sum(axis=1, keepdims=True)
+        return rows * (1.0 + rng.uniform(-3e-13, 3e-13, size=(n, 1)))
+
+    @pytest.mark.parametrize("m", [1, 3, 9, 130, 1100])
+    def test_rows_match_one_clean_weights_per_row(self, m):
+        rng = np.random.default_rng(m)
+        p = random_problem(rng, 5, m)
+        rows = self._rows(rng, 5, m)
+        expected = np.vstack([clean_weights(r, "row") for r in rows]).tobytes()
+        # a transposed (Fortran-ordered) input sums its rows in another order
+        # unless it is made contiguous first
+        for given in (rows, np.asfortranarray(rows)):
+            assert ChoiceRule.build(p, given).rows.tobytes() == expected
+            assert Kernel.build(p.states, p.action_names, given).rows.tobytes() == expected
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(np.nan, "non-finite weight"), (-1e-3, "negative weight"), (0.5, "weights sum to")],
+    )
+    def test_the_error_names_the_first_bad_row(self, bad, message):
+        p = random_problem(np.random.default_rng(3), 4, 3)
+        rows = np.full((4, 3), 1.0 / 3.0)
+        rows[[1, 3], 0] = bad
+        with pytest.raises(ValidationError, match=f"choice rule row 's1': {message}"):
+            ChoiceRule.build(p, rows)
+        with pytest.raises(ValidationError, match=f"kernel row 's1': {message}"):
+            Kernel.build(p.states, p.action_names, rows)
 
 
 class TestUnconditional:

@@ -534,9 +534,9 @@ class TestNeighborhoodClosedForm:
             # payoffs on the scale of the root weight keep every posterior
             # mass far above the 1e-10 face of the implicit Hessian
             Y = kappa_r * rng.normal(size=(4, n))
-            H = h.conj_hess_fn(Y)
-            H_twin = twin.conj_hess_fn(Y)
-            for y, H_y, H_t in zip(Y, H, H_twin):
+            for y in Y:
+                H_y = h.conj_hess_fn(y[None], [1.0])
+                H_t = twin.conj_hess_fn(y[None], [1.0])
                 val, arg = numeric_conjugate(twin, y)
                 assert abs(h.h_star(y) - val) <= 1e-12 * max(1.0, abs(val))
                 np.testing.assert_allclose(h.grad_h_star(y), arg, rtol=0, atol=1e-12)

@@ -21,7 +21,7 @@ from infoacq.costs import (
     scale,
     shannon_kl_entropy,
 )
-from infoacq.solver import SolveOptions, _kkt_system, _slice_basis, solve, solve_best_response
+from infoacq.solver import SolveOptions, _kkt_jacobian, _kkt_system, _slice_basis, solve, solve_best_response
 from infoacq.transform import chi2, tabulated
 
 
@@ -30,20 +30,16 @@ def _prior(rng, n):
     return prior / prior.sum()
 
 
-def _full_hessians(H):
-    """(m, n, n) Hessians from either hess_rows layout."""
-    return H[:, :, None] * np.eye(H.shape[1])[None] if H.ndim == 2 else H
-
-
-def _fd_hessians(model, X):
-    """Central differences of grad_rows, one state coordinate at a time."""
-    m, n = X.shape
-    out = np.empty((m, n, n))
+def _fd_weighted_hessian(model, X, w):
+    """Central differences of ``w @ grad_rows``, moving one state coordinate
+    of every row at a time."""
+    n = X.shape[1]
+    out = np.empty((n, n))
     for j in range(n):
         h = 1e-6 * model.prior[j]
         E = np.zeros_like(X)
         E[:, j] = h
-        out[:, :, j] = (model.grad_rows(X + E) - model.grad_rows(X - E)) / (2 * h)
+        out[:, j] = w @ (model.grad_rows(X + E) - model.grad_rows(X - E)) / (2 * h)
     return out
 
 
@@ -83,6 +79,8 @@ def _hessian_models(prior):
 
 
 class TestHessRows:
+    """``CostModel.weighted_hessian``, the one Hessian the solver reads."""
+
     @pytest.mark.parametrize(
         "name",
         [
@@ -106,9 +104,12 @@ class TestHessRows:
         # payoff-space arguments (a - lam_pi) * prior with a - lam_pi in
         # [-0.9, 1.5]: away from the chi2 kink at -kappa
         X = rng.uniform(-0.9, 1.5, size=(6, 5)) * prior[None, :]
-        H = _full_hessians(model.hess_rows(X))
-        fd = _fd_hessians(model, X)
-        assert H.shape == (6, 5, 5)
+        # a zero weight, as an action outside the support has
+        w = rng.uniform(0.1, 2.0, size=6)
+        w[2] = 0.0
+        H = model.weighted_hessian(X, w)
+        fd = _fd_weighted_hessian(model, X, w)
+        assert H.shape == (5, 5)
         np.testing.assert_allclose(H, fd, rtol=1e-6, atol=1e-6 * np.abs(H).max())
 
     def test_families_without_closed_form_return_none(self):
@@ -120,7 +121,7 @@ class TestHessRows:
             perceptual_csiszar_cost(prior, chi2(1.0), encoder),
             csiszar_cost(prior, replace(chi2(1.0), psi_pp=None)),
         ):
-            assert model.hess_rows(X) is None
+            assert model.weighted_hessian(X, np.ones(2)) is None
             assert model.has_hessian is False
 
     def test_neighborhood_cost_has_hessian(self):
@@ -179,8 +180,12 @@ class TestSupportSystem:
 
     def _check(self, p, model, z, basis=None):
         m, n = p.n_actions, p.n_states
-        F, J = _kkt_system(p, model, z, basis, jac=True)
+        F, point = _kkt_system(p, model, z, basis)
+        J = _kkt_jacobian(model, point, basis)
         assert J.shape == (F.size, z.size) == (z.size, z.size)
+        # a Jacobian array refilled at z after another point is the fresh one
+        out = _kkt_jacobian(model, _kkt_system(p, model, z + 0.05, basis)[1], basis)
+        np.testing.assert_array_equal(_kkt_jacobian(model, point, basis, out), J)
         fd = _fd_jacobian(lambda w: _kkt_system(p, model, w, basis)[0], z)
         # every row but the kink row phi(alpha_1, t - v_1) is smooth at z
         smooth = np.arange(F.size) != 1
@@ -216,8 +221,8 @@ class TestSupportSystem:
         p = random_problem(rng, 3, 3)
         model = perceptual_csiszar_cost(p.prior, chi2(1.0), build_encoder(np.eye(3), p.prior))
         z = self._point(rng, 3, 3)
-        F, J = _kkt_system(p, model, z, jac=True)
-        assert J is None and F.shape == (7,)
+        F, point = _kkt_system(p, model, z)
+        assert _kkt_jacobian(model, point) is None and F.shape == (7,)
 
 
 _COSTS = {

@@ -41,6 +41,27 @@ def problems(draw):
     return validate_problem(p.states, p.prior, actions)
 
 
+@given(
+    st.integers(2, 8),
+    st.integers(2, 8),
+    st.sampled_from([0.1, 1.0, 10.0]),
+    st.floats(0.3, 3.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_shannon_kl_posterior_separable_cost_is_mutual_information(n, m, payoff_scale, kappa, seed):
+    # the two costs are one cost solved by two routes: the Newton polish
+    # first, and the best response with a closed-form inner step.  At
+    # payoffs scaled by 0.1 the value is a difference of terms near 1, so
+    # the bound takes an absolute floor of a few ulp of those terms
+    p = random_problem(np.random.default_rng(seed), n, m, prior_floor=0.1 / n)
+    p = validate_problem(p.states, p.prior, list(zip(p.action_names, payoff_scale * p.payoffs)))
+    opts = SolveOptions(max_iter=2000)
+    ps = solve(p, posterior_separable_cost(p.prior, shannon_kl_entropy(p.prior, kappa)), opts)
+    mi = solve(p, mutual_information_cost(p.prior, kappa), opts)
+    assert ps.converged and mi.converged
+    assert abs(ps.value - mi.value) <= 1e-12 * abs(mi.value) + 1e-14
+
+
 @given(problems())
 def test_converged_solves_meet_tolerance(p):
     for family, cost in sorted(_COSTS.items()):

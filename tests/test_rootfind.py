@@ -2,6 +2,7 @@
 and the simplex maximization of ``infoacq._rootfind``."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from infoacq._rootfind import (
     fd_jacobian,
     maximize_on_simplex,
     newton,
+    newton_step,
     stationary_point,
 )
 
@@ -188,6 +190,32 @@ class TestNewton:
         z0 = np.array([0.7, -1.3])
         fd = fd_jacobian(_circle_line, z0, _circle_line(z0))
         np.testing.assert_allclose(fd, _circle_line_jac(z0), atol=1e-6)
+
+    def test_jacobian_gets_the_array_the_system_last_saw(self):
+        # the polish builds each Jacobian from the evaluation of the
+        # system at the same array, so it must be the last one evaluated
+        seen = []
+
+        def F(z):
+            seen.append(z)
+            return np.arctan(z)
+
+        def jac(z):
+            assert z is seen[-1]
+            return np.diag(1.0 / (1.0 + z**2))
+
+        z, _ = newton(F, [3.0, -0.5], jac)
+        assert abs(z).max() <= 1e-15 and len(seen) > 3
+
+    def test_residual_check_overflow_is_not_reported(self, lstsq_calls):
+        # at this scale |F|^2 overflows in the norm of the LU step's residual
+        # check; the step is exact, so the check passes as before
+        J, F = np.diag([1e200, 2e200]), np.array([1e200, 1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            step = newton_step(J, F)
+        np.testing.assert_array_equal(step, [-1.0, -0.5])
+        assert lstsq_calls == []
 
     def test_backtracking_stops_on_a_failed_line_search(self):
         # F = atan(z) overshoots from z = 3 under the full Newton step; with

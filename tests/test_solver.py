@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -749,6 +750,19 @@ class TestInnerMinimization:
         rep = verify_focs(big, model, sol.alpha, sol.lam)
         assert rep.within(1e-8)
 
+    def test_overflow_scale_solve_raises_no_runtime_warning(self):
+        # LU steps of near-singular Jacobians at this scale overflowed the
+        # norm in the Newton step's residual check
+        rng = np.random.default_rng(103)
+        n, m = (int(k) for k in rng.integers(2, 9, size=2))
+        p = random_problem(rng, n, m, prior_floor=0.1 / n)
+        big = validate_problem(p.states, p.prior, list(zip(p.action_names, 800 * p.payoffs)))
+        model = posterior_separable_cost(big.prior, shannon_kl_entropy(big.prior))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sol = solve(big, model, SolveOptions(max_iter=200))
+        assert sol.converged
+
     def test_uniform_start_at_overflow_scale_meets_inner_tol(self):
         p = random_problem(np.random.default_rng(2), 8, 3)
         big = validate_problem(p.states, p.prior, list(zip(p.action_names, 800 * p.payoffs)))
@@ -757,6 +771,52 @@ class TestInnerMinimization:
         lam = solver._inner_minimize(big, model, alpha, None)
         _, G = solver.evaluate(big, model, lam)
         assert np.max(np.abs(alpha @ G - 1.0)) <= 1e-11
+
+
+class TestPolishFirst:
+    """Costs without a closed-form inner step start at the Newton polish."""
+
+    def _counting(self, monkeypatch, name, calls=None):
+        """Append ``name`` to ``calls`` (a new list by default) on every call of ``solver.<name>``."""
+        calls = [] if calls is None else calls
+        real = getattr(solver, name)
+        monkeypatch.setattr(solver, name, lambda *a, **k: calls.append(name) or real(*a, **k))
+        return calls
+
+    def test_converged_solve_minimizes_the_inner_problem_once(self, monkeypatch):
+        # the one inner minimization is the certificate's; the best response
+        # that ran before the polish made three more
+        p = random_problem(np.random.default_rng(8), 8, 8)
+        calls = self._counting(monkeypatch, "_inner_minimize")
+        sol = solve(p, posterior_separable_cost(p.prior, shannon_kl_entropy(p.prior)))
+        assert len(calls) == 1
+        assert sol.converged and sol.iterations == 1
+
+    def test_a_missed_first_polish_falls_back_to_the_best_response(self, monkeypatch):
+        p = random_problem(np.random.default_rng(8), 8, 8)
+        model = posterior_separable_cost(p.prior, shannon_kl_entropy(p.prior))
+        polish = solver._polish
+        polishes = []
+
+        def first_misses(*args, **kwargs):
+            polishes.append(1)
+            return None if len(polishes) == 1 else polish(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_polish", first_misses)
+        inner = self._counting(monkeypatch, "_inner_minimize")
+        sol = solve(p, model)
+        assert sol.converged
+        assert max(sol.residual_alpha, sol.residual_lambda) <= SolveOptions().tol
+        assert len(polishes) > 1 and len(inner) > 1
+        assert sol.value == pytest.approx(solve(p, mutual_information_cost(p.prior)).value, rel=1e-12)
+
+    def test_csiszar_costs_start_at_the_best_response(self, monkeypatch):
+        p = random_problem(np.random.default_rng(8), 8, 8)
+        order = []
+        for name in ("_inner_minimize", "_polish"):
+            self._counting(monkeypatch, name, order)
+        assert solve(p, chi2_cost(p.prior)).converged
+        assert order[0] == "_inner_minimize"
 
 
 def _counting_rows(model):
