@@ -1,9 +1,8 @@
-"""Root finding: bracketed scalar roots by Brent's method (inverse-quadratic
-and secant steps with a bisection fallback), a damped Newton method for
-smooth vector systems, and the simplex maximization behind the numeric
-conjugate, the f-mean and the per-state perturbed-utility oracle:
-exponentiated-gradient ascent finished by a Newton solve of the
-stationarity conditions on a face."""
+"""Root finding: Brent's method on arrays of brackets, one root a column
+(inverse-quadratic and secant steps with a bisection fallback), a damped
+Newton method for smooth vector systems, and the simplex maximization behind
+the numeric conjugate: exponentiated-gradient ascent finished by a Newton
+solve of the stationarity conditions on a face."""
 
 from __future__ import annotations
 
@@ -20,95 +19,94 @@ class BracketError(RuntimeError):
     """The supplied interval does not bracket a sign change."""
 
 
-def bracketed_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    xtol: float = 1e-13,
-    max_iter: int = 200,
-) -> float:
-    """Root of a continuous ``f`` on ``[lo, hi]`` with a sign change across it.
+def bracketed_roots(g, lo, hi, *, xtol: float = 1e-13, max_iter: int = 200) -> np.ndarray:
+    """Roots of a continuous ``g`` on the brackets ``[lo, hi]``, one a column.
 
-    Brent's method (Brent 1973, *Algorithms for Minimization without
-    Derivatives*, ch. 4): each step is an inverse-quadratic or secant step
-    through the last three iterates, taken while it lands well inside the
-    bracket and is under half the step before last, and a bisection step
-    otherwise.  An endpoint where f is exactly zero is returned as it is.
-    Otherwise the result is the end of the final bracket with the smaller
-    ``|f|``, and that bracket is at most ``xtol max(1, |x|)`` wide (or
-    ``4 eps |x|``, where that is wider), unless ``max_iter`` steps ran out
-    first.  Raises ``BracketError`` when f has the same sign at both ends.
+    The columns are the entries of ``lo`` and ``hi`` broadcast together;
+    ``g`` maps an array of that shape to each column's function value.  Each
+    column runs Brent's method (Brent 1973, *Algorithms for Minimization
+    without Derivatives*, ch. 4) and stops on its own: a step is an
+    inverse-quadratic or secant step through the last three iterates, taken
+    while it lands well inside the bracket and is under half the step before
+    last, and a bisection step otherwise.  An end where g is exactly zero is
+    returned as it is; otherwise the result is the end of the final bracket
+    with the smaller ``|g|``, a bracket at most ``xtol max(1, |x|)`` wide
+    (``4 eps |x|`` where wider) unless ``max_iter`` steps ran out.  Raises
+    ``BracketError`` naming the first column where g has one sign at both ends.
     """
-    a, b = float(lo), float(hi)
-    fa, fb = float(f(a)), float(f(b))
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0.0 and fb > 0.0) or (fa < 0.0 and fb < 0.0):
+    lo, hi = (np.array(x, dtype=float) for x in np.broadcast_arrays(lo, hi))
+    fa, fb = np.asarray(g(lo), dtype=float), np.asarray(g(hi), dtype=float)
+    bad = ((fa > 0.0) & (fb > 0.0)) | ((fa < 0.0) & (fb < 0.0))
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
         raise BracketError(
-            f"no sign change on [{lo:.6g}, {hi:.6g}]: f(lo)={fa:.6g}, f(hi)={fb:.6g}"
+            f"no sign change in column {i} on [{lo.flat[i]:.6g}, {hi.flat[i]:.6g}]: "
+            f"f(lo)={fa.flat[i]:.6g}, f(hi)={fb.flat[i]:.6g}"
         )
     # b is the best iterate and c the bracket end across the sign change from
     # it; a is the previous b, d the last step and e the one before it
-    c, fc = a, fa
-    d = e = b - a
+    a, b = lo, np.where(fa == 0.0, lo, hi)
+    active = (fa != 0.0) & (fb != 0.0)
+    c, fc, d, e = a, fa, b - a, b - a
     for _ in range(max_iter):
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = max(0.5 * xtol * max(1.0, abs(b)), 2.0 * _EPS * abs(b))
-        half = 0.5 * (c - b)
-        if abs(half) <= tol:
+        if not active.any():
             break
-        if abs(e) >= tol and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:  # secant
-                p, q = 2.0 * half * s, 1.0 - s
-            else:  # inverse quadratic through (a, fa), (b, fb), (c, fc)
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * half * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = half
-        else:
-            d = e = half
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, half)
-        fb = float(f(b))
-        if fb == 0.0:
-            return b
+        with np.errstate(all="ignore"):
+            # only b is kept in a stopped column, so only the swap and the
+            # step look at ``active``
+            flip = (fb > 0.0) == (fc > 0.0)
+            ba = b - a
+            c, fc = np.where(flip, a, c), np.where(flip, fa, fc)
+            d, e = np.where(flip, ba, d), np.where(flip, ba, e)
+            swap = active & (np.abs(fc) < np.abs(fb))
+            a, b, c = np.where(swap, b, a), np.where(swap, c, b), np.where(swap, b, c)
+            fa, fb, fc = np.where(swap, fb, fa), np.where(swap, fc, fb), np.where(swap, fb, fc)
+            abs_b = np.abs(b)
+            tol = np.maximum(0.5 * xtol * np.maximum(1.0, abs_b), 2.0 * _EPS * abs_b)
+            half = 0.5 * (c - b)
+            active &= ~(np.abs(half) <= tol)
+            # secant where a == c, else inverse quadratic through (a, fa),
+            # (b, fb), (c, fc)
+            s, q, r = fb / fa, fa / fc, fb / fc
+            secant, two_half, r1 = a == c, 2.0 * half, r - 1.0
+            p = np.where(secant, two_half * s, s * (two_half * q * (q - r) - (b - a) * r1))
+            q = np.where(secant, 1.0 - s, (q - 1.0) * r1 * (s - 1.0))
+            q = np.where(p > 0.0, -q, q)
+            p = np.abs(p)
+            interp = (np.abs(e) >= tol) & (np.abs(fa) > np.abs(fb))
+            take = interp & (2.0 * p < np.minimum(3.0 * half * q - np.abs(tol * q), np.abs(e * q)))
+            e, d = np.where(take, d, half), np.where(take, p / q, half)
+            a, fa = b, fb
+            b = np.where(active, b + np.where(np.abs(d) > tol, d, np.copysign(tol, half)), b)
+        fb = np.asarray(g(b), dtype=float)
+        active &= fb != 0.0
     return b
 
 
-def expand_bracket(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    factor: float = 2.0,
-    max_expand: int = 60,
-) -> tuple[float, float]:
-    """Grow ``[lo, hi]`` geometrically around its centre until ``f`` changes sign."""
-    lo, hi = float(lo), float(hi)
-    flo, fhi = float(f(lo)), float(f(hi))
+def bracketed_root(f, lo: float, hi: float, *, xtol: float = 1e-13, max_iter: int = 200) -> float:
+    """Root of a continuous scalar ``f`` on ``[lo, hi]``: one column of ``bracketed_roots``."""
+    g = lambda x: [f(float(x[0]))]
+    return float(bracketed_roots(g, [lo], [hi], xtol=xtol, max_iter=max_iter)[0])
+
+
+def expand_bracket(g, lo, hi, *, factor: float = 2.0, max_expand: int = 60) -> tuple[np.ndarray, np.ndarray]:
+    """Grow each bracket ``[lo, hi]`` geometrically around its centre until
+    ``g`` changes sign across it; columns and ``g`` as in ``bracketed_roots``."""
+    lo, hi = (np.array(x, dtype=float) for x in np.broadcast_arrays(lo, hi))
+    flo, fhi = np.asarray(g(lo), dtype=float), np.asarray(g(hi), dtype=float)
     for _ in range(max_expand):
-        if np.sign(flo) != np.sign(fhi) or flo == 0.0 or fhi == 0.0:
+        grow = (np.sign(flo) == np.sign(fhi)) & (flo != 0.0) & (fhi != 0.0)
+        if not grow.any():
             return lo, hi
         mid = 0.5 * (lo + hi)
-        half = max(0.5 * (hi - lo), 1e-6) * factor
-        lo, hi = mid - half, mid + half
-        flo, fhi = float(f(lo)), float(f(hi))
-    raise BracketError(f"could not bracket a sign change near [{lo:.6g}, {hi:.6g}]")
+        half = np.maximum(0.5 * (hi - lo), 1e-6) * factor
+        lo, hi = np.where(grow, mid - half, lo), np.where(grow, mid + half, hi)
+        flo = np.where(grow, np.asarray(g(lo), dtype=float), flo)
+        fhi = np.where(grow, np.asarray(g(hi), dtype=float), fhi)
+    i = int(np.flatnonzero(grow)[0])
+    raise BracketError(
+        f"could not bracket a sign change in column {i} near [{lo.flat[i]:.6g}, {hi.flat[i]:.6g}]"
+    )
 
 
 def fd_jacobian(F: Callable[[np.ndarray], np.ndarray], z: np.ndarray, Fz: np.ndarray) -> np.ndarray:

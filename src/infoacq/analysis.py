@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rootfind import bracketed_root
+from ._rootfind import bracketed_roots
 from .catalog import (
     epsilon_split_vector,
     guess_with_outside_option,
@@ -21,9 +21,9 @@ from .costs import Encoder, Entropy, nested_shannon_cost, posterior_separable_co
 from .solver import (
     SolveOptions,
     Solution,
+    _statewise,
     solve,
     solve_perceptual,
-    statewise_multiplier,
 )
 from .transform import Transform, psi_inverse, risk_indices
 
@@ -42,16 +42,17 @@ def guess_state_accuracy(t: Transform, n: int, m: int, w: float) -> tuple[float,
         raise ValidationError("need 1 <= m < n")
     if w <= 0:
         raise ValidationError("the reward must be positive")
-    gamma = m / n
-    l = _response_multiplier(t, gamma, w)
-    return gamma * float(t.psi_prime(w - l)), l
+    curve = response_curve(t, m / n, [w])
+    return float(curve.rho[0]), float(curve.l[0])
 
 
-def _response_multiplier(t: Transform, gamma: float, w: float) -> float:
+def _response_multipliers(t: Transform, gamma, w) -> np.ndarray:
+    gamma, w = np.broadcast_arrays(gamma, w)
+
     def g(l):
-        return gamma * float(t.psi_prime(w - l)) + (1 - gamma) * float(t.psi_prime(-l)) - 1.0
+        return gamma * t.psi_prime(w - l) + (1 - gamma) * t.psi_prime(-l) - 1.0
 
-    return bracketed_root(g, 0.0, w, xtol=1e-14)
+    return bracketed_roots(g, 0.0, w, xtol=1e-14)
 
 
 @dataclass
@@ -70,7 +71,7 @@ def response_curve(t: Transform, gamma: float, w_grid) -> ResponseCurve:
     w_grid = np.asarray(w_grid, dtype=float)
     if np.any(w_grid <= 0):
         raise ValidationError("rewards must be positive")
-    ls = np.array([_response_multiplier(t, gamma, w) for w in w_grid])
+    ls = _response_multipliers(t, gamma, w_grid)
     rhos = gamma * np.asarray(t.psi_prime(w_grid - ls), dtype=float)
     return ResponseCurve(gamma, w_grid, rhos, ls, t)
 
@@ -143,21 +144,28 @@ def inconclusive_thresholds(t: Transform, n: int, w: float) -> ThresholdReport:
     the same at the no-safe-action multiplier.  For the exponential family
     the two collapse to the closed-form knife edge.
     """
-    if n < 2 or w <= 0:
+    return _thresholds(t, [n], w)[0]
+
+
+def _thresholds(t: Transform, ns, w: float) -> list[ThresholdReport]:
+    """``inconclusive_thresholds`` at every n of ``ns``: the upper threshold,
+    the multiplier and the psi inverse each take one array of roots."""
+    ns = np.asarray(ns)
+    if np.any(ns < 2) or w <= 0:
         raise ValidationError("need n >= 2 and w > 0")
     if t.family == "shannon":
-        c_hat = mutual_information_threshold(n, w, t.kappa)
-        return ThresholdReport(c_hat, c_hat, c_hat, "constant")
+        c_hats = [mutual_information_threshold(n, w, t.kappa) for n in ns.tolist()]
+        return [ThresholdReport(c, c, c, "constant") for c in c_hats]
 
     def upper_eq(c):
-        return float(t.psi(w - c)) / n + (n - 1) / n * float(t.psi(-c))
+        return t.psi(w - c) / ns + (ns - 1) / ns * t.psi(-c)
 
-    c_upper = bracketed_root(upper_eq, w / n, w, xtol=1e-14)
-    lam = _response_multiplier(t, 1.0 / n, w)
-    mixed = float(t.psi(w - lam)) / n + (n - 1) / n * float(t.psi(-lam))
+    c_upper = bracketed_roots(upper_eq, w / ns, w, xtol=1e-14)
+    lam = _response_multipliers(t, 1.0 / ns, w)
+    mixed = t.psi(w - lam) / ns + (ns - 1) / ns * t.psi(-lam)
     c_lower = psi_inverse(t, mixed) + lam
     trend = _curvature_trend(t, -w, w)
-    return ThresholdReport(c_lower, c_upper, None, trend)
+    return [ThresholdReport(lo, up, None, trend) for lo, up in zip(c_lower.tolist(), c_upper.tolist())]
 
 
 @dataclass
@@ -296,14 +304,13 @@ def epsilon_split_experiment(
     n = d.size
     if not (0 <= i < n and 0 <= j < n and i != j) or abs(d[i] - d[j]) > 1e-12:
         raise ValidationError(f"split dimensions i={i}, j={j} must be distinct indices of d with equal payoffs")
-    uniform = np.full(n, 1.0 / n)
-    lam_base = statewise_multiplier(uniform, d, t)
-    target = risk_indices(t, d[i] - lam_base)[0]
     eps = np.asarray(epsilons, dtype=float)
+    # the base vector and every split vector, one column each
+    columns = np.column_stack([d] + [epsilon_split_vector(d, i, j, e) for e in eps])
+    lam_base, *lams = _statewise(np.full(n, 1.0 / n), columns, t).tolist()
+    target = risk_indices(t, d[i] - lam_base)[0]
     llrs = np.empty(eps.size)
-    for k, e in enumerate(eps):
-        de = epsilon_split_vector(d, i, j, e)
-        lam_e = statewise_multiplier(uniform, de, t)
+    for k, (e, lam_e) in enumerate(zip(eps, lams)):
         odds_i, odds_j = float(t.psi_prime(d[i] + e - lam_e)), float(t.psi_prime(d[j] - e - lam_e))
         if not (odds_i > 0.0 and odds_j > 0.0):
             raise ValidationError(f"epsilon {e:g} prices a split action out: its log odds are undefined")

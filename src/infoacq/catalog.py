@@ -160,18 +160,26 @@ def multitask_encoder() -> Encoder:
 def random_problem(rng, n_states: int, n_actions: int, prior_floor: float = 0.05) -> DecisionProblem:
     """Payoffs uniform on [-1, 1]; prior drawn from the simplex interior.
 
-    Priors are drawn uniformly and rejected until every coordinate reaches
-    ``prior_floor``, which requires ``prior_floor * n_states < 1``.
+    The prior is uniform on the part of the simplex where every coordinate
+    reaches ``prior_floor``, which requires ``prior_floor * n_states < 1``.
+    Uniform draws are rejected until one lands there, unless a draw lands
+    there with probability ``(1 - n_states prior_floor) ** (n_states - 1)``
+    below 1e-4; then the prior is ``prior_floor`` plus
+    ``1 - n_states prior_floor`` times a uniform draw, which has the same law.
     """
     if prior_floor * n_states >= 1.0:
         raise ValidationError(
             f"prior_floor {prior_floor:g} is infeasible for {n_states} states: "
             "the floor times the state count must stay below 1"
         )
-    while True:
-        prior = rng.dirichlet(np.ones(n_states))
-        if prior.min() >= prior_floor:
-            break
+    spare = 1.0 - n_states * prior_floor
+    if spare ** (n_states - 1) < 1e-4:
+        prior = prior_floor + spare * rng.dirichlet(np.ones(n_states))
+    else:
+        while True:
+            prior = rng.dirichlet(np.ones(n_states))
+            if prior.min() >= prior_floor:
+                break
     payoffs = rng.uniform(-1.0, 1.0, size=(n_actions, n_states))
     states = [f"s{i}" for i in range(n_states)]
     actions = [(f"a{j}", payoffs[j]) for j in range(n_actions)]

@@ -110,28 +110,27 @@ def _sweep_rows(spec: dict, parallel: int):
         t = io._maybe_shift(io.transform_from_dict(field("transform")), spec, where)
         gamma = number("gamma")
         grid = numbers("w_grid")
-
-        def point(w):
-            curve = analysis.response_curve(t, gamma, [w])
-            return {"w": w, "gamma": gamma, "rho": curve.rho[0], "lambda": curve.l[0]}
-
-        return ["w", "gamma", "rho", "lambda"], _maybe_parallel(point, grid, parallel)
+        curve = analysis.response_curve(t, gamma, grid)
+        rows = [
+            {"w": w, "gamma": gamma, "rho": rho, "lambda": l}
+            for w, rho, l in zip(grid, curve.rho.tolist(), curve.l.tolist())
+        ]
+        return ["w", "gamma", "rho", "lambda"], rows
     if kind == "thresholds":
         t = io._maybe_shift(io.transform_from_dict(field("transform")), spec, where)
         w = number("w")
         ns = numbers("n_grid", io._integer)
-
-        def point(n):
-            rep = analysis.inconclusive_thresholds(t, n, w)
-            return {
+        rows = [
+            {
                 "n": n,
                 "w": w,
                 "c_lower": rep.c_lower,
                 "c_upper": rep.c_upper,
                 "c_hat": rep.c_hat if rep.c_hat is not None else "",
             }
-
-        return ["n", "w", "c_lower", "c_upper", "c_hat"], _maybe_parallel(point, ns, parallel)
+            for n, rep in zip(ns, analysis._thresholds(t, ns, w))
+        ]
+        return ["n", "w", "c_lower", "c_upper", "c_hat"], rows
     if kind == "psychometric":
         thetas = np.asarray(numbers("thetas"))
         problem = one_dim_binary(thetas, numbers("risky_payoffs"))
@@ -153,10 +152,14 @@ def _sweep_rows(spec: dict, parallel: int):
             a1, a2, a3 = rep.accuracies
             return {"zeta": z, "eta": eta, "accuracy1": a1, "accuracy2": a2, "accuracy3": a3}
 
-        return (
-            ["zeta", "eta", "accuracy1", "accuracy2", "accuracy3"],
-            _maybe_parallel(point, zetas, parallel),
-        )
+        if parallel and parallel > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=parallel) as pool:
+                rows = list(pool.map(point, zetas))
+        else:
+            rows = [point(z) for z in zetas]
+        return ["zeta", "eta", "accuracy1", "accuracy2", "accuracy3"], rows
     if kind == "epsilon_split":
         epsilons = {"epsilons": numbers("epsilons")} if "epsilons" in spec else {}
         rep = analysis.epsilon_split_experiment(
@@ -179,15 +182,6 @@ def _sweep_rows(spec: dict, parallel: int):
         ]
         return ["epsilon", "log_likelihood_ratio", "linear_prediction", "ratio"], rows
     raise ValidationError(f"unknown sweep kind {kind!r}")
-
-
-def _maybe_parallel(fn, grid, parallel):
-    if parallel and parallel > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            return list(pool.map(fn, grid))
-    return [fn(x) for x in grid]
 
 
 def cmd_sweep(args) -> int:

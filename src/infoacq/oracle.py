@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rootfind import maximize_on_simplex, stationary_point
+from ._rootfind import bracketed_roots, expand_bracket
 from .core import ChoiceRule, DecisionProblem, SolverError, ValidationError
 from .costs import CostModel, CsiszarCost
 from .solver import MultiplierBox, _check_shared_prior, foc_residuals
@@ -217,14 +217,14 @@ def apu_solve(payoffs: np.ndarray, perturbation, perturbation_prime=None, tol: f
     """Statewise maximization of sum_a p(a) u(a) - c(p(a)) over the simplex.
 
     ``payoffs`` has shape (n_actions, n_states); returns the per-state choice
-    distributions as rows (n_states, n_actions).  Each state is solved by
-    ``_rootfind.maximize_on_simplex`` from the uniform distribution to a
-    simplex stationarity gap below ``tol``.  Its refinement is a Newton
-    solve of the stationarity conditions on the support; the ascent prices
-    actions out toward zero and ``_rootfind.stationary_point`` drops those
-    whose mass underflows.  Raises ``SolverError`` when a state misses the
-    gap within the step cap.  The perturbation must be strictly convex on
-    its domain.
+    distributions as rows (n_states, n_actions), from the first-order
+    condition ``sum_a p_a(mu) = 1``: ``p_a(mu)`` is 0 where
+    ``u_a - mu <= c'(0)``, else the root of ``c'(p) = u_a - mu`` on [0, 1],
+    taken in ``log p`` down to about 1e-300.  The payoff range shifted by
+    ``c'(1/m)`` brackets mu, and one ``bracketed_roots`` call finds it in
+    every state.  Raises ``SolverError`` naming the first state whose
+    stationarity gap ``max_a g_a - p . g``, with ``g = u - c'(p)``, exceeds
+    ``tol``.  The perturbation must be strictly convex.
     """
     payoffs = np.asarray(payoffs, dtype=float)
     m, n = payoffs.shape
@@ -236,32 +236,37 @@ def apu_solve(payoffs: np.ndarray, perturbation, perturbation_prime=None, tol: f
             lo = np.maximum(t - h, 1e-12)
             return (perturbation(t + h) - perturbation(lo)) / (t + h - lo)
 
-    out = np.empty((n, m))
-    for s in range(n):
-        u = payoffs[:, s]
-
-        def gradient(q):
-            return u - np.asarray(perturbation_prime(q), dtype=float)
-
-        def gap(q):
-            g = gradient(q)
-            return float(g.max() - q @ g)
-
-        def certifies(q):
-            return gap(q) <= tol
-
-        p, certified = maximize_on_simplex(
-            lambda q: float(q @ u - np.sum(perturbation(q))),
-            gradient,
-            gap,
-            np.full(m, 1.0 / m),
-            tol=tol,
-            refine=lambda q: stationary_point(gradient, q, q > 1e-10, accept=certifies),
+    u = payoffs.T  # (n, m)
+    log_floor = math.log(1e-300)
+    floor = math.exp(log_floor)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        at_zero, at_floor, at_uniform, at_one = (
+            perturbation_prime(np.full(u.shape, p)) for p in (0.0, floor, 1.0 / m, 1.0)
         )
-        if not certified:
-            raise SolverError(f"per-state maximization stalled in state {s}")
-        out[s] = p
-    return out
+
+    def masses(mu):
+        x = u - mu[:, None]
+        live = (x > at_floor) & (x < at_one)
+        # an entry that is not live reads 0 at both ends, so it stops at once
+        f = lambda z: np.where(live, perturbation_prime(np.exp(z)) - x, 0.0)
+        log_p = bracketed_roots(f, np.full(x.shape, log_floor), np.zeros(x.shape))
+        # where c' is NaN no case holds, and the mass stays NaN
+        cases = [x <= at_zero, x <= at_floor, x >= at_one, live]
+        return np.select(cases, [0.0, floor, 1.0, np.exp(log_p)], np.nan)
+
+    excess = lambda mu: masses(mu).sum(axis=1) - 1.0
+    # rounding can leave an end of the shifted payoff range on the wrong
+    # side, as where every payoff of a state is the same; that bracket grows
+    shifted = u - at_uniform
+    mu = bracketed_roots(excess, *expand_bracket(excess, shifted.min(axis=1), shifted.max(axis=1)))
+    p = masses(mu)
+    p /= p.sum(axis=1, keepdims=True)
+    g = u - perturbation_prime(p)
+    gap = g.max(axis=1) - (p * g).sum(axis=1)
+    bad = np.flatnonzero(~(gap <= tol))
+    if bad.size:
+        raise SolverError(f"stationarity gap {gap[bad[0]]:.3g} exceeds tol in state {bad[0]}")
+    return p
 
 
 def apu_perturbation_from_transform(transform, n_actions: int):

@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._rootfind import BracketError, bracketed_root, descend, newton
+from ._rootfind import BracketError, bracketed_roots, descend, newton
 from .core import (
     ChoiceRule,
     DecisionProblem,
@@ -281,29 +281,34 @@ def multiplier_bounds(problem: DecisionProblem, model: CostModel) -> MultiplierB
 
 
 def statewise_multiplier(alpha, payoffs_state, transform: Transform, tol: float = 1e-12) -> float:
-    """Prior-adjusted multiplier in one state given the action distribution.
+    """Prior-adjusted multiplier in one state given the action distribution:
+    one column of ``_statewise``."""
+    pay = np.asarray(payoffs_state, dtype=float)
+    return float(_statewise(alpha, pay[:, None], transform, tol)[0])
 
-    Solves ``sum_a alpha(a) psi'(a(s) - l) = 1`` by Brent's method
-    (``bracketed_root``) on the bracket spanned by the supported payoffs: the
-    equation is decreasing in ``l``, and the normalization psi'(0) = 1 pins
-    the signs at the endpoints.  The root is accurate to ``tol`` relative to
-    ``max(1, |l|)``.
+
+def _statewise(alpha, payoffs, transform: Transform, tol: float = 1e-12) -> np.ndarray:
+    """Statewise multiplier of every column of the ``(actions, states)`` payoffs.
+
+    Solves ``sum_a alpha(a) psi'(a(s) - l) = 1`` in every state at once by
+    Brent's method (``bracketed_roots``, to ``tol`` relative to
+    ``max(1, |l|)``) on the brackets spanned by the supported payoffs: the
+    equation falls in ``l``, and psi'(0) = 1 pins the signs at the ends.
     """
     alpha = np.asarray(alpha, dtype=float)
-    pay = np.asarray(payoffs_state, dtype=float)
     supp = alpha > 0.0
     if not np.any(supp):
         raise ValidationError("empty support")
-    w, vals = alpha[supp], pay[supp]
-    lo, hi = float(vals.min()), float(vals.max())
-    if hi - lo < 1e-15:
-        return lo
+    w, vals = alpha[supp], np.asarray(payoffs, dtype=float)[supp]
+    lo, hi = vals.min(axis=0), vals.max(axis=0)
+    live = hi - lo >= 1e-15
 
     def g(l):
-        return float(w @ transform.psi_prime(vals - l)) - 1.0
+        # a flat state reads 0 at both ends, so it stops at once at lo
+        return np.where(live, w @ transform.psi_prime(vals - l) - 1.0, 0.0)
 
     try:
-        return bracketed_root(g, lo, hi, xtol=tol)
+        return bracketed_roots(g, lo, hi, xtol=tol)
     except BracketError as exc:
         raise BracketError(
             "statewise multiplier bracket failed; transform response is not monotone"
@@ -388,7 +393,7 @@ def _inner_minimize(problem, model, alpha, lam0, inner_tol=1e-11):
         elif t.family == "chi2":
             lam_pi = _chi2_statewise(alpha, problem.payoffs, t.kappa)
         else:
-            lam_pi = np.array([statewise_multiplier(alpha, pay, t) for pay in problem.payoffs.T])
+            lam_pi = _statewise(alpha, problem.payoffs, t)
         return prior * lam_pi
 
     lam = np.zeros(n) if lam0 is None else lam0.copy()
@@ -746,11 +751,27 @@ def solve(problem: DecisionProblem, model: CostModel, opts: SolveOptions | None 
 def solve_best_response(
     problem: DecisionProblem, model: CostModel, opts: SolveOptions | None = None
 ) -> Solution:
-    """The best response finished by the Newton polish, for any cost model."""
+    """The best response finished by the Newton polish, for any cost model.
+
+    Actions with bit-identical payoff rows are solved as one action, whose
+    weight is split evenly among them.
+    """
     opts = opts or SolveOptions()
     _check_shared_prior(problem, model)
+    # unmerged, a multiplicative step can send every weight but the copies'
+    # to exactly zero, and no later step revives a zero weight
+    groups = _row_groups(problem.payoffs)
+    merged = problem
+    if len(groups) < problem.n_actions:
+        actions = [(problem.action_names[g[0]], problem.payoffs[g[0]]) for g in groups]
+        merged = validate_problem(problem.states, problem.prior, actions)
     # the best response never reads the box: it is built when the solution's is read
-    alpha, lam, iters, converged = _best_response_backend(problem, model, opts)
+    alpha, lam, iters, converged = _best_response_backend(merged, model, opts)
+    if merged is not problem:
+        split = np.empty(problem.n_actions)
+        for g, a in zip(groups, alpha):
+            split[g] = a / len(g)
+        alpha = split
     box = partial(multiplier_bounds, problem, model)
     return _assemble(problem, model, alpha, lam, iters, converged, "best_response", box)
 
@@ -854,25 +875,25 @@ def solve_mutual_information(
 # perceptual costs: reduction to the attribute problem
 
 
+def _row_groups(rows) -> list[list[int]]:
+    """Indices of the bit-identical rows of ``rows``, grouped in order of first occurrence."""
+    groups: dict[bytes, list[int]] = {}
+    for i, row in enumerate(rows):
+        groups.setdefault(row.tobytes(), []).append(i)
+    return list(groups.values())
+
+
 def _reduced_problem(problem: DecisionProblem, encoder):
     """Project actions onto attribute space, merging payoff-identical images."""
     E = problem.payoffs @ encoder.mu.T  # (m, n_attr): E_i[a]
-    groups: dict[bytes, list[int]] = {}
-    order = []
-    for a in range(problem.n_actions):
-        key = np.round(E[a], 12).tobytes()
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(a)
-    reduced_payoffs = np.array([E[groups[key][0]] for key in order])
-    names = tuple("+".join(problem.action_names[i] for i in groups[key]) for key in order)
+    group_lists = _row_groups(np.round(E, 12))
+    reduced_payoffs = np.array([E[g[0]] for g in group_lists])
+    names = tuple("+".join(problem.action_names[i] for i in g) for g in group_lists)
     reduced = validate_problem(
         encoder.attributes,
         encoder.nu,
         list(zip(names, reduced_payoffs)),
     )
-    group_lists = [groups[key] for key in order]
     return reduced, group_lists, E
 
 

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._rootfind import BracketError, bracketed_root, expand_bracket
+from ._rootfind import BracketError, bracketed_roots, expand_bracket
 from .core import ValidationError, finite_positive
 
 
@@ -304,9 +304,8 @@ def shift_transform(t: Transform, k: float) -> Transform:
     lo, hi = t.psi_prime_range
     if not (lo < k < hi):
         raise ValidationError(f"k={k:.6g} outside the image ({lo:.3g}, {hi:.3g}) of psi'")
-    f = lambda x: float(t.psi_prime(x)) - k
-    blo, bhi = expand_bracket(f, -1.0, 1.0)
-    t_k = bracketed_root(f, blo, bhi)
+    f = lambda x: t.psi_prime(x) - k
+    t_k = float(bracketed_roots(f, *expand_bracket(f, -1.0, 1.0)))
     psi_tk = float(t.psi(t_k))
     phi_k_at = float(t.phi_prime(k))
 
@@ -352,16 +351,17 @@ def risk_indices(t: Transform, x: float) -> tuple[float, float]:
     return p2 / p1, p3 / p2
 
 
-def psi_inverse(t: Transform, y: float) -> float:
-    """Inverse of the increasing map psi.
+def psi_inverse(t: Transform, y):
+    """Inverse of the increasing map psi, at a number or at each entry of an array.
 
-    The bracket [-1, 1] doubles about its centre until ``psi - y`` changes
-    sign across it; Brent's method (``bracketed_root``) then finds x within
+    Each bracket [-1, 1] doubles about its centre until ``psi - y`` changes
+    sign across it; Brent's method (``bracketed_roots``) then finds x within
     ``1e-13 max(1, |x|)``.
     """
-    f = lambda x: float(t.psi(x)) - y
-    lo, hi = expand_bracket(f, -1.0, 1.0)
-    return bracketed_root(f, lo, hi)
+    y = np.asarray(y, dtype=float)
+    f = lambda x: t.psi(x) - y
+    x = bracketed_roots(f, *expand_bracket(f, np.full(y.shape, -1.0), 1.0))
+    return x if x.ndim else float(x)
 
 
 __all__ = [

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from infoacq import analysis, transform
 from infoacq.analysis import (
     _curvature_samples,
     _curvature_trend,
@@ -89,6 +90,15 @@ class TestResponseCurve:
             curve = response_curve(shannon(kappa), 0.5, grid)
             expected = [_mi_response(0.5, w, kappa) for w in grid]
             np.testing.assert_allclose(curve.rho, expected, atol=1e-9)
+
+    def test_grid_order_moves_no_point(self):
+        # each reward is its own column of the array root
+        t = shift_transform(chi2(1.0), 0.5)
+        grid = np.linspace(0.1, 5.0, 25)
+        order = np.random.default_rng(0).permutation(25)
+        curve, shuffled = response_curve(t, 0.3, grid), response_curve(t, 0.3, grid[order])
+        np.testing.assert_array_equal(curve.l[order], shuffled.l)
+        assert curve.l[3] == response_curve(t, 0.3, grid[3:4]).l[0]
 
     def test_small_reward_limit(self):
         curve = response_curve(chi2(1.0), 0.5, [1e-10])
@@ -182,6 +192,20 @@ class TestInconclusiveThresholds:
         assert rep.curvature_trend == "decreasing"
         assert rep.c_lower < rep.c_upper
         assert 0.5 < rep.c_lower < 1.0 and rep.c_upper < 1.0
+
+    def test_thresholds_take_one_array_root_per_kind(self, monkeypatch):
+        t = shift_transform(chi2(1.0), 2.0)
+        calls = []
+        roots = analysis.bracketed_roots
+        counting = lambda *a, **k: calls.append(1) or roots(*a, **k)
+        for module in (analysis, transform):
+            monkeypatch.setattr(module, "bracketed_roots", counting)
+        ns = [5, 2, 7, 3]
+        reps = analysis._thresholds(t, ns, 1.0)
+        # c_upper, the multiplier and psi_inverse
+        assert len(calls) == 3
+        for n, rep in zip(ns, reps):
+            assert rep == inconclusive_thresholds(t, n, 1.0)
 
     def test_full_support_between_thresholds(self):
         t = shift_transform(chi2(1.0), 2.0)

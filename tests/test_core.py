@@ -57,6 +57,32 @@ class TestValidation:
         np.testing.assert_allclose(p.prior, prior / prior.sum(), rtol=1e-15)
         np.testing.assert_array_equal(p.payoffs, rng.uniform(-1.0, 1.0, size=(3, 4)))
 
+    # the (states, floor) pairs of the tests and the benchmark that land
+    # above the floor least often, with probability 1.5e-3 or more
+    @pytest.mark.parametrize("n, floor", [(9, 0.05), (30, 0.2 / 30), (50, 0.1 / 50)])
+    def test_random_problem_keeps_the_rejection_draws_in_use(self, n, floor):
+        p = random_problem(np.random.default_rng(5), n, 3, prior_floor=floor)
+        # the rejection loop the draws stay bit-identical to
+        rng = np.random.default_rng(5)
+        prior = rng.dirichlet(np.ones(n))
+        while prior.min() < floor:
+            prior = rng.dirichlet(np.ones(n))
+        np.testing.assert_allclose(p.prior, prior / prior.sum(), rtol=1e-15)
+        np.testing.assert_array_equal(p.payoffs, rng.uniform(-1.0, 1.0, size=(3, n)))
+
+    def test_random_problem_rare_floor_draws_the_same_law_at_once(self):
+        # a uniform draw clears the default floor at 15 states with
+        # probability 3.7e-9, where the rejection loop does not return
+        p = random_problem(np.random.default_rng(0), 15, 2)
+        assert p.prior.min() >= 0.05
+        # at 5 states and floor 0.181 (probability 8.1e-5) the prior is the
+        # floor plus 0.095 times a uniform draw, whose smallest coordinate
+        # has mean 1/25 and standard deviation 1/(25 sqrt(6))
+        rng = np.random.default_rng(1)
+        mins = np.array([random_problem(rng, 5, 1, prior_floor=0.181).prior.min() for _ in range(2000)])
+        spare = 1.0 - 5 * 0.181
+        assert abs(mins.mean() - (0.181 + spare / 25)) <= 4 * spare / (25 * 6**0.5) / 2000**0.5
+
     def test_solver_error_is_one_class_everywhere(self):
         import infoacq
         from infoacq import core, solver

@@ -24,7 +24,8 @@ from infoacq.oracle import (
     verify_focs,
 )
 from infoacq.solver import multiplier_bounds, solve
-from infoacq.transform import chi2, shift_transform
+from infoacq._rootfind import maximize_on_simplex, stationary_point
+from infoacq.transform import chi2, shannon, shift_transform
 
 
 class TestBruteForce:
@@ -244,7 +245,39 @@ class TestVerifyFocs:
             verify_focs(p, chi2_cost([0.5, 0.5], 1.0), np.full(2, 0.5), np.zeros(2))
 
 
+def _ascent_apu(payoffs, c, c_prime, tol=1e-10):
+    """``apu_solve`` as the per-state simplex ascent took it before the
+    first-order root: the reference the root must agree with."""
+    m, n = payoffs.shape
+    out = np.empty((n, m))
+    for s in range(n):
+        u = payoffs[:, s]
+        gradient = lambda q: u - np.asarray(c_prime(q), dtype=float)
+        gap = lambda q: float(gradient(q).max() - q @ gradient(q))
+        out[s], certified = maximize_on_simplex(
+            lambda q: float(q @ u - np.sum(c(q))),
+            gradient,
+            gap,
+            np.full(m, 1.0 / m),
+            tol=tol,
+            refine=lambda q: stationary_point(gradient, q, q > 1e-10, accept=lambda r: gap(r) <= tol),
+        )
+        assert certified
+    return out
+
+
 class TestPerStatePerturbedChoice:
+    @pytest.mark.parametrize(
+        "t",
+        [chi2(1.0), chi2(0.2), shannon(0.5), shift_transform(chi2(1.0), 0.5)],
+        ids=["chi2", "chi2_prices_out", "shannon", "shifted_chi2"],
+    )
+    def test_matches_the_per_state_ascent(self, t):
+        rng = np.random.default_rng(17)
+        payoffs = rng.uniform(-2.0, 2.0, size=(5, 6))
+        c, cp = apu_perturbation_from_transform(t, 5)
+        np.testing.assert_allclose(apu_solve(payoffs, c, cp), _ascent_apu(payoffs, c, cp), rtol=0, atol=1e-8)
+
     def test_entropy_perturbation_reduces_to_logit(self):
         rng = np.random.default_rng(4)
         payoffs = rng.uniform(-1, 1, size=(3, 2))

@@ -1,5 +1,5 @@
-"""The bracketed scalar root, the damped Newton method, the convex descent
-and the simplex maximization of ``infoacq._rootfind``."""
+"""The array Brent roots, the damped Newton method, the convex descent and
+the simplex maximization of ``infoacq._rootfind``."""
 
 import math
 import warnings
@@ -12,7 +12,9 @@ from infoacq._rootfind import (
     SIMPLEX_STEPS,
     BracketError,
     bracketed_root,
+    bracketed_roots,
     descend,
+    expand_bracket,
     fd_jacobian,
     maximize_on_simplex,
     newton,
@@ -89,26 +91,134 @@ class TestBracketedRoot:
 
     def test_cli_sweep_roots_stay_within_budget(self, monkeypatch):
         # the response and threshold sweeps of the cli-apps benchmark: chi2
-        # at kappa 1, gamma 0.4 on twelve rewards, thresholds for n = 2..7
+        # at kappa 1, gamma 0.4 on twelve rewards, thresholds for n = 2..7;
+        # every evaluation of an array call takes each column once
         evaluations = []
 
-        def counting(f, lo, hi, **kwargs):
+        def counting(g, lo, hi, **kwargs):
             calls = []
-            x = _rootfind.bracketed_root(_counted(f, calls), lo, hi, **kwargs)
+            x = _rootfind.bracketed_roots(_counted(g, calls), lo, hi, **kwargs)
             evaluations.append(len(calls))
             return x
 
-        monkeypatch.setattr(analysis, "bracketed_root", counting)
-        monkeypatch.setattr(transform, "bracketed_root", counting)
+        monkeypatch.setattr(analysis, "bracketed_roots", counting)
+        monkeypatch.setattr(transform, "bracketed_roots", counting)
         t = transform.chi2(1.0)
-        for w in np.linspace(0.25, 5.0, 12):
-            analysis.response_curve(t, 0.4, [w])
-        for n in range(2, 8):
-            analysis.inconclusive_thresholds(t, n, 1.0)
-        # one root a reward, three a threshold row (c_upper, the multiplier
-        # and psi_inverse)
-        assert len(evaluations) == 12 + 3 * 6
+        analysis.response_curve(t, 0.4, np.linspace(0.25, 5.0, 12))
+        analysis._thresholds(t, range(2, 8), 1.0)
+        # one call for the rewards, three for the thresholds (c_upper, the
+        # multiplier and psi_inverse)
+        assert len(evaluations) == 1 + 3
         assert max(evaluations) <= 15
+
+
+def _scalar_brent(f, lo, hi, xtol, max_iter=200):
+    """Brent's method one root at a time, as the library took it before
+    ``bracketed_roots``: the reference the array form must match bit for bit."""
+    a, b = float(lo), float(hi)
+    fa, fb = float(f(a)), float(f(b))
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa > 0.0 and fb > 0.0) or (fa < 0.0 and fb < 0.0):
+        raise BracketError("no sign change")
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(max_iter):
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = max(0.5 * xtol * max(1.0, abs(b)), 2.0 * _rootfind._EPS * abs(b))
+        half = 0.5 * (c - b)
+        if abs(half) <= tol:
+            break
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * half * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * half * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = half
+        else:
+            d = e = half
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, half)
+        fb = float(f(b))
+        if fb == 0.0:
+            return b
+    return b
+
+
+# column families of (x, root, scale): smooth, convex across wide brackets,
+# flat at the root, and with an infinite slope there
+_FAMILIES = (
+    lambda x, r, s: np.tanh(s * (x - r)),
+    lambda x, r, s: np.expm1(s * (x - r)),
+    lambda x, r, s: s * (x - r) ** 3 + 0.1 * (x - r),
+    lambda x, r, s: s * np.cbrt(x - r),
+)
+
+
+class TestBracketedRoots:
+    @pytest.mark.parametrize("xtol", [1e-10, 1e-13, 1e-14])
+    @pytest.mark.parametrize("family", range(len(_FAMILIES)))
+    def test_every_column_matches_the_scalar_brent(self, family, xtol):
+        rng = np.random.default_rng(family)
+        k = 60
+        r, s = rng.uniform(-3.0, 3.0, k), rng.uniform(0.1, 5.0, k)
+        lo, hi = r - rng.uniform(0.01, 10.0, k), r + rng.uniform(0.01, 10.0, k)
+        # exact zeros at one end or the other, and a reversed bracket
+        lo[0], hi[1] = r[0], r[1]
+        lo[2], hi[2] = hi[2], lo[2]
+        f = _FAMILIES[family]
+        roots = bracketed_roots(lambda x: f(x, r, s), lo, hi, xtol=xtol)
+        for i in range(k):
+            assert roots[i] == _scalar_brent(lambda x: float(f(x, r[i], s[i])), lo[i], hi[i], xtol)
+        assert roots[0] == lo[0] and roots[1] == hi[1]
+
+    def test_stopped_columns_meet_no_new_point(self):
+        # a column that has stopped is handed its result again: the exact
+        # zero at lo is evaluated there only, while the other column runs on
+        seen = []
+
+        def g(x):
+            seen.append(x[0])
+            return np.array([x[0], math.cos(x[1]) - x[1]])
+
+        roots = bracketed_roots(g, [0.0, 0.0], [1.0, 1.0])
+        assert roots[0] == 0.0
+        assert abs(roots[1] - 0.7390851332151607) <= 1e-13
+        assert set(seen) == {0.0, 1.0}
+
+    def test_no_sign_change_names_the_column(self):
+        with pytest.raises(BracketError, match="no sign change in column 2"):
+            bracketed_roots(lambda x: x * x - np.array([1.0, 1.0, -1.0]), [0.0, 0.0, 0.0], [2.0, 2.0, 2.0])
+
+    def test_no_column_is_no_work(self):
+        calls = []
+        roots = bracketed_roots(_counted(lambda x: x, calls), np.empty(0), np.empty(0))
+        assert roots.shape == (0,) and len(calls) == 2
+
+    def test_expansion_stops_per_column(self):
+        # the first column brackets its root at once, the second after three
+        # doublings about its centre
+        lo, hi = expand_bracket(lambda x: x - np.array([0.5, 5.0]), [-1.0, -1.0], [1.0, 1.0])
+        np.testing.assert_array_equal(lo, [-1.0, -8.0])
+        np.testing.assert_array_equal(hi, [1.0, 8.0])
+        with pytest.raises(BracketError, match="column 1"):
+            expand_bracket(lambda x: np.array([x[0], x[1] ** 2 + 1.0]), [-1.0, -1.0], [1.0, 1.0])
 
 
 def _circle_line(z):

@@ -47,7 +47,7 @@ from infoacq.solver import (
     solve_perceptual,
     statewise_multiplier,
 )
-from infoacq.transform import chi2, shannon
+from infoacq.transform import chi2, shannon, shift_transform
 
 
 class TestMultiplierBounds:
@@ -297,6 +297,33 @@ class TestStatewiseMultipliers:
             ulps = kappa * (np.spacing(abs(log_sum)) + np.spacing(abs(mx + log_sum))) + np.spacing(abs(ref))
             assert abs(batched[s] - ref) <= ulps
 
+    @given(st.integers(0, 2**32 - 1))
+    def test_batched_root_matches_each_column(self, seed):
+        alpha, pay, _ = _statewise_draw(seed)
+        alpha = alpha / alpha.sum()
+        for t in (shift_transform(chi2(1.0), 0.5), shift_transform(shannon(0.7), 1.5)):
+            batched = solver._statewise(alpha, pay, t)
+            for s in range(pay.shape[1]):
+                one = statewise_multiplier(alpha, pay[:, s], t)
+                # the matrix product of the batch may sum a column in another
+                # order than the column alone, which can move g by an ulp and
+                # Brent's final bracket with it; each root is within 1e-12
+                # relative of its own
+                assert abs(batched[s] - one) <= 1e-12 * max(1.0, abs(one))
+
+    def test_shifted_transform_takes_one_array_root(self, monkeypatch):
+        calls = []
+        roots = solver.bracketed_roots
+        monkeypatch.setattr(solver, "bracketed_roots", lambda *a, **k: calls.append(1) or roots(*a, **k))
+        p = random_problem(np.random.default_rng(3), 6, 4)
+        alpha = np.full(4, 0.25)
+        for t in (shift_transform(chi2(1.0), 0.5), shift_transform(shannon(1.0), 1.5)):
+            calls.clear()
+            lam = solver._inner_minimize(p, csiszar_cost(p.prior, t), alpha, None)
+            assert len(calls) == 1
+            one = [statewise_multiplier(alpha, p.payoffs[:, s], t) for s in range(6)]
+            np.testing.assert_allclose(lam, p.prior * one, rtol=1e-12)
+
 
 def _statewise_draw(seed):
     """Weights with zeros, payoffs with ties and a budget, for 1-8 actions
@@ -335,22 +362,41 @@ class TestSolve:
         # both copies of action 0 carry weight, so the rows of their
         # complementarity conditions coincide at the solution and the
         # Jacobian is singular there: the LU step fails and Newton falls back
-        # to least squares.  Any split of the copies' weight solves the
-        # problem; from the uniform start of this symmetric one the split
-        # stays even to the tolerance
+        # to least squares.  solve merges the copies before it polishes, so
+        # the polish is driven on the duplicated problem directly.  Any split
+        # of the copies' weight solves the problem; from the uniform start of
+        # this symmetric one the split stays even to the tolerance
         calls = []
         lstsq = np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
         g = guess_the_state(3, 1.0)
         p = validate_problem(g.states, g.prior, [*zip(g.action_names, g.payoffs), ("copy", g.payoffs[0])])
         model = posterior_separable_cost(p.prior, shannon_kl_entropy(p.prior))
-        opts = SolveOptions()
-        sol = solve(p, model, opts)
-        assert sol.converged and calls
-        rep = verify_focs(p, model, sol.alpha, sol.lam)
-        assert max(rep.residual_alpha, rep.residual_lambda) <= opts.tol
-        assert sol.alpha[0] > 0.1
-        assert sol.alpha[0] == pytest.approx(sol.alpha[-1], abs=opts.tol)
+        tol = SolveOptions().tol
+        alpha, lam = solver._polish_once(p, model, np.full(4, 0.25), np.zeros(3))
+        assert calls
+        rep = verify_focs(p, model, alpha, lam)
+        assert max(rep.residual_alpha, rep.residual_lambda) <= tol
+        assert alpha[0] > 0.1
+        assert alpha[0] == pytest.approx(alpha[-1], abs=tol)
+
+    @pytest.mark.parametrize("kappa", [1.4, 2.327])
+    def test_copied_action_does_not_strand_the_best_response(self, kappa):
+        # payoffs x 10 with action 0 copied: unmerged, the third mirror step
+        # sent the one other action's weight to exactly 0, where a
+        # multiplicative step never revives it
+        rng = np.random.default_rng(1395618031)
+        n, m = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+        rng.uniform(0.3, 3.0)
+        base = random_problem(rng, n, m, prior_floor=1 / 60)
+        pay = np.vstack([10.0 * base.payoffs, 10.0 * base.payoffs[:1]])
+        p = validate_problem(base.states, base.prior, [(f"a{j}", row) for j, row in enumerate(pay)])
+        opts = SolveOptions(max_iter=2000)
+        sol = solve(p, mutual_information_cost(p.prior, kappa), opts)
+        reference = solve_mutual_information(p, kappa, opts)
+        assert sol.converged and reference.converged
+        assert abs(sol.value - reference.value) <= 1e-12 * abs(reference.value)
+        assert sol.alpha[0] == sol.alpha[-1]
 
     def test_identical_actions_mean_no_learning(self):
         pay = [0.4, -0.2]
