@@ -663,8 +663,25 @@ class CostModel:
     def grad_f_star(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def primal_cost(self, rule: ChoiceRule) -> float:
+    def divergence_spec(self) -> divergence.DivergenceSpec:
         raise NotImplementedError
+
+    def primal_costs(self, rows) -> np.ndarray:
+        """The information cost of each rule of a stack of rows (rules, n, m): its
+        f-mean ``min_alpha D_f(P || alpha)`` under ``divergence_spec``, in one
+        ``divergence.f_means`` solve.  Raises ``SolverError`` when a solve misses
+        its stationarity certificate."""
+        _, value, residual = divergence.f_means(self.divergence_spec(), rows)
+        if not np.all(residual <= divergence.F_MEAN_TOL):
+            raise SolverError(
+                f"f-mean did not reach its stationarity gap within {divergence.F_MEAN_STEPS} Newton steps "
+                f"(gap {np.max(residual):.1e})"
+            )
+        return value
+
+    def primal_cost(self, rule: ChoiceRule) -> float:
+        """``primal_costs`` of a stack of one rule."""
+        return float(self.primal_costs(rule.rows[None])[0])
 
     # row-batched variants; families override when vectorization helps
     def f_star_rows(self, X) -> np.ndarray:
@@ -730,23 +747,6 @@ def primal_cost(model: CostModel, rule: ChoiceRule) -> float:
     return model.primal_cost(rule)
 
 
-def _certified_f_mean(spec, rows):
-    """Value of the f-mean of ``rows``, or of each rule of a Csiszar stack (rules,
-    n, m) in one solve; ``SolverError`` without a certificate."""
-    if rows.ndim == 3:
-        _, value, residual = divergence.csiszar_f_means(spec, rows)
-        converged = residual <= divergence.F_MEAN_TOL
-    else:
-        result = divergence.f_mean(spec, rows)
-        value, converged, residual = result.value, result.converged, result.residual
-    if not np.all(converged):
-        raise SolverError(
-            f"f-mean did not reach its stationarity gap within {divergence.F_MEAN_STEPS} Newton steps "
-            f"(gap {np.max(residual):.1e})"
-        )
-    return value
-
-
 class CsiszarCost(CostModel):
     """Statewise-separable cost driven by a univariate transform."""
 
@@ -784,13 +784,6 @@ class CsiszarCost(CostModel):
 
     def divergence_spec(self):
         return divergence.csiszar_spec(self.prior, self.transform)
-
-    def primal_cost(self, rule: ChoiceRule) -> float:
-        return _certified_f_mean(self.divergence_spec(), rule.rows)
-
-    def primal_costs(self, rows: np.ndarray) -> np.ndarray:
-        """``primal_cost`` of each rule of a stack of rows (rules, n, m), in one solve."""
-        return _certified_f_mean(self.divergence_spec(), rows)
 
 
 def mutual_information_cost(prior, kappa: float = 1.0) -> CsiszarCost:
@@ -844,9 +837,6 @@ class PosteriorSeparableCost(CostModel):
 
     def divergence_spec(self):
         return divergence.DivergenceSpec(prior=self.prior, entropy_value=self.entropy.value)
-
-    def primal_cost(self, rule: ChoiceRule) -> float:
-        return _certified_f_mean(self.divergence_spec(), rule.rows)
 
 
 def posterior_separable_cost(prior, entropy: Entropy) -> PosteriorSeparableCost:
@@ -902,39 +892,39 @@ class PerceptualCsiszarCost(CostModel):
         z = self.attribute_scores(x)
         return self.encoder.rows @ np.asarray(self.transform.psi_prime(z), dtype=float)
 
-    def replicate(self, rows: np.ndarray, tol: float = 1e-8):
-        """Channel Q over attributes with K . Q = rows, or None when infeasible.
+    def divergence_spec(self):
+        return divergence.csiszar_spec(self.encoder.nu, self.transform)
+
+    def replicate(self, rows: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+        """Channels Q over attributes with K . Q = rows, one per rule of a stack
+        (rules, n, m), and a mask of the rules that have one.
 
         Feasibility is judged by the total L1 residual of the replication
-        constraint; rows that lie outside the encoder's reach are infinitely
+        constraint; rules that lie outside the encoder's reach are infinitely
         costly for this family.
         """
         K = self.encoder.rows
-        n_out = rows.shape[1]
         if self.encoder.full_column_rank:
             Q = np.linalg.pinv(K) @ rows
         else:
             from scipy.optimize import nnls
 
-            Q = np.empty((self.encoder.n_attributes, n_out))
-            for w in range(n_out):
-                Q[:, w] = nnls(K, rows[:, w])[0]
-        if Q.min() < -tol:
-            return None
+            Q = np.array([[nnls(K, col)[0] for col in rule.T] for rule in rows]).transpose(0, 2, 1)
+        ok = Q.min(axis=(1, 2)) >= -tol
         Q = np.maximum(Q, 0.0)
-        if float(np.abs(K @ Q - rows).sum()) > tol:
-            return None
-        sums = Q.sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > tol:
-            return None
-        return Q / sums[:, None]
+        ok &= np.abs(K @ Q - rows).sum(axis=(1, 2)) <= tol
+        sums = Q.sum(axis=2)
+        ok &= np.abs(sums - 1.0).max(axis=1) <= tol
+        return Q / np.where(ok[:, None], sums, 1.0)[..., None], ok
 
-    def primal_cost(self, rule: ChoiceRule) -> float:
-        Q = self.replicate(rule.rows)
-        if Q is None:
-            return math.inf
-        spec = divergence.csiszar_spec(self.encoder.nu, self.transform)
-        return _certified_f_mean(spec, Q)
+    def primal_costs(self, rows) -> np.ndarray:
+        """The base cost of each rule's attribute channel, ``inf`` where the
+        encoder cannot replicate the rule."""
+        Q, ok = self.replicate(np.asarray(rows, dtype=float))
+        out = np.full(len(Q), math.inf)
+        if ok.any():
+            out[ok] = super().primal_costs(Q[ok])
+        return out
 
 
 def perceptual_csiszar_cost(prior, transform: Transform, encoder: Encoder) -> PerceptualCsiszarCost:

@@ -160,20 +160,27 @@ def csiszar_f_means(spec: DivergenceSpec, rows: np.ndarray) -> tuple[np.ndarray,
     return alpha, value, residual
 
 
-def f_mean(spec: DivergenceSpec, rows: np.ndarray, tol: float = F_MEAN_TOL) -> FMeanResult:
-    """Minimize D_f(P || .) over reference distributions.
+def f_means(spec: DivergenceSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The f-means of a stack of experiments ``rows`` (rules, n, m): the
+    references ``alpha`` (rules, m), the values and the stationarity gaps.
 
-    For posterior-separable specs the minimizer is the unconditional
-    distribution.  A Csiszar spec is ``csiszar_f_means`` of a stack of one
-    rule, whose Newton starts from the unconditional distribution, the root
-    under the shannon transform; ``converged=False`` marks a reference
-    whose stationarity gap exceeds ``tol``.
+    A Csiszar spec is ``csiszar_f_means``.  Under a posterior-separable spec
+    the minimizer is the unconditional distribution, with gap 0.
     """
     rows = np.asarray(rows, dtype=float)
-    if spec.kind == "posterior_separable":
-        p_pi = spec.prior @ rows
-        return FMeanResult(p_pi, f_divergence(spec, rows, p_pi), True, 0.0)
-    alpha, value, residual = csiszar_f_means(spec, rows[None])
+    if spec.kind == "csiszar":
+        return csiszar_f_means(spec, rows)
+    alpha = _state_sum(spec.prior, rows)
+    value = np.array([f_divergence(spec, r, a) for r, a in zip(rows, alpha)])
+    return alpha, value, np.zeros(rows.shape[0])
+
+
+def f_mean(spec: DivergenceSpec, rows: np.ndarray, tol: float = F_MEAN_TOL) -> FMeanResult:
+    """Minimize D_f(P || .) over reference distributions: ``f_means`` of a
+    stack of one rule; ``converged=False`` marks a reference whose
+    stationarity gap exceeds ``tol``.
+    """
+    alpha, value, residual = f_means(spec, np.asarray(rows, dtype=float)[None])
     return FMeanResult(alpha[0], float(value[0]), bool(residual[0] <= tol), float(residual[0]))
 
 
@@ -183,6 +190,7 @@ __all__ = [
     "posterior_separable_spec",
     "f_divergence",
     "f_mean",
+    "f_means",
     "csiszar_f_means",
     "FMeanResult",
 ]

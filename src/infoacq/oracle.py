@@ -12,9 +12,8 @@ information is ``kappa (sum_s pi_s sum_a r_a log r_a - sum_a p_a log p_a)``
 with the marginal ``p_a = sum_s pi_s P_sa``.  Under chi2 the f-mean is
 ``alpha_a ~ sqrt(c_a)`` with ``c_a = sum_s pi_s P_sa^2``, so the cost is
 ``kappa/2 ((sum_a sqrt(c_a))^2 - 1)``, the order-2 case of Sibson's
-alpha-mutual information (Sibson 1969; Verdu 2015).  Every other Csiszar
-cost prices the explicit rules of a block by one batched f-mean solve
-(``CsiszarCost.primal_costs``), and other costs by ``model.primal_cost``.
+alpha-mutual information (Sibson 1969; Verdu 2015).  Every other cost
+prices the explicit rules of a block in one call, ``model.primal_costs``.
 """
 
 from __future__ import annotations
@@ -27,13 +26,16 @@ import numpy as np
 
 from ._rootfind import bracketed_roots, expand_bracket
 from .core import ChoiceRule, DecisionProblem, SolverError, ValidationError
-from .costs import CostModel, CsiszarCost
+from .costs import CostModel
 from .solver import MultiplierBox, _check_shared_prior, foc_residuals
 
 EVAL_CAP = 100_000_000
 # rule values per block of the lattice walk: the walk's memory is bounded by
 # this, not by the R ** (n - 1) lead rows
 BLOCK_VALUES = 20_000
+# a rule value below the lattice maximum by at most this much of it, 4 to 8
+# ulp, ties with it
+TIE_RTOL = 4 * float(np.finfo(float).eps)
 
 
 def _lattice_rows(k: int, m: int) -> np.ndarray:
@@ -70,17 +72,18 @@ class _LatticeTables:
     is ``pi_s r``; under chi2 ``weighted[s, r]`` is ``pi_s r**2``.  Sums over
     states and over actions run in index order, whatever the shape of the
     block, so a rule's value does not depend on the block that holds it.
+    The tables serve the ``mutual_information`` and ``chi2`` cost families;
+    every other model prices a block's explicit rules by ``primal_costs``.
     """
 
     def __init__(self, problem: DecisionProblem, model: CostModel, rows: np.ndarray):
         prior = problem.prior
-        self.problem, self.model, self.rows = problem, model, rows
+        self.model, self.rows = model, rows
         self.gain = prior[:, None] * (rows @ problem.payoffs).T
-        family = model.transform.family if isinstance(model, CsiszarCost) else None
-        self.family = family if family in ("shannon", "chi2") else None
+        self.family = model.family if model.family in ("mutual_information", "chi2") else None
         if self.family is not None:
             self.kappa = model.transform.kappa
-        if self.family == "shannon":
+        if self.family == "mutual_information":
             entropy = _xlogx(rows[:, 0])
             for a in range(1, rows.shape[1]):
                 entropy = entropy + _xlogx(rows[:, a])
@@ -103,8 +106,8 @@ class _LatticeTables:
         total = 0.0
         for a in range(self.rows.shape[1]):
             stat = lead_w[..., a] + self.weighted[-1, last, a]
-            total = total + (_xlogx(stat) if self.family == "shannon" else np.sqrt(stat))
-        if self.family == "shannon":
+            total = total + (_xlogx(stat) if self.family == "mutual_information" else np.sqrt(stat))
+        if self.family == "mutual_information":
             cost = _lead_sum(self.separable, lead) + self.separable[-1, last] - self.kappa * total
         else:
             cost = 0.5 * self.kappa * (total * total - 1.0)
@@ -117,11 +120,7 @@ class _LatticeTables:
             axis=-1,
         )
         chunk = self.rows[idx.reshape(-1, idx.shape[-1])]  # (rules, n, m)
-        if isinstance(self.model, CsiszarCost):
-            costs = self.model.primal_costs(chunk)
-        else:
-            costs = [self.model.primal_cost(ChoiceRule.build(self.problem, rule)) for rule in chunk]
-        return np.asarray(costs, dtype=float).reshape(shape)
+        return self.model.primal_costs(chunk).reshape(shape)
 
 
 @dataclass
@@ -136,9 +135,11 @@ def brute_force_solve(problem: DecisionProblem, model: CostModel, grid_step: flo
     """Exhaustive primal search over rules with rows on the grid lattice.
 
     The rules are walked in product order, the last state's row varying
-    fastest, and the first maximizer is kept.  Each block crosses a slice of
-    the lead rows (the first n - 1 states) with all R rows of the last state,
-    about ``BLOCK_VALUES`` rule values at a time, so memory is bounded by the
+    fastest, and the first rule within ``TIE_RTOL`` of the maximum, relative,
+    is returned with its own value, so a tie broken by rounding alone does
+    not choose the rule.  Each block crosses a slice of the lead rows (the
+    first n - 1 states) with all R rows of the last state, about
+    ``BLOCK_VALUES`` rule values at a time, so memory is bounded by the
     block, never by ``R ** (n - 1)``.  Under mutual information and chi2 a
     block's values are lead sums of the per-state tables plus the last
     state's tables plus one closed-form term per action column: no rule is
@@ -163,7 +164,8 @@ def brute_force_solve(problem: DecisionProblem, model: CostModel, grid_step: flo
     per_block = max(1, BLOCK_VALUES // n_rows)
     every_row = np.arange(n_rows)
     best_val = -math.inf
-    best_idx = None
+    # product-order indices and values of the rules that tie with best_val
+    tied, tied_vals = np.empty(0, dtype=np.intp), np.empty(0)
     skipped = 0
     for start in range(0, n_lead, per_block):
         flat = np.arange(start, min(start + per_block, n_lead))
@@ -175,15 +177,19 @@ def brute_force_solve(problem: DecisionProblem, model: CostModel, grid_step: flo
         vals = tables.values(lead[:, None, :], every_row).ravel()
         finite = np.isfinite(vals)
         skipped += int((~finite).sum())
-        if np.any(finite):
-            j = int(np.argmax(np.where(finite, vals, -np.inf)))
-            if vals[j] > best_val:
-                best_val = float(vals[j])
-                best_idx = np.append(lead[j // n_rows], j % n_rows)
-    if best_idx is None:
+        top = float(np.max(np.where(finite, vals, -np.inf)))
+        # a block whose best rule is below the ties so far adds none
+        if top > -math.inf and top >= best_val - TIE_RTOL * abs(best_val):
+            best_val = max(best_val, top)
+            floor = best_val - TIE_RTOL * abs(best_val)
+            near = np.flatnonzero(vals >= floor)
+            keep = tied_vals >= floor
+            tied = np.concatenate([tied[keep], start * n_rows + near])
+            tied_vals = np.concatenate([tied_vals[keep], vals[near]])
+    if tied.size == 0:
         raise ValidationError("no finite-cost rule on the lattice")
-    rule = ChoiceRule.build(problem, rows[best_idx])
-    return BruteForceResult(best_val, rule, total, skipped)
+    rule = ChoiceRule.build(problem, rows[np.array(np.unravel_index(tied[0], (n_rows,) * n))])
+    return BruteForceResult(float(tied_vals[0]), rule, total, skipped)
 
 
 @dataclass

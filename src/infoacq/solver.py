@@ -249,7 +249,7 @@ def multiplier_bounds(problem: DecisionProblem, model: CostModel) -> MultiplierB
     """
     a_inf = problem.payoff_bound()
     if isinstance(model, PerceptualCsiszarCost):
-        reduced, _, _ = _reduced_problem(problem, model.encoder)
+        reduced, _ = _reduced_problem(problem, model.encoder)
         inner = multiplier_bounds(reduced, csiszar_cost(reduced.prior, model.transform))
         return replace(inner, reduced=True)
     if isinstance(model, PosteriorSeparableCost):
@@ -293,7 +293,9 @@ def _statewise(alpha, payoffs, transform: Transform, tol: float = 1e-12) -> np.n
     Solves ``sum_a alpha(a) psi'(a(s) - l) = 1`` in every state at once by
     Brent's method (``bracketed_roots``, to ``tol`` relative to
     ``max(1, |l|)``) on the brackets spanned by the supported payoffs: the
-    equation falls in ``l``, and psi'(0) = 1 pins the signs at the ends.
+    equation falls in ``l``, and psi'(0) = 1 pins the signs at the ends.  A
+    state whose left end reads below 0 by rounding alone, by at most 4 eps
+    of ``sum_a alpha(a) psi'`` there, has its root at that end.
     """
     alpha = np.asarray(alpha, dtype=float)
     supp = alpha > 0.0
@@ -301,10 +303,11 @@ def _statewise(alpha, payoffs, transform: Transform, tol: float = 1e-12) -> np.n
         raise ValidationError("empty support")
     w, vals = alpha[supp], np.asarray(payoffs, dtype=float)[supp]
     lo, hi = vals.min(axis=0), vals.max(axis=0)
-    live = hi - lo >= 1e-15
+    mass = w @ transform.psi_prime(vals - lo)
+    live = (hi - lo >= 1e-15) & ~((mass < 1.0) & (mass >= 1.0 - 4.0 * np.finfo(float).eps * mass))
 
     def g(l):
-        # a flat state reads 0 at both ends, so it stops at once at lo
+        # a state that is not live reads 0 at both ends, so it stops at once at lo
         return np.where(live, w @ transform.psi_prime(vals - l) - 1.0, 0.0)
 
     try:
@@ -894,7 +897,7 @@ def _reduced_problem(problem: DecisionProblem, encoder):
         encoder.nu,
         list(zip(names, reduced_payoffs)),
     )
-    return reduced, group_lists, E
+    return reduced, group_lists
 
 
 def solve_perceptual(
@@ -910,7 +913,7 @@ def solve_perceptual(
     Duplicate attribute images are merged and split uniformly on the lift;
     the lifted rule obeys |P_s(a) - P_t(a)| <= ||K_s - K_t||_1.
     """
-    reduced, groups, _ = _reduced_problem(problem, encoder)
+    reduced, groups = _reduced_problem(problem, encoder)
     rsol = solve_best_response(reduced, csiszar_cost(reduced.prior, transform), opts)
 
     m = problem.n_actions

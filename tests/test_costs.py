@@ -1,7 +1,6 @@
 import math
 import sys
 import threading
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from infoacq.costs import (
     scale,
     shannon_kl_entropy,
 )
-from infoacq.transform import chi2, shannon
+from infoacq.transform import chi2, shannon, shift_transform, tabulated
 
 
 def _fd_gradient(f, x, h=1e-6):
@@ -685,10 +684,13 @@ class TestPrimalCost:
         rule = ChoiceRule.build(p, np.array([[0.9, 0.1], [0.2, 0.8]]))
         m = chi2_cost(prior, 1.0)
         assert math.isfinite(m.primal_cost(rule))
-        real = divergence.f_mean
-        monkeypatch.setattr(
-            divergence, "f_mean", lambda spec, rows: replace(real(spec, rows), converged=False)
-        )
+        real = divergence.f_means
+
+        def uncertified(spec, rows):
+            alpha, value, residual = real(spec, rows)
+            return alpha, value, residual + 2.0 * divergence.F_MEAN_TOL
+
+        monkeypatch.setattr(divergence, "f_means", uncertified)
         with pytest.raises(SolverError, match="f-mean did not reach"):
             m.primal_cost(rule)
 
@@ -710,6 +712,100 @@ class TestPrimalCost:
                 )
                 rule = ChoiceRule.build(p, rows)
                 assert m_blur.primal_cost(rule) >= m_sharp.primal_cost(rule) - 1e-8
+
+
+_BATCH_PRIOR = np.array([0.25, 0.35, 0.4])
+_FULL_RANK = [[0.8, 0.1, 0.1], [0.1, 0.7, 0.2], [0.2, 0.1, 0.7]]
+_RANK_DEFICIENT = [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.25, 0.5, 0.25]]  # row 2 is the mean of rows 0 and 1
+
+
+def _batch_model(name):
+    prior = _BATCH_PRIOR
+    ts = np.linspace(-3.0, 3.0, 25)
+    return {
+        "mutual_information": lambda: mutual_information_cost(prior, 0.8),
+        "chi2": lambda: chi2_cost(prior, 1.3),
+        "shifted_chi2": lambda: csiszar_cost(prior, shift_transform(chi2(1.0), 0.5)),
+        "tabulated": lambda: csiszar_cost(prior, tabulated(np.column_stack([ts, np.exp(ts) * (1.0 + 0.1 * np.sin(ts))]))),
+        "posterior_separable": lambda: posterior_separable_cost(prior, shannon_kl_entropy(prior, 1.2)),
+        "nested_shannon": lambda: nested_shannon_cost(prior, build_encoder(_FULL_RANK, prior), 0.8, 1.4),
+        "neighborhood_two_level": lambda: neighborhood_hw_cost(prior, [((0, 1, 2), 0.5), ((0, 1), 1.0)]),
+        "neighborhood_overlapping": lambda: neighborhood_hw_cost(prior, [((0, 1, 2), 0.5), ((0, 1), 1.0), ((1, 2), 0.5)]),
+        "perceptual_full_rank": lambda: perceptual_csiszar_cost(prior, chi2(1.0), build_encoder(_FULL_RANK, prior)),
+        "perceptual_rank_deficient": lambda: perceptual_csiszar_cost(
+            prior, shift_transform(chi2(1.0), 0.5), build_encoder(_RANK_DEFICIENT, prior)
+        ),
+    }[name]()
+
+
+def _batch_rules(rng, model):
+    """Random 3 x 3 rules, one with an unused action and one with a zero entry;
+    for a perceptual cost, lifts of attribute channels (nnls replicates the
+    sparse ones through a rank-deficient encoder) and the identity, which no
+    mixing encoder replicates."""
+    if model.family == "perceptual_csiszar":
+        channels = [np.eye(3), np.eye(3)[[1, 2, 0]], [[1, 0, 0], [0.5, 0.5, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 1, 0]]]
+        channels.append(rng.dirichlet(np.ones(3), size=3))
+        return np.array([model.encoder.rows @ np.asarray(q) for q in channels] + [np.eye(3)])
+    rules = rng.dirichlet(np.ones(3), size=(5, 3))
+    rules[1, :, 2] = 0.0
+    rules[2, 0] = [0.0, 0.3, 0.7]
+    return rules / rules.sum(axis=2, keepdims=True)
+
+
+def _replicated_cost(model, rule, tol=1e-8):
+    """The perceptual cost of one rule, its attribute channel found by
+    least squares (full rank) or by nnls column by column."""
+    from scipy.optimize import nnls
+
+    K = model.encoder.rows
+    if model.encoder.full_column_rank:
+        Q = np.linalg.lstsq(K, rule, rcond=None)[0]
+    else:
+        Q = np.column_stack([nnls(K, col)[0] for col in rule.T])
+    if Q.min() < -tol:
+        return math.inf
+    Q = np.maximum(Q, 0.0)
+    if np.abs(K @ Q - rule).sum() > tol or np.abs(Q.sum(axis=1) - 1.0).max() > tol:
+        return math.inf
+    spec = divergence.csiszar_spec(model.encoder.nu, model.transform)
+    return float(divergence.csiszar_f_means(spec, (Q / Q.sum(axis=1, keepdims=True))[None])[1][0])
+
+
+class TestBatchedPrimalCosts:
+    @pytest.mark.parametrize("name", ["mutual_information", "chi2", "shifted_chi2", "tabulated"])
+    def test_csiszar_stack_is_each_rule_alone(self, name):
+        model = _batch_model(name)
+        rules = _batch_rules(np.random.default_rng(71), model)
+        spec = divergence.csiszar_spec(model.prior, model.transform)
+        each = [divergence.csiszar_f_means(spec, rule[None])[1][0] for rule in rules]
+        np.testing.assert_array_equal(model.primal_costs(rules), each)
+        p = validate_problem(["s0", "s1", "s2"], model.prior, [("a", [1, 0, 0]), ("b", [0, 1, 0]), ("c", [0, 0, 1])])
+        rule = ChoiceRule.build(p, rules[0])
+        assert model.primal_cost(rule) == divergence.csiszar_f_means(spec, rule.rows[None])[1][0]
+
+    @pytest.mark.parametrize(
+        "name", ["posterior_separable", "nested_shannon", "neighborhood_two_level", "neighborhood_overlapping"]
+    )
+    def test_posterior_separable_stack_is_the_divergence_at_the_unconditional(self, name):
+        model = _batch_model(name)
+        if name.startswith("neighborhood"):
+            # the two-level cover takes the nested-logit closed form, the
+            # overlapping one the numeric conjugate
+            assert (model.entropy.conj_fn is not None) == (name == "neighborhood_two_level")
+        rules = _batch_rules(np.random.default_rng(72), model)
+        spec = divergence.posterior_separable_spec(model.prior, model.entropy.value)
+        each = [divergence.f_divergence(spec, rule, model.prior @ rule) for rule in rules]
+        np.testing.assert_allclose(model.primal_costs(rules), each, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("name", ["perceptual_full_rank", "perceptual_rank_deficient"])
+    def test_perceptual_stack_replicates_each_rule(self, name):
+        model = _batch_model(name)
+        assert model.encoder.full_column_rank == (name == "perceptual_full_rank")
+        rules = _batch_rules(np.random.default_rng(73), model)
+        each = [_replicated_cost(model, rule) for rule in rules]
+        assert math.isinf(each[-1]) and sum(map(math.isfinite, each)) >= 2
+        np.testing.assert_allclose(model.primal_costs(rules), each, rtol=1e-13, atol=1e-16)
 
 
 class TestEntropyInvariants:

@@ -1,4 +1,5 @@
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from infoacq import divergence, oracle
 from infoacq.catalog import exchangeable_problem, random_problem
 from infoacq.core import ChoiceRule, SolverError, ValidationError, validate_problem
 from infoacq.costs import (
+    build_encoder,
     chi2_cost,
     csiszar_cost,
     mutual_information_cost,
+    perceptual_csiszar_cost,
     posterior_separable_cost,
     scale,
     shannon_kl_entropy,
@@ -23,6 +26,7 @@ from infoacq.oracle import (
     salience_adjusted_perturbation,
     verify_focs,
 )
+from infoacq.io import load_problem
 from infoacq.solver import multiplier_bounds, solve
 from infoacq._rootfind import maximize_on_simplex, stationary_point
 from infoacq.transform import chi2, shannon, shift_transform
@@ -209,6 +213,89 @@ class TestLatticeEnumeration:
         assert res.value == expected.value
         np.testing.assert_array_equal(res.rule.rows, expected.rule.rows)
         np.testing.assert_array_equal(res.rule.rows[0], [0.0, 0.75, 0.0, 0.25])
+
+
+_GUESS3 = load_problem(os.path.join(os.path.dirname(__file__), "..", "samples", "guess3_problem.json"))
+
+
+def _nudged(nudges):
+    """``_LatticeTables.values`` with the value of each rule in ``nudges``, by
+    product-order index, moved 1 ulp toward the sign given there."""
+    real = _LatticeTables.values
+
+    def values(self, lead, last):
+        vals = real(self, lead, last)
+        idx = np.concatenate(
+            [np.broadcast_to(lead, vals.shape + lead.shape[-1:]), np.broadcast_to(last, vals.shape)[..., None]],
+            axis=-1,
+        )
+        flat = np.ravel_multi_index(tuple(np.moveaxis(idx, -1, 0)), (self.rows.shape[0],) * idx.shape[-1])
+        for rule, sign in nudges.items():
+            vals = np.where(flat == rule, np.nextafter(vals, sign * np.inf), vals)
+        return vals
+
+    return values
+
+
+class TestTieRule:
+    # under chi2 shifted at 0.5, these guess3 rules at grid 0.25 lie within
+    # 1 ulp of the maximum (rules 2295 and 2805 attain it): which of them
+    # a first-maximizer search keeps depends on the last bit of the pricing
+    TIES = (2295, 2311, 2805, 2991, 3260, 3276)
+
+    @pytest.mark.parametrize("block_values", [15, oracle.BLOCK_VALUES])
+    @pytest.mark.parametrize("first", [-1.0, 0.0, 1.0])
+    def test_rules_within_a_few_ulp_return_the_first(self, monkeypatch, block_values, first):
+        # 15 rule values a block give each lead row its own block
+        model = csiszar_cost(_GUESS3.prior, shift_transform(chi2(1.0), 0.5))
+        rows = _lattice_rows(4, 3)
+        idx = np.array(np.unravel_index(np.array(self.TIES), (15,) * 3)).T
+        exact = _LatticeTables(_GUESS3, model, rows).values(idx[:, :-1], idx[:, -1])
+        assert np.all(exact >= exact.max() - np.spacing(exact.max()))
+        monkeypatch.setattr(oracle, "BLOCK_VALUES", block_values)
+        if first:
+            # the first rule moves 1 ulp one way and every other tie the other way
+            nudges = {rule: (first if k == 0 else -first) for k, rule in enumerate(self.TIES)}
+            monkeypatch.setattr(_LatticeTables, "values", _nudged(nudges))
+        res = brute_force_solve(_GUESS3, model, 0.25)
+        np.testing.assert_array_equal(res.rule.rows, rows[idx[0]])
+        assert res.value == (np.nextafter(exact[0], first * np.inf) if first else exact[0])
+
+
+class TestPinnedOracles:
+    # guess3 at grid 0.25, as the lattice search priced these costs one rule
+    # at a time by ``primal_cost``; the batched ``primal_costs`` must keep
+    # both the value and the rule
+    @pytest.mark.parametrize(
+        "family,value,rule,skipped",
+        [
+            ("posterior_separable", 0.4411084821718083, [[2, 1, 1], [1, 2, 1], [1, 1, 2]], 0),
+            ("perceptual_full_rank", 0.37244897959183676, [[2, 1, 1], [1, 2, 1], [1, 1, 2]], 3264),
+            ("perceptual_rank_deficient", 0.25, [[3, 1, 0], [1, 3, 0], [2, 2, 0]], 3339),
+        ],
+    )
+    def test_guess3_keeps_its_value_and_rule(self, family, value, rule, skipped):
+        prior = _GUESS3.prior
+        if family == "posterior_separable":
+            model = posterior_separable_cost(prior, shannon_kl_entropy(prior))
+        elif family == "perceptual_full_rank":
+            enc = build_encoder([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]], prior)
+            model = perceptual_csiszar_cost(prior, chi2(1.0), enc)
+        else:
+            enc = build_encoder([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.25, 0.5, 0.25]], prior)
+            assert not enc.full_column_rank
+            model = perceptual_csiszar_cost(prior, chi2(1.0), enc)
+        res = brute_force_solve(_GUESS3, model, 0.25)
+        assert res.value == pytest.approx(value, rel=1e-13)
+        np.testing.assert_array_equal(res.rule.rows, np.array(rule) / 4)
+        assert res.skipped_infinite == skipped
+
+    def test_a_lattice_without_a_finite_rule_is_an_input_error(self):
+        # the rank-deficient encoder replicates no rule of the grid-0.2 lattice
+        enc = build_encoder([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.25, 0.5, 0.25]], _GUESS3.prior)
+        model = perceptual_csiszar_cost(_GUESS3.prior, chi2(1.0), enc)
+        with pytest.raises(ValidationError, match="no finite-cost rule"):
+            brute_force_solve(_GUESS3, model, 0.2)
 
 
 class TestVerifyFocs:

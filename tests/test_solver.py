@@ -264,6 +264,19 @@ class TestStatewiseMultipliers:
         with pytest.raises(BracketError, match="monotone"):
             statewise_multiplier(alpha, pay, bogus)
 
+    def test_left_end_below_zero_by_rounding_is_the_root(self):
+        # psi'(0) - 1 reads -1.1e-16 under this shifted chi2, so the equation
+        # is negative at both ends of the bracket by rounding alone; the
+        # second action's weight is too small to lift the left end
+        t = shift_transform(chi2(0.31815316856162296), 0.4608529151202216)
+        alpha = np.array([1.0, 9.5e-30])
+        pay = np.array([-0.93567303, -0.43502124])
+        assert statewise_multiplier(alpha, pay, t) == pay[0]
+        # a state beside it keeps the root it has on its own
+        other = np.array([0.2, -0.7])
+        both = solver._statewise(alpha, np.column_stack([pay, other]), t)
+        assert both[0] == pay[0] and both[1] == statewise_multiplier(alpha, other, t)
+
     def test_closed_form_agrees_with_bisection(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
