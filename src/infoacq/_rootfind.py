@@ -147,6 +147,15 @@ def newton_step(J: np.ndarray, F: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(J, -F, rcond=None)[0]
 
 
+# backtracking halvings per Newton step of a stationarity solve; more only
+# grind on faces that hold no root, which the caller then rejects
+_POLISH_HALVINGS = 10
+
+# residual at which a Newton solve stops before forming a Jacobian: a few
+# roundings of an O(1) residual, where no step could lower |F| further
+_RESIDUAL_FLOOR = 4.0 * _EPS
+
+
 def newton(
     F: Callable[[np.ndarray], np.ndarray],
     z0,
@@ -160,20 +169,24 @@ def newton(
     with the minimum-norm least-squares step for a non-square or singular
     Jacobian, or an LU step that fails its residual check.  Each step is
     halved up to ``max_halvings`` times until it meets the Armijo condition
-    on ``|F|^2 / 2``; the solve stops when none does, when a step is not a
-    descent direction, after 50 steps, or, without taking it, once a step
-    falls below ``1e-13 (1 + |z|_inf)``, where F may be noisier than at the
-    current iterate.  ``jac`` maps z to the Jacobian; without it forward
-    differences are used.  ``jac`` is handed the very array object that F
-    was last handed, the start or the trial point just accepted, so a
-    caller can reuse what F computed there.  A start where F is not finite
-    is returned as it is.
+    on ``|F|^2 / 2``.  The solve stops, without forming a Jacobian there,
+    at the start or an accepted iterate where ``|F|_inf <= _RESIDUAL_FLOOR``
+    (4 eps, absolute); and it stops when no halving meets the condition,
+    when a step is not a descent direction, after 50 steps, or, without
+    taking it, once a step falls below ``1e-13 (1 + |z|_inf)``, where F may
+    be noisier than at the current iterate.  ``jac`` maps z to the
+    Jacobian; without it forward differences are used.  ``jac`` is handed
+    the very array object that F was last handed, the start or the trial
+    point just accepted, so a caller can reuse what F computed there.  A
+    start where F is not finite is returned as it is.
     """
     z = np.array(z0, dtype=float)
     Fz = np.asarray(F(z), dtype=float)
     if not np.all(np.isfinite(Fz)):
         return z, Fz
     for _ in range(50):
+        if np.max(np.abs(Fz)) <= _RESIDUAL_FLOOR:
+            break
         J = jac(z) if jac is not None else fd_jacobian(F, z, Fz)
         try:
             step = newton_step(J, Fz)
@@ -249,11 +262,6 @@ def descend(
         z = z + s * d
         Fz, fz = np.asarray(F(z), dtype=float), f_new
     return z
-
-
-# backtracking halvings per Newton step of a stationarity solve; more only
-# grind on faces that hold no root, which the caller then rejects
-_POLISH_HALVINGS = 10
 
 
 def stationary_point(grad, p0, face=None, jac=None, accept=None) -> np.ndarray | None:

@@ -551,13 +551,16 @@ def _polish_once(problem, model, alpha0, lam0):
 
     The solve is ``_rootfind.newton``: LU steps, with least squares only for
     a singular Jacobian, as tied or duplicated actions make it, or a step
-    that fails the residual check; Armijo backtracking on ``|F|^2 / 2``; and
-    a stop before a rounding-level step, so the result is the accepted
-    iterate with the smallest residual norm.  Each step evaluates the
-    system once per trial point: the Jacobian at the accepted iterate is
-    filled, in one array kept for the solve, from the pieces of the
-    evaluation that accepted it.  Weights
-    that the complementarity leaves at or below ``t - v_a`` are set to zero.
+    that fails the residual check; Armijo backtracking on ``|F|^2 / 2``; a
+    stop, with no Jacobian formed there, at an iterate whose residual is at
+    the rounding floor ``_rootfind._RESIDUAL_FLOOR``, as the start is when
+    the backend already solved the system; and a stop before a
+    rounding-level step, so the result is the accepted iterate with the
+    smallest residual norm.  Each step evaluates the system once per trial
+    point: the Jacobian at the accepted iterate is filled, in one array
+    kept for the solve, from the pieces of the evaluation that accepted
+    it.  Weights that the complementarity leaves at or below ``t - v_a``
+    are set to zero.
     Returns ``(alpha, lam)``, or None when F is not finite at the start,
     such as at an overflowed iterate, or no weight survives.
     """

@@ -327,6 +327,54 @@ class TestNewton:
         np.testing.assert_array_equal(step, [-1.0, -0.5])
         assert lstsq_calls == []
 
+    def test_start_at_the_residual_floor_forms_no_jacobian(self):
+        # F = atan(z) reads about 2e-16 here: no step could lower it further
+        calls = []
+
+        def jac(z):
+            raise AssertionError("no Jacobian is formed at a solved point")
+
+        z0 = np.array([2e-16, -1e-16])
+        z, Fz = newton(_counted(np.arctan, calls), z0, jac)
+        np.testing.assert_array_equal(z, z0)
+        np.testing.assert_array_equal(Fz, np.arctan(z0))
+        assert np.max(np.abs(Fz)) <= _rootfind._RESIDUAL_FLOOR
+        assert len(calls) == 1
+
+    def test_one_jacobian_per_accepted_step_and_none_at_the_root(self):
+        # root at the origin, which Newton reaches to well below the floor
+        def F(z):
+            return np.array([np.arctan(z[0] + z[1]), z[1] - z[0] ** 2 - 0.5 * np.sin(z[0])])
+
+        def jac(z):
+            d = 1.0 / (1.0 + (z[0] + z[1]) ** 2)
+            return np.array([[d, d], [-2.0 * z[0] - 0.5 * np.cos(z[0]), 1.0]])
+
+        seen, jacobians = [], []
+        z, Fz = newton(_counted(F, seen), [1.0, 0.5], _counted(jac, jacobians))
+        assert np.max(np.abs(Fz)) <= _rootfind._RESIDUAL_FLOOR
+        # the accepted iterates are the points of the Jacobians, each taken
+        # once and in the order F saw them, then the final iterate, at which
+        # none is taken
+        iterates = [id(x) for x in jacobians] + [id(z)]
+        assert len(set(iterates)) == len(iterates) > 2
+        order = [id(x) for x in seen]
+        assert [order.index(i) for i in iterates] == sorted(order.index(i) for i in iterates)
+
+    def test_a_residual_above_the_floor_still_takes_steps(self):
+        # |F| ~ 1e-13 is a residual the solve lowers, not a tolerance it
+        # accepts: its steps of 1e-10 and 2e-10 are far above the step stop
+        jacobians = []
+
+        def jac(z):
+            return 1e-3 * np.diag(1.0 / (1.0 + z**2))
+
+        z0 = np.array([1e-10, -2e-10])
+        z, Fz = newton(lambda z: 1e-3 * np.arctan(z), z0, _counted(jac, jacobians))
+        assert np.max(np.abs(1e-3 * np.arctan(z0))) >= 1e-13
+        assert len(jacobians) == 1
+        assert np.max(np.abs(z)) <= 1e-20 and np.max(np.abs(Fz)) <= 1e-20
+
     def test_backtracking_stops_on_a_failed_line_search(self):
         # F = atan(z) overshoots from z = 3 under the full Newton step; with
         # no halvings allowed the solve stops at the start

@@ -878,6 +878,41 @@ class TestPolishFirst:
         assert order[0] == "_inner_minimize"
 
 
+class TestPolishAtASolution:
+    """A polish that starts where the optimality system is already solved to
+    rounding forms no Jacobian."""
+
+    def _count_jacobians(self, monkeypatch):
+        calls, polishes = [], []
+        jacobian, polish_once = solver._kkt_jacobian, solver._polish_once
+        monkeypatch.setattr(solver, "_kkt_jacobian", lambda *a, **k: calls.append(1) or jacobian(*a, **k))
+        monkeypatch.setattr(solver, "_polish_once", lambda *a, **k: polishes.append(1) or polish_once(*a, **k))
+        return calls, polishes
+
+    @pytest.mark.parametrize("family", ["pskl", "mi"])
+    def test_symmetric_guess_the_state(self, monkeypatch, family):
+        calls, polishes = self._count_jacobians(monkeypatch)
+        for n in range(3, 8):
+            p = guess_the_state(n, 1.3)
+            if family == "mi":
+                model = mutual_information_cost(p.prior)
+            else:
+                model = posterior_separable_cost(p.prior, shannon_kl_entropy(p.prior))
+            assert solve(p, model).converged
+        assert len(polishes) >= 5
+        assert calls == []
+
+    def test_multitask_bets_under_a_neighborhood_tree(self, monkeypatch):
+        # the closed-form tree only: the numeric twin's conjugates carry
+        # noise that a Jacobian or two then removes
+        calls, polishes = self._count_jacobians(monkeypatch)
+        hoods = [((0, 1, 2, 3), 0.01), ((0, 1), 0.1), ((2, 3), 0.1)]
+        for p in multitask_problems():
+            assert solve(p, neighborhood_hw_cost(p.prior, hoods)).converged
+        assert len(polishes) >= 3
+        assert calls == []
+
+
 def _counting_rows(model):
     """Route the model's ``f_star_rows`` through a counter; returns the call list."""
     calls = []
