@@ -129,6 +129,12 @@ def newton_step(J: np.ndarray, F: np.ndarray) -> np.ndarray:
     minimum-norm least-squares solution.  Raises ``LinAlgError`` when that
     does not converge.
     """
+    return _step_and_image(J, F)[0]
+
+
+def _step_and_image(J: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(newton_step(J, F), J @ step)``: the LU step's residual check and a
+    line search's slope read the one product."""
     if J.shape[0] == J.shape[1]:
         try:
             step = np.linalg.solve(J, -F)
@@ -141,10 +147,13 @@ def newton_step(J: np.ndarray, F: np.ndarray) -> np.ndarray:
                 # fails the check like any other inaccurate step, so it is
                 # not reported
                 with np.errstate(over="ignore", invalid="ignore"):
-                    accurate = np.linalg.norm(J @ step + F) <= 1e-10 * np.linalg.norm(F)
+                    image = J @ step
+                    residual = image + F
+                    accurate = math.sqrt(residual @ residual) <= 1e-10 * math.sqrt(F @ F)
                 if accurate:
-                    return step
-    return np.linalg.lstsq(J, -F, rcond=None)[0]
+                    return step, image
+    step = np.linalg.lstsq(J, -F, rcond=None)[0]
+    return step, J @ step
 
 
 # backtracking halvings per Newton step of a stationarity solve; more only
@@ -189,12 +198,12 @@ def newton(
             break
         J = jac(z) if jac is not None else fd_jacobian(F, z, Fz)
         try:
-            step = newton_step(J, Fz)
+            step, image = _step_and_image(J, Fz)
         except np.linalg.LinAlgError:
             break
         if np.max(np.abs(step)) <= 1e-13 * (1.0 + np.max(np.abs(z))):
             break
-        merit, slope = 0.5 * (Fz @ Fz), Fz @ (J @ step)
+        merit, slope = 0.5 * (Fz @ Fz), Fz @ image
         if not slope < 0.0:
             break
         s = 1.0
@@ -238,7 +247,7 @@ def descend(
             break
         J = jac(z) if jac is not None else fd_jacobian(F, z, Fz)
         try:
-            d = np.linalg.solve(np.linalg.norm(Fz) * np.eye(z.size) - J, Fz)
+            d = np.linalg.solve(math.sqrt(Fz @ Fz) * np.eye(z.size) - J, Fz)
         except np.linalg.LinAlgError:
             break
         slope = -(Fz @ d)

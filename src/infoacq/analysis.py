@@ -363,10 +363,11 @@ def multitask_experiment(zeta: float, eta: float, model_builder=None, opts=None)
         def model_builder(p):
             return nested_shannon_cost(p.prior, encoder, zeta, eta)
 
+    opts = opts or SolveOptions(tol=1e-9)
     sols = []
     accs = []
     for p in problems:
-        sol = solve(p, model_builder(p), opts or SolveOptions(tol=1e-9))
+        sol = solve(p, model_builder(p), opts)
         sols.append(sol)
         accs.append(sol.rule.expected_payoff())  # rewards are indicators
     return MultitaskReport(zeta, eta, tuple(accs), tuple(sols))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -123,8 +124,12 @@ MULTITASK_EVENTS = {
 }
 
 
+@functools.cache
 def multitask_problems() -> tuple[DecisionProblem, DecisionProblem, DecisionProblem]:
-    """Three binary bets on a uniform four-state grid: rows, columns, diagonals."""
+    """Three binary bets on a uniform four-state grid: rows, columns, diagonals.
+
+    Built once: every call returns the same three problems, which are frozen
+    and hold read-only arrays."""
     states = MULTITASK_STATES
     prior = np.full(4, 0.25)
 

@@ -15,6 +15,7 @@ import numbers
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -140,12 +141,13 @@ class _ConjugateMemo:
 class Entropy:
     """A convex entropy over posteriors with H(prior) = 0.
 
-    The conjugate maps are row-batched: ``conj_fn`` and ``conj_grad_fn``
-    take an ``(m, n)`` matrix of posterior-space vectors to ``(m,)`` values
-    and ``(m, n)`` gradients, and ``conj_hess_fn(Y, w)`` to the ``(n, n)``
-    weighted sum ``sum_a w_a Hess H*(Y_a)`` of the row Hessians, so no
-    family builds one matrix per row.
-    Without ``conj_fn`` and ``conj_grad_fn`` the conjugate is computed row by
+    The conjugate maps are row-batched.  ``conj_fn`` is one pass over an
+    ``(m, n)`` matrix Y of posterior-space vectors: it returns the ``(m,)``
+    values, the ``(m, n)`` gradients and a map ``w -> sum_a w_a Hess H*(Y_a)``
+    that forms the ``(n, n)`` weighted sum of the row Hessians from what the
+    pass computed (None without a closed form).  ``conj_hess_fn(Y, w)`` is
+    that weighted sum at any Y, so no family builds one matrix per row.
+    Without ``conj_fn`` the conjugate is computed row by
     row by :func:`numeric_conjugate` to a stationarity gap of
     ``NUMERIC_TOL`` within a fixed step cap, raising ``SolverError`` past
     it; its results are kept per instance in an LRU memo of
@@ -164,8 +166,7 @@ class Entropy:
     family: str
     prior: np.ndarray
     value_fn: Callable[[np.ndarray], float]
-    conj_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    conj_grad_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    conj_fn: Callable[[np.ndarray], tuple] | None = None
     grad_fn: Callable[[np.ndarray], np.ndarray] | None = None
     gap_fn: Callable[[np.ndarray, np.ndarray], float] | None = None
     faces_fn: Callable[[np.ndarray, np.ndarray], list] | None = None
@@ -180,25 +181,26 @@ class Entropy:
     def value(self, p) -> float:
         return float(self.value_fn(np.asarray(p, dtype=float)))
 
-    def conj_rows(self, Y) -> np.ndarray:
-        """H* of each row of Y: the closed form, else the numeric conjugate."""
+    def conj_pass(self, Y) -> tuple:
+        """``(values, gradients, hessian)`` of H* at the rows of Y in one pass:
+        the closed form, else the numeric conjugate row by row, whose
+        gradient is the argmax posterior of that row.  ``hessian(w)`` is the
+        weighted sum of the row Hessians, or None without a closed form."""
         Y = np.asarray(Y, dtype=float)
         if self.conj_fn is not None:
-            return self.conj_fn(Y)
-        return np.array([numeric_conjugate(self, y)[0] for y in Y])
-
-    def conj_grad_rows(self, Y) -> np.ndarray:
-        """Gradient of H* at each row of Y, the argmax posterior of that row."""
-        Y = np.asarray(Y, dtype=float)
-        if self.conj_grad_fn is not None:
-            return self.conj_grad_fn(Y)
-        return np.array([numeric_conjugate(self, y)[1] for y in Y])
+            values, grads, hessian = self.conj_fn(Y)
+        else:
+            points = [numeric_conjugate(self, y) for y in Y]
+            values = np.array([value for value, _ in points])
+            grads = np.array([argmax for _, argmax in points])
+            hessian = None if self.conj_hess_fn is None else partial(self.conj_hess_fn, Y)
+        return values, grads, hessian
 
     def h_star(self, x) -> float:
-        return float(self.conj_rows(np.asarray(x, dtype=float)[None, :])[0])
+        return float(self.conj_pass(np.asarray(x, dtype=float)[None, :])[0][0])
 
     def grad_h_star(self, x) -> np.ndarray:
-        return self.conj_grad_rows(np.asarray(x, dtype=float)[None, :])[0]
+        return self.conj_pass(np.asarray(x, dtype=float)[None, :])[1][0]
 
 
 def _implicit_conj_hess(h: Entropy, Y, w) -> np.ndarray:
@@ -322,22 +324,23 @@ def shannon_kl_entropy(prior, kappa: float = 1.0) -> Entropy:
         return k * (np.log(p) - logpi + 1.0)
 
     def conj(Y):
+        # one softmax q gives the logsumexp, the gradient and the Hessians
         z = logpi[None, :] + Y / k
-        zmax = z.max(axis=1)
-        return k * (zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1)))
+        zmax = z.max(axis=1, keepdims=True)
+        q = np.exp(z - zmax)
+        total = q.sum(axis=1, keepdims=True)
+        q /= total
+        return k * (zmax + np.log(total))[:, 0], q, partial(softmax_hess, q)
 
-    def conj_grad(Y):
-        z = logpi[None, :] + Y / k
-        z -= z.max(axis=1, keepdims=True)
-        w = np.exp(z)
-        return w / w.sum(axis=1, keepdims=True)
-
-    def conj_hess(Y, w):
+    def softmax_hess(q, w):
         # sum_a w_a (diag q_a - q_a q_a^T) / k: one GEMM
-        q, w = conj_grad(Y), np.asarray(w, dtype=float)
+        w = np.asarray(w, dtype=float)
         return (np.diag(w @ q) - (q * w[:, None]).T @ q) / k
 
-    return Entropy("shannon_kl", prior, value, conj, conj_grad, grad, conj_hess_fn=conj_hess)
+    def conj_hess(Y, w):
+        return conj(Y)[2](w)
+
+    return Entropy("shannon_kl", prior, value, conj, grad, conj_hess_fn=conj_hess)
 
 
 def nested_shannon_entropy(encoder: Encoder, zeta: float, etas) -> Entropy:
@@ -355,57 +358,48 @@ def nested_shannon_entropy(encoder: Encoder, zeta: float, etas) -> Entropy:
     lognu = np.log(encoder.nu)
     with np.errstate(divide="ignore"):
         logmu = np.log(encoder.mu)
-    conj, conj_grad, conj_hess = _nested_logit(lognu, logmu, etas, zeta)
+    conj, conj_hess = _nested_logit(lognu, logmu, etas, zeta)
 
     def value(p):
         return _nested_shannon_dual(lognu, logmu, etas, zeta, p)[0]
 
-    return Entropy("nested_shannon", encoder.prior, value, conj, conj_grad, conj_hess_fn=conj_hess)
+    return Entropy("nested_shannon", encoder.prior, value, conj, conj_hess_fn=conj_hess)
 
 
 def _nested_logit(lognu, logmu, etas, zeta):
-    """``(conj, conj_grad, conj_hess)`` of the nested-logit surplus.
+    """``(conj, conj_hess)`` of the nested-logit surplus, in the ``Entropy`` form.
 
     ``H*(y) = zeta log sum_i nu_i exp((eta_i / zeta) log sum_s mu_is exp(y_s / eta_i))``
     over nests i (rows of ``logmu``) and states s (its columns).  Its
     gradient ``g = sum_i r_i q_i`` splits into a nest distribution r and
     within-nest conditionals q_i, and its Hessian is
     ``sum_i (r_i / eta_i)(diag q_i - q_i q_i^T) + (sum_i r_i q_i q_i^T - g g^T) / zeta``.
-    The conjugate and its gradient serve both one vector and a matrix of
-    rows; ``conj_hess(Y, w)`` is the w-weighted sum of the Hessians at the
-    rows of Y, a diagonal plus two GEMMs: one over every (row, nest) pair
-    and one over the gradients.
+    ``conj`` serves both one vector and a matrix of rows, and returns the
+    values, the gradients and the Hessian map of the split it computed.
+    ``conj_hess(Y, w)`` is the w-weighted sum of the Hessians at the rows of
+    Y, a diagonal plus two GEMMs: one over every (row, nest) pair and one
+    over the gradients.
     """
 
     # the maps take one posterior-space vector (n,) or a matrix of rows
     # (m, n); nests run along the second-to-last axis of z and q
-    def _inner(Y):
-        """Within-nest log conditionals log q (..., A, n) and outer logits (..., A)."""
+    def conj(Y):
         # m_i = log sum_s mu[i,s] exp(y_s / eta_i), stabilized per nest
         z = logmu + np.asarray(Y, dtype=float)[..., None, :] / etas[:, None]
         zmax = z.max(axis=-1, keepdims=True)
         m = zmax + np.log(np.exp(z - zmax).sum(axis=-1, keepdims=True))
-        return z - m, lognu + (etas / zeta) * m[..., 0]
-
-    def _split(Y):
-        """Nest weights r (..., A), within-nest conditionals q (..., A, n) and
-        the gradient g = sum_i r_i q_i (..., n)."""
-        log_q, outer = _inner(Y)
-        r = np.exp(outer - outer.max(axis=-1, keepdims=True))
-        r /= r.sum(axis=-1, keepdims=True)
-        q = np.exp(log_q)
-        return r, q, (r[..., None, :] @ q)[..., 0, :]
-
-    def conj(Y):
-        outer = _inner(Y)[1]
+        outer = lognu + (etas / zeta) * m[..., 0]
         omax = outer.max(axis=-1, keepdims=True)
-        return zeta * (omax + np.log(np.exp(outer - omax).sum(axis=-1, keepdims=True)))[..., 0]
+        # nest weights r (..., A), within-nest conditionals q (..., A, n) and
+        # the gradient g = sum_i r_i q_i (..., n)
+        r = np.exp(outer - omax)
+        total = r.sum(axis=-1, keepdims=True)
+        r /= total
+        q = np.exp(z - m)
+        g = (r[..., None, :] @ q)[..., 0, :]
+        return zeta * (omax + np.log(total))[..., 0], g, partial(split_hess, r, q, g)
 
-    def conj_grad(Y):
-        return _split(Y)[2]
-
-    def conj_hess(Y, w):
-        r, q, g = _split(Y)
+    def split_hess(r, q, g, w):
         n, w = g.shape[1], np.asarray(w, dtype=float)
         wr = w[:, None] * r
         q_flat = q.reshape(-1, n)
@@ -414,7 +408,10 @@ def _nested_logit(lognu, logmu, etas, zeta):
         H -= (g * w[:, None]).T @ g / zeta
         return H
 
-    return conj, conj_grad, conj_hess
+    def conj_hess(Y, w):
+        return conj(Y)[2](w)
+
+    return conj, conj_hess
 
 
 def _nested_shannon_dual(lognu, logmu, etas, zeta, p):
@@ -436,7 +433,7 @@ def _nested_shannon_dual(lognu, logmu, etas, zeta, p):
     return value, x
 
 
-def _entropy_value_from_conjugate(conj, conj_grad, conj_hess, p):
+def _entropy_value_from_conjugate(conj, conj_hess, p):
     """``(H(p), x)`` for ``H(p) = sup_x p.x - H*(x)`` at a positive posterior p.
 
     The maximizer solves ``grad H*(x) = p``.  H* is translation invariant,
@@ -452,7 +449,7 @@ def _entropy_value_from_conjugate(conj, conj_grad, conj_hess, p):
     free = np.arange(k) != pin
     x0 = np.zeros(k)
     if k == 1:
-        return max(0.0, -float(conj(x0))), x0
+        return max(0.0, -float(conj(x0)[0])), x0
 
     def lift(z):
         x = np.zeros(k)
@@ -460,18 +457,18 @@ def _entropy_value_from_conjugate(conj, conj_grad, conj_hess, p):
         return x
 
     def F(z):
-        return (p - conj_grad(lift(z)))[free]
+        return (p - conj(lift(z))[1])[free]
 
     def J(z):
         return -conj_hess(lift(z)[None, :], np.ones(1))[np.ix_(free, free)]
 
     def objective(z):
         x = lift(z)
-        return float(conj(x)) - float(p @ x)
+        return float(conj(x)[0]) - float(p @ x)
 
     # Shannon start: for H* = kappa log sum_s pi_s exp(x_s / kappa) the dual
     # point is kappa log(p / pi), and kappa = (k - 1) / tr(diag(1 / pi) Hess)
-    q0 = conj_grad(x0)
+    q0 = conj(x0)[1]
     kappa = (k - 1) / float(np.sum(np.diagonal(conj_hess(x0[None, :], np.ones(1))) / q0))
     z0 = kappa * (np.log(p) - np.log(q0))
     z0 = (z0 - z0[pin])[free]
@@ -479,7 +476,7 @@ def _entropy_value_from_conjugate(conj, conj_grad, conj_hess, p):
     if not np.max(np.abs(Fz)) <= 1e-12:
         z, Fz = newton(F, descend(objective, F, z0, J, tol=1e-12), J)
     x = lift(z)
-    return max(0.0, float(p @ x) - float(conj(x))), x
+    return max(0.0, float(p @ x) - float(conj(x)[0])), x
 
 
 def _neighborhood_blocks(n: int, neighborhoods) -> list[tuple[tuple[int, ...], float]]:
@@ -532,13 +529,14 @@ def _two_level_nests(prior, blocks):
     n = prior.size
     roots = [kap for idx, kap in blocks if len(idx) == n]
     inner = [(list(idx), kap) for idx, kap in blocks if len(idx) < n]
-    held = np.zeros(n, dtype=int)
+    held = [0] * n
     for idx, _ in inner:
-        held[idx] += 1
-    if len(roots) != 1 or held.max(initial=0) > 1:
+        for s in idx:
+            held[s] += 1
+    if len(roots) != 1 or max(held) > 1:
         return None
     zeta = roots[0]
-    nests = [(idx, zeta + kap) for idx, kap in inner] + [([s], zeta) for s in np.flatnonzero(held == 0)]
+    nests = [(idx, zeta + kap) for idx, kap in inner] + [([s], zeta) for s in range(n) if held[s] == 0]
     mu = np.zeros((len(nests), n))
     for i, (idx, _) in enumerate(nests):
         mu[i, idx] = prior[idx]
@@ -624,13 +622,12 @@ def neighborhood_hw_entropy(prior, neighborhoods) -> Entropy:
         return [winners, winners | (p > 1e-10), winners | (p > 1e-4)]
 
     nests = _two_level_nests(prior, blocks)
-    conj, conj_grad, conj_hess = (None, None, None) if nests is None else _nested_logit(*nests)
+    conj, conj_hess = (None, None) if nests is None else _nested_logit(*nests)
     return Entropy(
         "neighborhood_hw",
         prior,
         value,
         conj_fn=conj,
-        conj_grad_fn=conj_grad,
         grad_fn=grad,
         gap_fn=gap,
         faces_fn=faces,
@@ -641,7 +638,7 @@ def neighborhood_hw_entropy(prior, neighborhoods) -> Entropy:
 
 def numeric_entropy(prior, value_fn, grad_fn) -> Entropy:
     """User-supplied entropy; conjugate handled numerically."""
-    return Entropy("numeric", clean_weights(prior, "prior"), value_fn, None, None, grad_fn)
+    return Entropy("numeric", clean_weights(prior, "prior"), value_fn, None, grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -654,9 +651,9 @@ class CostModel:
     family: str = "abstract"
     prior: np.ndarray
     translation_invariant: bool = False
-    # (shape, bytes of X, f* rows, gradient rows) of the last evaluate_rows
-    # call; replaced whole in one assignment, so threads sharing the model
-    # never read a half-written entry
+    # (shape, bytes of X, f* rows, gradient rows, Hessian map) of the last
+    # evaluate_rows call; replaced whole in one assignment, so threads sharing
+    # the model never read a half-written entry
     _last_rows: tuple | None = None
 
     def f_star(self, x) -> float:
@@ -692,13 +689,32 @@ class CostModel:
     def grad_rows(self, X) -> np.ndarray:
         return np.array([self.grad_f_star(x) for x in np.asarray(X, dtype=float)])
 
+    def conj_pass(self, X) -> tuple:
+        """``(f_star_rows(X), grad_rows(X), hessian)`` in one pass over X, where
+        ``hessian(w)`` forms ``weighted_hessian(X, w)`` from what the pass
+        computed, or is None without a closed form.  Families override it to
+        share that work; the results are those of the separate calls, bit
+        for bit."""
+        return self.f_star_rows(X), self.grad_rows(X), None
+
+    def _hessian_at(self, X, w) -> np.ndarray | None:
+        """``weighted_hessian`` computed afresh at X; None without a closed form."""
+        return None
+
     def weighted_hessian(self, X, w) -> np.ndarray | None:
         """``sum_a w_a`` times the conjugate Hessian at row a of X, an ``(n, n)``
         matrix, or None without a closed form.
 
-        With None the Newton solves fall back to finite-difference Jacobians.
+        At the X of the last ``evaluate_rows`` call it is formed from the
+        intermediates that pass kept, such as a softmax; anywhere else it is
+        computed afresh, with the same result.  With None the Newton solves
+        fall back to finite-difference Jacobians.
         """
-        return None
+        X = np.asarray(X, dtype=float)
+        last = self._last_rows
+        if last is not None and last[4] is not None and last[0] == X.shape and last[1] == X.tobytes():
+            return last[4](w)
+        return self._hessian_at(X, w)
 
     @property
     def has_hessian(self) -> bool:
@@ -706,7 +722,8 @@ class CostModel:
         return False
 
     def evaluate_rows(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only ``(f_star_rows(X), grad_rows(X))``, kept for the last X.
+        """Read-only ``(f_star_rows(X), grad_rows(X))`` from one ``conj_pass``,
+        kept for the last X together with the pass's Hessian map.
 
         A call whose X equals the last one bit for bit returns the kept pair
         without evaluating the conjugate again, so every result is the one
@@ -717,11 +734,11 @@ class CostModel:
         last = self._last_rows
         if last is not None and last[0] == X.shape and last[1] == key:
             return last[2], last[3]
-        v = np.asarray(self.f_star_rows(X), dtype=float)
-        G = np.asarray(self.grad_rows(X), dtype=float)
+        v, G, hessian = self.conj_pass(X)
+        v, G = np.asarray(v, dtype=float), np.asarray(G, dtype=float)
         v.flags.writeable = False
         G.flags.writeable = False
-        self._last_rows = (X.shape, key, v, G)
+        self._last_rows = (X.shape, key, v, G, hessian)
         return v, G
 
 
@@ -749,6 +766,21 @@ def primal_cost(model: CostModel, rule: ChoiceRule) -> float:
     return model.primal_cost(rule)
 
 
+# The Hessian maps that evaluate_rows keeps in ``_last_rows`` are partials of
+# these module functions, not of bound methods: a map that held its model
+# would make a reference cycle, and every model would then wait for the
+# cyclic collector to be freed.
+def _diagonal_hessian(psi_pp, prior, ratios, w):
+    """Weighted Csiszar Hessian: each row's is diagonal, ``psi''(x / pi) / pi``."""
+    return np.diag(w @ (np.asarray(psi_pp(ratios), dtype=float) / prior[None, :]))
+
+
+def _payoff_hessian(prior, hessian, w):
+    """The entropy's weighted Hessian ``hessian(w)``, scaled by 1/pi on both sides."""
+    inv = 1.0 / prior
+    return hessian(w) * inv[:, None] * inv[None, :]
+
+
 class CsiszarCost(CostModel):
     """Statewise-separable cost driven by a univariate transform."""
 
@@ -773,16 +805,24 @@ class CsiszarCost(CostModel):
         ratios = np.asarray(X, dtype=float) / self.prior[None, :]
         return np.asarray(self.transform.psi_prime(ratios), dtype=float)
 
+    def conj_pass(self, X):
+        ratios = np.asarray(X, dtype=float) / self.prior[None, :]
+        psi_pp = self.transform.psi_pp
+        hessian = None if psi_pp is None else partial(_diagonal_hessian, psi_pp, self.prior, ratios)
+        return (
+            np.asarray(self.transform.psi(ratios)) @ self.prior,
+            np.asarray(self.transform.psi_prime(ratios), dtype=float),
+            hessian,
+        )
+
     @property
     def has_hessian(self) -> bool:
         return self.transform.psi_pp is not None
 
-    def weighted_hessian(self, X, w):
-        # each row's Hessian is diagonal: psi''(x / pi) / pi
+    def _hessian_at(self, X, w):
         if self.transform.psi_pp is None:
             return None
-        ratios = np.asarray(X, dtype=float) / self.prior[None, :]
-        return np.diag(w @ (np.asarray(self.transform.psi_pp(ratios), dtype=float) / self.prior[None, :]))
+        return _diagonal_hessian(self.transform.psi_pp, self.prior, np.asarray(X, dtype=float) / self.prior[None, :], w)
 
     def divergence_spec(self):
         return divergence.csiszar_spec(self.prior, self.transform)
@@ -819,23 +859,26 @@ class PosteriorSeparableCost(CostModel):
         return self.entropy.grad_h_star(np.asarray(x, dtype=float) / self.prior) / self.prior
 
     def f_star_rows(self, X):
-        return self.entropy.conj_rows(np.asarray(X, dtype=float) / self.prior[None, :])
+        return self.entropy.conj_pass(np.asarray(X, dtype=float) / self.prior[None, :])[0]
 
     def grad_rows(self, X):
         Y = np.asarray(X, dtype=float) / self.prior[None, :]
-        return self.entropy.conj_grad_rows(Y) / self.prior[None, :]
+        return self.entropy.conj_pass(Y)[1] / self.prior[None, :]
+
+    def conj_pass(self, X):
+        # f*(x) = H*(x / pi): the gradients are the entropy's over pi
+        values, grads, hessian = self.entropy.conj_pass(np.asarray(X, dtype=float) / self.prior[None, :])
+        return values, grads / self.prior[None, :], None if hessian is None else partial(_payoff_hessian, self.prior, hessian)
 
     @property
     def has_hessian(self) -> bool:
         return self.entropy.conj_hess_fn is not None
 
-    def weighted_hessian(self, X, w):
-        # f*(x) = H*(x / pi), so the Hessian is the entropy's scaled by 1/pi on both sides
+    def _hessian_at(self, X, w):
         if self.entropy.conj_hess_fn is None:
             return None
         Y = np.asarray(X, dtype=float) / self.prior[None, :]
-        inv = 1.0 / self.prior
-        return self.entropy.conj_hess_fn(Y, w) * inv[:, None] * inv[None, :]
+        return _payoff_hessian(self.prior, partial(self.entropy.conj_hess_fn, Y), w)
 
     def divergence_spec(self):
         return divergence.DivergenceSpec(prior=self.prior, entropy_value=self.entropy.value)
@@ -953,12 +996,16 @@ def scale(model: CostModel, kappa: float) -> CostModel:
 def scale_entropy(h: Entropy, kappa: float) -> Entropy:
     k = finite_positive(kappa, "kappa")
     hess = h.conj_hess_fn
+
+    def conj(Y):
+        values, grads, hessian = h.conj_pass(Y / k)
+        return k * values, grads, (lambda w: hessian(w) / k) if hessian else None
+
     return Entropy(
         family=h.family,
         prior=h.prior,
         value_fn=lambda p: k * h.value(p),
-        conj_fn=lambda Y: k * h.conj_rows(Y / k),
-        conj_grad_fn=lambda Y: h.conj_grad_rows(Y / k),
+        conj_fn=conj,
         grad_fn=(lambda p: k * np.asarray(h.grad_fn(p), dtype=float)) if h.grad_fn else None,
         conj_hess_fn=(lambda Y, w: hess(Y / k, w) / k) if hess else None,
     )

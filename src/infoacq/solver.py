@@ -157,10 +157,14 @@ def evaluate(problem, model, lam):
 def foc_residuals(problem, model, alpha, lam):
     """(residual_alpha, residual_lambda, values, gradients) at a candidate pair."""
     v, G = evaluate(problem, model, lam)
+    return (*_residuals(alpha, v, G), v, G)
+
+
+def _residuals(alpha, v, G):
+    """``(residual_alpha, residual_lambda)`` of alpha against the conjugate
+    values v and gradients G at a multiplier."""
     vmax = float(v.max())
-    res_a = float(alpha @ (vmax - v))
-    res_l = float(np.max(np.abs(alpha @ G - 1.0)))
-    return res_a, res_l, v, G
+    return float(alpha @ (vmax - v)), float(np.max(np.abs(alpha @ G - 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +471,20 @@ def _slice_basis(n: int) -> np.ndarray:
 
 
 class _KKTPoint(NamedTuple):
-    """What ``_kkt_jacobian`` reads of one evaluation of the optimality system:
-    the weights, the payoff arguments X, the conjugate gradients G at them,
-    and the arguments ``b = t - v`` and norms ``r = hypot(alpha, b)`` of the
-    Fischer-Burmeister rows."""
+    """One evaluation of the optimality system: the weights, the multiplier
+    lam, the payoff arguments X at it, the conjugate values v and gradients
+    G there, and the arguments ``b = t - v`` and norms ``r = hypot(alpha, b)``
+    of the Fischer-Burmeister rows.
+
+    ``_kkt_jacobian`` reads it at each Newton iterate, and the polish hands
+    the one at its result on to the weight trim, the FOC score,
+    ``_assemble`` and the certificate's upper bound, which then evaluate
+    nothing again."""
 
     alpha: np.ndarray
+    lam: np.ndarray
     X: np.ndarray
+    v: np.ndarray
     G: np.ndarray
     b: np.ndarray
     r: np.ndarray
@@ -491,17 +502,19 @@ def _kkt_system(problem, model, z, basis=None, payoff_prior=None):
     ``sum alpha - 1``.  ``payoff_prior``, the payoffs times the prior, saves
     forming that product on every call.
     """
-    m = problem.n_actions
+    m, n = problem.n_actions, problem.n_states
     alpha, t = z[:m], z[m]
     lam = basis @ z[m + 1 :] if basis is not None else z[m + 1 :]
     X = payoff_arguments(problem, lam) if payoff_prior is None else payoff_prior - lam[None, :]
     v, G = model.evaluate_rows(X)
     b = t - v
     r = np.hypot(alpha, b)
-    parts = [alpha + b - r, alpha @ G - 1.0]
+    F = np.empty(z.size)
+    np.subtract(alpha + b, r, out=F[:m])
+    np.subtract(alpha @ G, 1.0, out=F[m : m + n])
     if basis is None:
-        parts.append([alpha.sum() - 1.0])
-    return np.concatenate(parts), _KKTPoint(alpha, X, G, b, r)
+        F[m + n] = alpha.sum() - 1.0
+    return F, _KKTPoint(alpha, lam, X, v, G, b, r)
 
 
 def _kkt_frame(m, n, basis=None):
@@ -519,22 +532,27 @@ def _kkt_jacobian(model, point, basis=None, out=None):
 
     Built from the model's weighted Hessian, or None when it has no closed
     form.  At the kink ``a = b = 0`` it takes the element ``1 - 1/sqrt(2)``
-    for both partial derivatives of phi.  ``out`` is an array of the
-    Jacobian's shape whose entries outside the blocks filled here are those
-    of ``_kkt_frame``, as a previous call leaves them; without it a new one
-    is made.
+    for both partial derivatives of phi.  ``out`` is a C-contiguous array of
+    the Jacobian's shape, as ``_kkt_frame`` makes it, whose entries outside
+    the blocks filled here are those of ``_kkt_frame``, as a previous call
+    leaves them; without it a new one is made.
     """
     H = model.weighted_hessian(point.X, point.alpha)
     if H is None:
         return None
-    alpha, G, b = point.alpha, point.G, point.b
+    alpha, G, b, r = point.alpha, point.G, point.b, point.r
     m, n = G.shape
-    kink = point.r == 0.0
-    r = np.where(kink, 1.0, point.r)
-    d_a = np.where(kink, 1.0 - math.sqrt(0.5), 1.0 - alpha / r)
-    d_b = np.where(kink, 1.0 - math.sqrt(0.5), 1.0 - b / r)
+    kink = r == 0.0
+    if kink.any():
+        r = np.where(kink, 1.0, r)
+        d_a = np.where(kink, 1.0 - math.sqrt(0.5), 1.0 - alpha / r)
+        d_b = np.where(kink, 1.0 - math.sqrt(0.5), 1.0 - b / r)
+    else:
+        d_a, d_b = 1.0 - alpha / r, 1.0 - b / r
     J = _kkt_frame(m, n, basis) if out is None else out
-    J[np.arange(m), np.arange(m)] = d_a
+    # the diagonal of the top-left m x m block, through a strided view
+    size = J.shape[1]
+    J.reshape(-1)[: m * (size + 1) : size + 1] = d_a
     J[:m, m] = d_b
     J[m : m + n, :m] = G.T
     if basis is None:
@@ -559,10 +577,13 @@ def _polish_once(problem, model, alpha0, lam0):
     smallest residual norm.  Each step evaluates the system once per trial
     point: the Jacobian at the accepted iterate is filled, in one array
     kept for the solve, from the pieces of the evaluation that accepted
-    it.  Weights that the complementarity leaves at or below ``t - v_a``
-    are set to zero.
-    Returns ``(alpha, lam)``, or None when F is not finite at the start,
-    such as at an overflowed iterate, or no weight survives.
+    it.  Weights that the complementarity leaves at or below
+    ``b_a = t - v_a`` are set to zero.
+    Returns ``(alpha, lam, point)``, with ``point`` the ``_KKTPoint`` of the
+    iterate Newton returned: its last evaluation, or, after a line search
+    that failed on a rejected trial, one more.  Returns None when F is not
+    finite at the start, such as at an overflowed iterate, or no weight
+    survives.
     """
     m, n = problem.n_actions, problem.n_states
     basis = _slice_basis(n) if model.translation_invariant else None
@@ -591,27 +612,30 @@ def _polish_once(problem, model, alpha0, lam0):
     z, F = newton(system, z0, jacobian)
     if not np.all(np.isfinite(F)):
         return None
-    alpha, t = z[:m], z[m]
-    lam = basis @ z[m + 1 :] if basis is not None else z[m + 1 :]
-    v, _ = evaluate(problem, model, lam)
-    alpha = np.where(alpha > np.maximum(t - v, 0.0), alpha, 0.0)
+    if last[0] is not z:
+        # the last evaluation was a trial that the line search rejected
+        system(z)
+    point = last[1]
+    alpha = np.where(point.alpha > np.maximum(point.b, 0.0), point.alpha, 0.0)
     total = alpha.sum()
     if total <= 0.0:
         return None
-    return alpha / total, lam
+    return alpha / total, point.lam, point
 
 
 def _polish(problem, model, alpha0, lam0, tol):
-    """Newton polish from an iterate; ``(alpha, lam, score)`` when it meets tol, else None.
+    """Newton polish from an iterate; ``(alpha, lam, score, point)`` when it
+    meets tol, else None.
 
-    ``score`` is the larger FOC residual of the polished pair.
+    ``score`` is the larger FOC residual of the polished pair, read off
+    ``point``, the ``_KKTPoint`` of the polish's result.
     """
     got = _polish_once(problem, model, alpha0, lam0)
     if got is None:
         return None
-    res_a, res_l, _, _ = foc_residuals(problem, model, *got)
-    score = max(res_a, res_l)
-    return (*got, score) if score <= tol else None
+    alpha, lam, point = got
+    score = max(_residuals(alpha, point.v, point.G))
+    return (alpha, lam, score, point) if score <= tol else None
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +650,8 @@ def _init_alpha(m: int, seed: int) -> np.ndarray:
 
 
 def _best_response_backend(problem, model, opts):
+    """``(alpha, lam, iterations, converged, (v, G))``, the last the conjugate
+    values and gradients at lam, as the solve evaluated them."""
     alpha = _init_alpha(problem.n_actions, opts.seed)
     if not isinstance(model, CsiszarCost):
         # the inner minimization is a vector root here, so the Newton polish
@@ -635,31 +661,34 @@ def _best_response_backend(problem, model, opts):
         # mutual information: 21 Newton steps against 15)
         got = _polish(problem, model, alpha, np.zeros(problem.n_states), opts.tol)
         if got is not None:
-            return got[0], got[1], 1, True
+            return got[0], got[1], 1, True, (got[3].v, got[3].G)
     lam = _inner_minimize(problem, model, alpha, None, inner_tol=min(1e-11, opts.tol / 10))
-    best = (math.inf, alpha.copy(), lam.copy())
+    best = (math.inf, alpha.copy(), lam.copy(), None)
     step_scale = None
     polish_at = 3
     iters = 0
     converged = False
     for k in range(1, opts.max_iter + 1):
         iters = k
-        res_a, res_l, v, _ = foc_residuals(problem, model, alpha, lam)
+        res_a, res_l, v, G = foc_residuals(problem, model, alpha, lam)
         score = max(res_a, res_l)
         if score < best[0]:
-            best = (score, alpha.copy(), lam.copy())
+            best = (score, alpha.copy(), lam.copy(), (v, G))
         if score <= opts.tol:
             converged = True
+            evaluated = v, G
             if score > 0.0:
                 got = _polish(problem, model, alpha, lam, opts.tol)
                 if got is not None and got[2] <= score:
-                    alpha, lam, _ = got
+                    alpha, lam, _, point = got
+                    evaluated = point.v, point.G
             break
         if k >= polish_at or res_a <= 10 * opts.tol:
             polish_at = min(2 * polish_at + 1, polish_at + 50)
             got = _polish(problem, model, alpha, lam, opts.tol)
             if got is not None:
-                alpha, lam, _ = got
+                alpha, lam, _, point = got
+                evaluated = point.v, point.G
                 converged = True
                 break
         vmax = float(v.max())
@@ -674,8 +703,8 @@ def _best_response_backend(problem, model, opts):
             alpha /= total
         lam = _inner_minimize(problem, model, alpha, lam, inner_tol=min(1e-11, opts.tol / 10))
     if not converged:
-        _, alpha, lam = best
-    return alpha, lam, iters, converged
+        _, alpha, lam, evaluated = best
+    return alpha, lam, iters, converged, evaluated
 
 
 # ``bench/tracer.py`` binds this name when it installs; the name goes with the
@@ -687,8 +716,11 @@ _mirror_prox_backend = _best_response_backend
 # assembling solutions
 
 
-def _assemble(problem, model, alpha, lam, iters, converged, backend, box_source, extra=None):
-    res_a, res_l, v, G = foc_residuals(problem, model, alpha, lam)
+def _assemble(problem, model, alpha, lam, iters, converged, backend, box_source, extra=None, evaluated=None):
+    """The ``Solution`` at (alpha, lam); ``evaluated`` is ``(v, G)`` at lam
+    where the solve already has it, and is evaluated otherwise."""
+    v, G = evaluate(problem, model, lam) if evaluated is None else evaluated
+    res_a, res_l = _residuals(alpha, v, G)
     value = float(alpha @ v + lam.sum())
     raw_rows = (alpha[None, :] * G.T).astype(float)
     row_err = float(np.max(np.abs(raw_rows.sum(axis=1) - 1.0)))
@@ -698,10 +730,11 @@ def _assemble(problem, model, alpha, lam, iters, converged, backend, box_source,
     # gradients underflow or overflow at an unconverged overflow-scale
     # iterate, gets alpha as a stand-in row
     degenerate = ~(np.isfinite(sums[:, 0]) & (sums[:, 0] > 0.0))
-    rows[degenerate], sums[degenerate] = alpha, alpha.sum()
+    if degenerate.any():
+        rows[degenerate], sums[degenerate] = alpha, alpha.sum()
     rows = rows / sums
     rule = ChoiceRule.build(problem, rows)
-    gap = duality_certificate(problem, model, alpha, lam)
+    gap = duality_certificate(problem, model, alpha, lam, v)
     diagnostics = {
         "row_sum_error": row_err,
         "alpha_floor": float(alpha.min()),
@@ -729,9 +762,15 @@ def _assemble(problem, model, alpha, lam, iters, converged, backend, box_source,
     )
 
 
-def duality_certificate(problem, model, alpha, lam) -> float:
-    """Upper-minus-lower bound from one exact best response on each side."""
-    v, _ = evaluate(problem, model, lam)
+def duality_certificate(problem, model, alpha, lam, values=None) -> float:
+    """Upper-minus-lower bound from one exact best response on each side.
+
+    The upper bound ``max_a f*(a pi - lam) + sum lam`` reads ``values``,
+    the conjugate values at lam, when the caller has them.  The lower bound
+    always takes its own inner minimization in lam at alpha, so it stays an
+    independent check of the pair.
+    """
+    v = evaluate(problem, model, lam)[0] if values is None else values
     upper = float(v.max() + lam.sum())
     lam_best = _inner_minimize(problem, model, alpha, lam.copy())
     v2, _ = evaluate(problem, model, lam_best)
@@ -748,9 +787,10 @@ def solve(problem: DecisionProblem, model: CostModel, opts: SolveOptions | None 
     """Find a saddle point and reconstruct the choice rule: perceptual costs
     through the attribute reduction, every other cost by the best response."""
     opts = opts or SolveOptions()
-    _check_shared_prior(problem, model)
     if isinstance(model, PerceptualCsiszarCost):
+        _check_shared_prior(problem, model)
         return solve_perceptual(problem, model.transform, model.encoder, opts)
+    # solve_best_response checks the prior
     return solve_best_response(problem, model, opts)
 
 
@@ -772,14 +812,15 @@ def solve_best_response(
         actions = [(problem.action_names[g[0]], problem.payoffs[g[0]]) for g in groups]
         merged = validate_problem(problem.states, problem.prior, actions)
     # the best response never reads the box: it is built when the solution's is read
-    alpha, lam, iters, converged = _best_response_backend(merged, model, opts)
+    alpha, lam, iters, converged, evaluated = _best_response_backend(merged, model, opts)
     if merged is not problem:
         split = np.empty(problem.n_actions)
         for g, a in zip(groups, alpha):
             split[g] = a / len(g)
-        alpha = split
+        # the merged problem's conjugates have one row per group
+        alpha, evaluated = split, None
     box = partial(multiplier_bounds, problem, model)
-    return _assemble(problem, model, alpha, lam, iters, converged, "best_response", box)
+    return _assemble(problem, model, alpha, lam, iters, converged, "best_response", box, evaluated=evaluated)
 
 
 # ---------------------------------------------------------------------------

@@ -26,13 +26,13 @@ settings.load_profile("deterministic")
 def numeric_twin():
     """Maps an entropy to its twin without closed-form conjugate maps.
 
-    The twin keeps every other field, so ``Entropy.conj_rows`` goes through
+    The twin keeps every other field, so ``Entropy.conj_pass`` goes through
     ``costs.numeric_conjugate`` (with a fresh memo) and the conjugate
     Hessian comes from the implicit function theorem.
     """
 
     def twin(h):
-        return replace(h, conj_fn=None, conj_grad_fn=None, conj_hess_fn=None, _memo=_ConjugateMemo())
+        return replace(h, conj_fn=None, conj_hess_fn=None, _memo=_ConjugateMemo())
 
     return twin
 

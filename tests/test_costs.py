@@ -1,11 +1,13 @@
+import gc
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
-from infoacq import costs, divergence
+from infoacq import costs, divergence, solve
 from infoacq.catalog import random_problem
 from infoacq.core import ChoiceRule, SolverError, ValidationError, validate_problem
 from infoacq.costs import (
@@ -580,7 +582,7 @@ class TestNeighborhoodClosedForm:
     )
     def test_other_covers_keep_the_numeric_conjugate(self, hoods):
         h = neighborhood_hw_entropy(np.full(4, 0.25), hoods)
-        assert h.conj_fn is None and h.conj_grad_fn is None
+        assert h.conj_fn is None
 
     def test_matrix_forms_match_the_loop_forms(self):
         rng = np.random.default_rng(63)
@@ -806,6 +808,102 @@ class TestBatchedPrimalCosts:
         each = [_replicated_cost(model, rule) for rule in rules]
         assert math.isinf(each[-1]) and sum(map(math.isfinite, each)) >= 2
         np.testing.assert_allclose(model.primal_costs(rules), each, rtol=1e-13, atol=1e-16)
+
+
+_PASS_FAMILIES = [
+    "mutual_information",
+    "chi2",
+    "shifted_chi2",
+    "tabulated",
+    "posterior_separable",
+    "nested_shannon",
+    "neighborhood_two_level",
+    "scaled_entropy",
+    "numeric_twin",
+]
+
+
+class TestConjugatePass:
+    """``evaluate_rows`` takes one ``conj_pass`` per matrix, and the Hessian
+    formed from that pass is the one a fresh ``weighted_hessian`` computes."""
+
+    def _build(self, name, numeric_twin):
+        if name == "scaled_entropy":
+            return scale(_batch_model("posterior_separable"), 1.7)
+        if name == "numeric_twin":
+            model = _batch_model("neighborhood_two_level")
+            return costs.PosteriorSeparableCost(model.prior, numeric_twin(model.entropy), model.family)
+        return _batch_model(name)
+
+    def _point(self):
+        rng = np.random.default_rng(81)
+        return 0.6 * rng.normal(size=(4, 3)), rng.uniform(0.1, 1.0, size=4)
+
+    @pytest.mark.parametrize("name", _PASS_FAMILIES)
+    def test_pass_equals_the_separate_rows(self, name, numeric_twin):
+        X, _ = self._point()
+        v, G = self._build(name, numeric_twin).evaluate_rows(X)
+        separate = self._build(name, numeric_twin)
+        np.testing.assert_array_equal(v, separate.f_star_rows(X))
+        np.testing.assert_array_equal(G, separate.grad_rows(X))
+
+    @pytest.mark.parametrize("name", _PASS_FAMILIES)
+    def test_hessian_from_the_pass_equals_a_fresh_one(self, name, numeric_twin):
+        X, w = self._point()
+        model = self._build(name, numeric_twin)
+        model.evaluate_rows(X)
+
+        def fresh(*args):
+            raise AssertionError("the Hessian at the evaluated matrix is read off its pass")
+
+        model._hessian_at = fresh
+        H = model.weighted_hessian(X, w)
+        expected = self._build(name, numeric_twin).weighted_hessian(X, w)
+        assert H.shape == (3, 3)
+        np.testing.assert_array_equal(H, expected)
+
+    def test_another_matrix_gets_a_fresh_hessian(self):
+        X, w = self._point()
+        model = _batch_model("posterior_separable")
+        model.evaluate_rows(X)
+        moved = X + 0.1
+        np.testing.assert_array_equal(
+            model.weighted_hessian(moved, w), _batch_model("posterior_separable").weighted_hessian(moved, w)
+        )
+
+    def test_an_entropy_without_a_hessian_passes_none(self):
+        # a numeric entropy with no hess_fn has no conjugate Hessian: its pass
+        # keeps no map, and the Newton solves take forward differences
+        def quadratic(prior):
+            return numeric_entropy(
+                prior, lambda p: 0.5 * float(np.sum((p - prior) ** 2 / prior)), lambda p: (p - prior) / prior
+            )
+
+        model = posterior_separable_cost(_BATCH_PRIOR, quadratic(_BATCH_PRIOR))
+        X, w = self._point()
+        v, G = model.evaluate_rows(X)
+        assert model._last_rows[4] is None and model.weighted_hessian(X, w) is None
+        separate = posterior_separable_cost(_BATCH_PRIOR, quadratic(_BATCH_PRIOR))
+        np.testing.assert_array_equal(v, separate.f_star_rows(X))
+        np.testing.assert_array_equal(G, separate.grad_rows(X))
+        p = random_problem(np.random.default_rng(3), 3, 3)
+        assert solve(p, posterior_separable_cost(p.prior, quadratic(p.prior))).converged
+
+    @pytest.mark.parametrize("name", _PASS_FAMILIES)
+    def test_the_kept_pass_does_not_hold_its_model(self, name, numeric_twin):
+        # a Hessian map bound to its model would make a reference cycle, so
+        # every evaluated model would wait for the cyclic collector
+        model = self._build(name, numeric_twin)
+        model.evaluate_rows(self._point()[0])
+        ref = weakref.ref(model)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del model
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestEntropyInvariants:

@@ -386,7 +386,7 @@ class TestSolve:
         p = validate_problem(g.states, g.prior, [*zip(g.action_names, g.payoffs), ("copy", g.payoffs[0])])
         model = posterior_separable_cost(p.prior, shannon_kl_entropy(p.prior))
         tol = SolveOptions().tol
-        alpha, lam = solver._polish_once(p, model, np.full(4, 0.25), np.zeros(3))
+        alpha, lam, _ = solver._polish_once(p, model, np.full(4, 0.25), np.zeros(3))
         assert calls
         rep = verify_focs(p, model, alpha, lam)
         assert max(rep.residual_alpha, rep.residual_lambda) <= tol
@@ -914,10 +914,11 @@ class TestPolishAtASolution:
 
 
 def _counting_rows(model):
-    """Route the model's ``f_star_rows`` through a counter; returns the call list."""
+    """Route the model's ``conj_pass``, the one pass behind ``evaluate_rows``,
+    through a counter; returns the call list."""
     calls = []
-    f_star_rows = model.f_star_rows
-    model.f_star_rows = lambda X: calls.append(1) or f_star_rows(X)
+    conj_pass = model.conj_pass
+    model.conj_pass = lambda X: calls.append(1) or conj_pass(X)
     return calls
 
 
@@ -1016,6 +1017,110 @@ class TestEvaluationMemo:
         assert solver._slice_basis(5) is basis and not basis.flags.writeable
         u, _, _ = np.linalg.svd(np.eye(5) - np.full((5, 5), 0.2))
         np.testing.assert_array_equal(basis, u[:, :4])
+
+
+def _ps_kl(prior):
+    return posterior_separable_cost(prior, shannon_kl_entropy(prior))
+
+
+class TestEvaluationsPerSolve:
+    """The polish hands the point it evaluated last to the weight trim, the
+    FOC score, ``_assemble`` and the certificate's upper bound, so a solve
+    calls ``solver.evaluate`` only where it has no such point: the backend's
+    FOC residuals, the polish's start, and the certificate's own inner
+    minimization and lower bound."""
+
+    def _count(self, monkeypatch):
+        calls = []
+        evaluate = solver.evaluate
+        monkeypatch.setattr(solver, "evaluate", lambda *a: calls.append(1) or evaluate(*a))
+        return calls
+
+    def _counts(self, calls, problems, build, opts=None):
+        out = []
+        for p in problems:
+            calls.clear()
+            sol = solve(p, build(p.prior), opts)
+            assert sol.converged
+            out.append(len(calls))
+        return out
+
+    @pytest.mark.parametrize("family", ["mi", "pskl"])
+    def test_a_solve_that_starts_at_its_optimum(self, monkeypatch, family):
+        # one FOC check or KKT start, one inner residual or none, one lower
+        # bound; before, the tail evaluated each point again (7 calls)
+        calls = self._count(monkeypatch)
+        problems = [guess_the_state(n, 1.3) for n in range(3, 8)]
+        build = mutual_information_cost if family == "mi" else _ps_kl
+        assert self._counts(calls, problems, build) == [3] * 5
+
+    def test_the_multitask_bets(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        hoods = [((0, 1, 2, 3), 0.01), ((0, 1), 0.1), ((2, 3), 0.1)]
+        build = functools.partial(neighborhood_hw_cost, neighborhoods=hoods)
+        assert self._counts(calls, multitask_problems(), build, SolveOptions(tol=1e-9)) == [3] * 3
+
+    @pytest.mark.parametrize("family, count", [("mi", 5), ("chi2", 5), ("pskl", 3)])
+    def test_random_problems(self, monkeypatch, family, count):
+        # mutual information and chi2: three backend iterations, the polish's
+        # start and the lower bound (9 before); PS-KL polishes first (7 before)
+        calls = self._count(monkeypatch)
+        rng = np.random.default_rng(5)
+        problems = [random_problem(rng, 5, 5) for _ in range(6)]
+        build = {"mi": mutual_information_cost, "chi2": chi2_cost, "pskl": _ps_kl}[family]
+        assert self._counts(calls, problems, build) == [count] * 6
+
+    def test_the_polish_returns_the_point_of_its_result(self, monkeypatch):
+        # the point must be the one at the iterate Newton returned, also where
+        # Newton's last evaluation was a trial its line search rejected, as in
+        # the polishes of the scaled 3 x 3 PS-KL problem and of the
+        # overlapping cover here
+        results, checked, rejected, seen = [], [], [], [None]
+        newton, polish_once, kkt_system = solver.newton, solver._polish_once, solver._kkt_system
+
+        def recording_system(p, model, z, *args):
+            seen[0] = z
+            return kkt_system(p, model, z, *args)
+
+        def recording_newton(*args, **kwargs):
+            results.append(newton(*args, **kwargs))
+            if seen[0] is not results[-1][0]:
+                rejected.append(1)
+            return results[-1]
+
+        def checking(p, model, alpha0, lam0):
+            got = polish_once(p, model, alpha0, lam0)
+            if got is not None:
+                m, n = p.n_actions, p.n_states
+                alpha, lam, point = got
+                z = results[-1][0]
+                np.testing.assert_array_equal(point.alpha, z[:m])
+                basis = solver._slice_basis(n) if model.translation_invariant else None
+                np.testing.assert_array_equal(lam, z[m + 1 :] if basis is None else basis @ z[m + 1 :])
+                v, G, _ = model.conj_pass(solver.payoff_arguments(p, lam))
+                np.testing.assert_array_equal(point.v, v)
+                np.testing.assert_array_equal(point.G, G)
+                checked.append(1)
+            return got
+
+        monkeypatch.setattr(solver, "_kkt_system", recording_system)
+        monkeypatch.setattr(solver, "newton", recording_newton)
+        monkeypatch.setattr(solver, "_polish_once", checking)
+        base = random_problem(np.random.default_rng(1), 3, 3)
+        steep = validate_problem(base.states, base.prior, list(zip(base.action_names, 10.0 * base.payoffs)))
+        gts = guess_the_state(3, 1.0)
+        cases = [
+            (steep, _ps_kl(steep.prior)),
+            (gts, neighborhood_hw_cost(gts.prior, [((0, 1, 2), 0.4), ((0, 1), 0.8), ((1, 2), 0.6)])),
+        ]
+        rng = np.random.default_rng(6)
+        for _ in range(3):
+            p = random_problem(rng, 4, 5)
+            cases += [(p, build(p.prior)) for build in (mutual_information_cost, chi2_cost, _ps_kl)]
+        for p, model in cases:
+            assert solve(p, model).converged
+        assert len(checked) >= len(cases)
+        assert rejected
 
 
 class TestLazyBox:
