@@ -191,17 +191,17 @@ def newton(
     """
     z = np.array(z0, dtype=float)
     Fz = np.asarray(F(z), dtype=float)
-    if not np.all(np.isfinite(Fz)):
+    if not np.isfinite(Fz).all():
         return z, Fz
     for _ in range(50):
-        if np.max(np.abs(Fz)) <= _RESIDUAL_FLOOR:
+        if abs(Fz).max() <= _RESIDUAL_FLOOR:
             break
         J = jac(z) if jac is not None else fd_jacobian(F, z, Fz)
         try:
             step, image = _step_and_image(J, Fz)
         except np.linalg.LinAlgError:
             break
-        if np.max(np.abs(step)) <= 1e-13 * (1.0 + np.max(np.abs(z))):
+        if abs(step).max() <= 1e-13 * (1.0 + abs(z).max()):
             break
         merit, slope = 0.5 * (Fz @ Fz), Fz @ image
         if not slope < 0.0:

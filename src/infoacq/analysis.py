@@ -354,14 +354,16 @@ def multitask_experiment(zeta: float, eta: float, model_builder=None, opts=None)
     """Accuracies for the three bets on a four-state grid under a nested cost.
 
     The default cost nests the four overlapping events (rows and columns of
-    the grid) with across-nest weight zeta and within-nest weight eta.
+    the grid) with across-nest weight zeta and within-nest weight eta.  The
+    bets share one prior, so one default cost serves all three; a
+    ``model_builder`` is called once per bet.
     """
     problems = multitask_problems()
     if model_builder is None:
-        encoder = multitask_encoder()
+        model = nested_shannon_cost(problems[0].prior, multitask_encoder(), zeta, eta)
 
         def model_builder(p):
-            return nested_shannon_cost(p.prior, encoder, zeta, eta)
+            return model
 
     opts = opts or SolveOptions(tol=1e-9)
     sols = []

@@ -11,6 +11,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,11 +38,13 @@ def clean_weights(weights, what: str = "distribution") -> np.ndarray:
     arr = np.array(weights, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError(f"{what}: expected a non-empty vector of weights")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{what}: non-finite weight")
-    if arr.min() < SIMPLEX_NEG_CLIP:
-        raise ValidationError(f"{what}: negative weight {arr.min():.3g}")
-    arr[arr < 0.0] = 0.0
+    low = arr.min()
+    if low < SIMPLEX_NEG_CLIP:
+        raise ValidationError(f"{what}: negative weight {low:.3g}")
+    if low < 0.0:
+        arr[arr < 0.0] = 0.0
     total = arr.sum()
     if abs(total - 1.0) > SIMPLEX_SUM_TOL:
         raise ValidationError(f"{what}: weights sum to {total:.17g}, not 1")
@@ -69,7 +72,8 @@ def _clean_rows(arr: np.ndarray, what: str, labels) -> np.ndarray:
 
 def finite_positive(value, what: str) -> float:
     """``value`` as a float; a ValidationError unless it is a finite positive number."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # a plain float, the common case, skips the ABC check
+    real = type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
     if not (real and math.isfinite(value) and value > 0):
         raise ValidationError(f"{what} must be finite and positive, got {value!r}")
     return float(value)
@@ -113,6 +117,14 @@ class DecisionProblem:
     @property
     def n_states(self) -> int:
         return len(self.states)
+
+    @cached_property
+    def payoff_prior(self) -> np.ndarray:
+        """Read-only ``payoffs * prior``, the payoff-space arguments at a zero
+        multiplier; formed on first read and kept."""
+        out = self.payoffs * self.prior[None, :]
+        out.flags.writeable = False
+        return out
 
     @property
     def n_actions(self) -> int:
@@ -216,6 +228,17 @@ class ChoiceRule:
                 f"({problem.n_states}, {problem.n_actions})"
             )
         cleaned = _clean_rows(arr, what, problem.states)
+        cleaned.flags.writeable = False
+        return cls(problem, cleaned)
+
+    @classmethod
+    def _from_normalized(cls, problem: DecisionProblem, rows: np.ndarray) -> "ChoiceRule":
+        """The rule ``build`` makes of rows of the right shape that are finite,
+        non-negative and normalized up to rounding, without checking them
+        again: the rows are divided by their sums, summed in C order, with
+        the arithmetic of ``_clean_rows``, so the result is the same to the bit."""
+        arr = np.ascontiguousarray(rows)
+        cleaned = arr / arr.sum(axis=1)[:, None]
         cleaned.flags.writeable = False
         return cls(problem, cleaned)
 

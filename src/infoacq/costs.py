@@ -15,7 +15,7 @@ import numbers
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -383,12 +383,15 @@ def _nested_logit(lognu, logmu, etas, zeta):
 
     # the maps take one posterior-space vector (n,) or a matrix of rows
     # (m, n); nests run along the second-to-last axis of z and q
+    # per-call constants: the etas as a column, and the outer exponents
+    eta_col, outer_scale = etas[:, None], etas / zeta
+
     def conj(Y):
         # m_i = log sum_s mu[i,s] exp(y_s / eta_i), stabilized per nest
-        z = logmu + np.asarray(Y, dtype=float)[..., None, :] / etas[:, None]
+        z = logmu + np.asarray(Y, dtype=float)[..., None, :] / eta_col
         zmax = z.max(axis=-1, keepdims=True)
         m = zmax + np.log(np.exp(z - zmax).sum(axis=-1, keepdims=True))
-        outer = lognu + (etas / zeta) * m[..., 0]
+        outer = lognu + outer_scale * m[..., 0]
         omax = outer.max(axis=-1, keepdims=True)
         # nest weights r (..., A), within-nest conditionals q (..., A, n) and
         # the gradient g = sum_i r_i q_i (..., n)
@@ -496,22 +499,23 @@ def _neighborhood_blocks(n: int, neighborhoods) -> list[tuple[tuple[int, ...], f
             raise ValidationError(f"a neighborhood is a (states, weight) pair, got {item!r}") from None
         if not idx:
             raise ValidationError("empty neighborhood")
-        if not all(isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in idx):
+        # plain ints, the common case, skip the ABC check; a bool is not one
+        if not all(type(i) is int for i in idx) and not all(
+            isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in idx
+        ):
             raise ValidationError(f"neighborhood {idx!r}: states must be integer indices")
         if min(idx) < 0 or max(idx) >= n:
             raise ValidationError(f"neighborhood {idx!r}: states must lie in [0, {n})")
         if len(set(idx)) != len(idx):
             raise ValidationError(f"neighborhood {idx!r} repeats a state")
-        key = tuple(sorted(int(i) for i in idx))
+        key = tuple(sorted(map(int, idx)))
         merged[key] = merged.get(key, 0.0) + finite_positive(kap, "neighborhood weights")
-    covered = np.zeros(n, dtype=bool)
-    for idx in merged:
-        covered[list(idx)] = True
-    if not covered.all():
+    covered = set().union(*merged)
+    if len(covered) < n:
         # H is linear along an uncovered state, which puts a kink in the
         # conjugate that neither the certificate nor the Newton polish handles
         raise ValidationError(
-            f"neighborhoods leave state(s) {np.flatnonzero(~covered).tolist()} uncovered"
+            f"neighborhoods leave state(s) {sorted(set(range(n)) - covered)} uncovered"
         )
     return list(merged.items())
 
@@ -528,21 +532,23 @@ def _two_level_nests(prior, blocks):
     """
     n = prior.size
     roots = [kap for idx, kap in blocks if len(idx) == n]
-    inner = [(list(idx), kap) for idx, kap in blocks if len(idx) < n]
-    held = [0] * n
-    for idx, _ in inner:
-        for s in idx:
-            held[s] += 1
-    if len(roots) != 1 or max(held) > 1:
+    inner = [(idx, kap) for idx, kap in blocks if len(idx) < n]
+    held = [s for idx, _ in inner for s in idx]
+    if len(roots) != 1 or len(set(held)) < len(held):
         return None
     zeta = roots[0]
-    nests = [(idx, zeta + kap) for idx, kap in inner] + [([s], zeta) for s in range(n) if held[s] == 0]
+    free = set(range(n)).difference(held)
+    nests = [(idx, zeta + kap) for idx, kap in inner] + [((s,), zeta) for s in sorted(free)]
+    # the (nest, state) pairs of the cover, where mu is the prior and logmu
+    # is finite; logmu is -inf everywhere else
+    rows = np.array([i for i, (idx, _) in enumerate(nests) for _ in idx])
+    cols = np.array([s for idx, _ in nests for s in idx])
+    held_prior = prior[cols]
     mu = np.zeros((len(nests), n))
-    for i, (idx, _) in enumerate(nests):
-        mu[i, idx] = prior[idx]
+    mu[rows, cols] = held_prior
     nu = mu.sum(axis=1)
-    with np.errstate(divide="ignore"):
-        logmu = np.log(mu / nu[:, None])
+    logmu = np.full(mu.shape, -np.inf)
+    logmu[rows, cols] = np.log(held_prior / nu[rows])
     return np.log(nu), logmu, np.array([eta for _, eta in nests]), zeta
 
 
@@ -557,23 +563,31 @@ def neighborhood_hw_entropy(prior, neighborhoods) -> Entropy:
     the nested-logit closed forms of :func:`_nested_logit`.  Any other
     cover is conjugated numerically, with the closed-form Hessian of H
     driving the Newton steps and the implicit conjugate Hessian.  Either
-    way ``value_fn``, ``grad_fn`` and ``hess_fn`` are the neighborhood sums,
-    computed through the block-membership matrix.
+    way ``value_fn``, ``grad_fn``, ``hess_fn``, ``gap_fn`` and ``faces_fn``
+    are the neighborhood sums, computed through the block-membership
+    matrix.  Its tables are built the first time one of them is called:
+    only the multiplier box, the oracle and the numeric conjugate call
+    them, and a two-level cover's solve never does.
     """
     prior = clean_weights(prior, "prior")
     n = prior.size
     blocks = _neighborhood_blocks(n, neighborhoods)
-    member = np.zeros((len(blocks), n), dtype=bool)
-    for b, (idx, _) in enumerate(blocks):
-        member[b, list(idx)] = True
-    M = member.astype(float)
-    kap = np.array([k for _, k in blocks])
-    kap_states = kap @ M
-    # log of each block's conditional prior, 0 off the block
-    logpi_b = np.where(member, np.log(prior)[None, :] - np.log(M @ prior)[:, None], 0.0)
-    diag = np.arange(n)
+
+    @cache
+    def tables():
+        """``(member, M, kap, kap_states, logpi_b)``: block membership as
+        booleans and floats, the block weights, each state's total weight,
+        and the log of each block's conditional prior, 0 off the block."""
+        member = np.zeros((len(blocks), n), dtype=bool)
+        for b, (idx, _) in enumerate(blocks):
+            member[b, list(idx)] = True
+        M = member.astype(float)
+        kap = np.array([k for _, k in blocks])
+        logpi_b = np.where(member, np.log(prior)[None, :] - np.log(M @ prior)[:, None], 0.0)
+        return member, M, kap, kap @ M, logpi_b
 
     def value(p):
+        member, M, kap, _, logpi_b = tables()
         mass = M @ p
         keep = member & (p > 0)[None, :] & (mass > 0)[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -581,6 +595,7 @@ def neighborhood_hw_entropy(prior, neighborhoods) -> Entropy:
         return float(kap @ np.where(keep, terms, 0.0).sum(axis=1))
 
     def grad(p):
+        member, M, kap, _, logpi_b = tables()
         mass = np.maximum(M @ p, 1e-300)
         with np.errstate(over="ignore"):  # off-block ratios are discarded
             cond = np.maximum(p[None, :] / mass[:, None], 1e-300)
@@ -588,13 +603,15 @@ def neighborhood_hw_entropy(prior, neighborhoods) -> Entropy:
 
     def hess(p):
         # each block adds kap (diag(1 / p_b) - 1 1^T / m_b), m_b its mass
+        _, M, kap, kap_states, _ = tables()
         p = np.maximum(p, 1e-300)
         H = -(M.T * (kap / (M @ p))) @ M
-        H[diag, diag] += kap_states / p
+        H.flat[:: n + 1] += kap_states / p
         return H
 
     def surplus(x):
         """Each block's value of entry, ``kap log sum_b pi_b exp(x / kap)``."""
+        member, _, kap, _, logpi_b = tables()
         z = np.where(member, x[None, :] / kap[:, None] + logpi_b, -np.inf)
         zmax = z.max(axis=1)
         return kap * (zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1)))
@@ -608,6 +625,7 @@ def neighborhood_hw_entropy(prior, neighborhoods) -> Entropy:
         only by empty blocks the clamped gradient would overstate the slope
         and never certify a vertex optimum.
         """
+        member, M = tables()[:2]
         g = x - grad(np.maximum(p, 1e-300))
         full = M @ p > 1e-12
         # states in a neighborhood with mass; every state with mass is one
@@ -618,7 +636,7 @@ def neighborhood_hw_entropy(prior, neighborhoods) -> Entropy:
     def faces(x, p):
         """Support guesses built from the block structure and entry values."""
         s = surplus(x)
-        winners = member[s >= s.max() - 1e-9].any(axis=0)
+        winners = tables()[0][s >= s.max() - 1e-9].any(axis=0)
         return [winners, winners | (p > 1e-10), winners | (p > 1e-4)]
 
     nests = _two_level_nests(prior, blocks)
@@ -852,6 +870,15 @@ class PosteriorSeparableCost(CostModel):
         self.entropy = entropy
         self.family = family
 
+    @classmethod
+    def _on_entropy_prior(cls, entropy: Entropy, family: str) -> "PosteriorSeparableCost":
+        """The model whose prior is the entropy's own array, which the
+        entropy's factory cleaned, so it is neither cleaned nor compared
+        again."""
+        model = cls.__new__(cls)
+        model.prior, model.entropy, model.family = entropy.prior, entropy, family
+        return model
+
     def f_star(self, x):
         return self.entropy.h_star(np.asarray(x, dtype=float) / self.prior)
 
@@ -895,9 +922,9 @@ def nested_shannon_cost(prior, encoder: Encoder, zeta: float, etas) -> Posterior
 
 
 def neighborhood_hw_cost(prior, neighborhoods) -> PosteriorSeparableCost:
-    return PosteriorSeparableCost(
-        prior, neighborhood_hw_entropy(prior, neighborhoods), family="neighborhood_hw"
-    )
+    # the entropy cleans the prior, and the model takes that array as it is
+    entropy = neighborhood_hw_entropy(prior, neighborhoods)
+    return PosteriorSeparableCost._on_entropy_prior(entropy, "neighborhood_hw")
 
 
 class PerceptualCsiszarCost(CostModel):

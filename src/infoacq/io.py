@@ -255,6 +255,10 @@ def load_options(path: str | None) -> SolveOptions:
 
 def solution_to_dict(sol: Solution) -> dict:
     problem = sol.problem
+    # the certificate is read before the box, the order in which a solve
+    # built them when it computed the certificate itself, so a model whose
+    # numeric conjugate keeps a memo fills it in the same order
+    gap = float(sol.gap)
     consideration = sol.consideration_set()
     posteriors = {}
     for name in consideration:
@@ -280,7 +284,7 @@ def solution_to_dict(sol: Solution) -> dict:
         "lambda": {s: float(sol.lam[i]) for i, s in enumerate(problem.states)},
         "lambda_pi": {s: float(sol.lam_pi[i]) for i, s in enumerate(problem.states)},
         "value": float(sol.value),
-        "gap": float(sol.gap),
+        "gap": gap,
         "residual_alpha": float(sol.residual_alpha),
         "residual_lambda": float(sol.residual_lambda),
         "rule": sol.rule.rows.tolist(),

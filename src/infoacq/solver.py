@@ -97,8 +97,10 @@ class MultiplierBox:
 class Solution:
     """A saddle pair with its choice rule, residuals and certificate.
 
-    ``box_source`` builds the multiplier box.  No solve reads the box, so it
-    is built the first time ``box`` is read, and kept.
+    ``box_source`` builds the multiplier box and ``gap_source`` computes the
+    duality-gap certificate.  No solve reads either, so each is built the
+    first time ``box`` or ``gap`` is read, and kept.  Neither source holds
+    the solution, so an unread one makes no reference cycle.
     """
 
     problem: DecisionProblem
@@ -107,18 +109,23 @@ class Solution:
     lam: np.ndarray
     rule: ChoiceRule
     value: float
-    gap: float
     residual_alpha: float
     residual_lambda: float
     converged: bool
     iterations: int
     backend: str
     box_source: Callable[[], MultiplierBox] = field(repr=False, compare=False)
+    gap_source: Callable[[], float] = field(repr=False, compare=False)
     diagnostics: dict = field(default_factory=dict)
 
     @cached_property
     def box(self) -> MultiplierBox:
         return self.box_source()
+
+    @cached_property
+    def gap(self) -> float:
+        """The ``duality_certificate`` of the pair: upper minus lower bound."""
+        return self.gap_source()
 
     @property
     def box_contains_multiplier(self) -> bool | None:
@@ -140,7 +147,7 @@ class Solution:
 
 def payoff_arguments(problem: DecisionProblem, lam: np.ndarray) -> np.ndarray:
     """Matrix of payoff-space conjugate arguments, one row per action."""
-    return problem.payoffs * problem.prior[None, :] - lam[None, :]
+    return problem.payoff_prior - lam[None, :]
 
 
 def evaluate(problem, model, lam):
@@ -164,7 +171,7 @@ def _residuals(alpha, v, G):
     """``(residual_alpha, residual_lambda)`` of alpha against the conjugate
     values v and gradients G at a multiplier."""
     vmax = float(v.max())
-    return float(alpha @ (vmax - v)), float(np.max(np.abs(alpha @ G - 1.0)))
+    return float(alpha @ (vmax - v)), float(abs(alpha @ G - 1.0).max())
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +380,7 @@ def scipy_root(*args, **kwargs):
 
     Nothing in the library calls it: every vector root goes through
     ``_rootfind.newton``.  It is kept only because ``bench/tracer.py`` binds
-    this name when it installs, until the bench rework of ROADMAP item 4
+    this name when it installs, until the bench rework of ROADMAP item 3
     replaces that tracer.
     """
     from scipy.optimize import root
@@ -413,7 +420,7 @@ def _inner_minimize(problem, model, alpha, lam0, inner_tol=1e-11):
 
     # a start that already meets the mass conditions is kept: near a
     # solution the system is close to singular and a root search can walk off
-    if float(np.max(np.abs(residual(lam)))) <= inner_tol:
+    if float(abs(residual(lam)).max()) <= inner_tol:
         return lam
 
     # fast path: damped Newton on the mass conditions (projected to the
@@ -437,7 +444,7 @@ def _inner_minimize(problem, model, alpha, lam0, inner_tol=1e-11):
     z0 = basis.T @ lam if basis is not None else lam
     z, _ = newton(F, z0, jac)
     cand = basis @ z if basis is not None else z
-    if np.all(np.isfinite(cand)) and float(np.max(np.abs(residual(cand)))) <= inner_tol:
+    if np.isfinite(cand).all() and float(abs(residual(cand)).max()) <= inner_tol:
         return cand
 
     # fallback: the mass conditions are the stationarity of the convex
@@ -490,7 +497,7 @@ class _KKTPoint(NamedTuple):
     r: np.ndarray
 
 
-def _kkt_system(problem, model, z, basis=None, payoff_prior=None):
+def _kkt_system(problem, model, z, basis=None):
     """Residual F of the optimality system at z, and the ``_KKTPoint`` it read.
 
     The unknowns are ``z = (alpha, t, lambda)`` over all actions, with
@@ -499,13 +506,12 @@ def _kkt_system(problem, model, z, basis=None, payoff_prior=None):
     Fischer-Burmeister function ``phi(a, b) = a + b - sqrt(a^2 + b^2)``
     vanishes exactly when ``a >= 0``, ``b >= 0`` and ``a b = 0``; the mass
     conditions ``sum_a alpha_a G_a - 1``; and, off the slice,
-    ``sum alpha - 1``.  ``payoff_prior``, the payoffs times the prior, saves
-    forming that product on every call.
+    ``sum alpha - 1``.
     """
     m, n = problem.n_actions, problem.n_states
     alpha, t = z[:m], z[m]
     lam = basis @ z[m + 1 :] if basis is not None else z[m + 1 :]
-    X = payoff_arguments(problem, lam) if payoff_prior is None else payoff_prior - lam[None, :]
+    X = payoff_arguments(problem, lam)
     v, G = model.evaluate_rows(X)
     b = t - v
     r = np.hypot(alpha, b)
@@ -591,26 +597,29 @@ def _polish_once(problem, model, alpha0, lam0):
         lam0 = lam0 - lam0.sum() * problem.prior
     v0, _ = evaluate(problem, model, lam0)
     z0 = np.concatenate([alpha0, [v0.max()], basis.T @ lam0 if basis is not None else lam0])
-    payoff_prior = problem.payoffs * problem.prior[None, :]
     last = [None, None]  # the latest point the system was evaluated at, and its pieces
 
     def system(x):
-        F, point = _kkt_system(problem, model, x, basis, payoff_prior)
+        F, point = _kkt_system(problem, model, x, basis)
         last[:] = x, point
         return F
 
     jacobian = None
     if model.has_hessian:
-        frame = _kkt_frame(m, n, basis)
+        # the array the Jacobians are filled in, made on the first one: a
+        # polish that starts at its optimum forms none
+        frame = []
 
         def jacobian(x):
             # newton hands over the array the system last saw: the start, or
             # the iterate its line search just accepted
             assert last[0] is x
-            return _kkt_jacobian(model, last[1], basis, frame)
+            if not frame:
+                frame.append(_kkt_frame(m, n, basis))
+            return _kkt_jacobian(model, last[1], basis, frame[0])
 
     z, F = newton(system, z0, jacobian)
-    if not np.all(np.isfinite(F)):
+    if not np.isfinite(F).all():
         return None
     if last[0] is not z:
         # the last evaluation was a trial that the line search rejected
@@ -624,18 +633,21 @@ def _polish_once(problem, model, alpha0, lam0):
 
 
 def _polish(problem, model, alpha0, lam0, tol):
-    """Newton polish from an iterate; ``(alpha, lam, score, point)`` when it
-    meets tol, else None.
+    """Newton polish from an iterate; ``(alpha, lam, score, evaluated)`` when
+    it meets tol, else None.
 
-    ``score`` is the larger FOC residual of the polished pair, read off
-    ``point``, the ``_KKTPoint`` of the polish's result.
+    ``evaluated`` is ``(v, G, residuals)``: the conjugate values and
+    gradients at lam, read off the ``_KKTPoint`` of the polish's result, and
+    the FOC residual pair of the polished pair, of which ``score`` is the
+    larger.
     """
     got = _polish_once(problem, model, alpha0, lam0)
     if got is None:
         return None
     alpha, lam, point = got
-    score = max(_residuals(alpha, point.v, point.G))
-    return (alpha, lam, score, point) if score <= tol else None
+    residuals = _residuals(alpha, point.v, point.G)
+    score = max(residuals)
+    return (alpha, lam, score, (point.v, point.G, residuals)) if score <= tol else None
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +662,9 @@ def _init_alpha(m: int, seed: int) -> np.ndarray:
 
 
 def _best_response_backend(problem, model, opts):
-    """``(alpha, lam, iterations, converged, (v, G))``, the last the conjugate
-    values and gradients at lam, as the solve evaluated them."""
+    """``(alpha, lam, iterations, converged, (v, G, residuals))``, the last
+    the conjugate values and gradients at lam, as the solve evaluated them,
+    and the FOC residual pair of alpha against them."""
     alpha = _init_alpha(problem.n_actions, opts.seed)
     if not isinstance(model, CsiszarCost):
         # the inner minimization is a vector root here, so the Newton polish
@@ -661,7 +674,7 @@ def _best_response_backend(problem, model, opts):
         # mutual information: 21 Newton steps against 15)
         got = _polish(problem, model, alpha, np.zeros(problem.n_states), opts.tol)
         if got is not None:
-            return got[0], got[1], 1, True, (got[3].v, got[3].G)
+            return got[0], got[1], 1, True, got[3]
     lam = _inner_minimize(problem, model, alpha, None, inner_tol=min(1e-11, opts.tol / 10))
     best = (math.inf, alpha.copy(), lam.copy(), None)
     step_scale = None
@@ -673,22 +686,20 @@ def _best_response_backend(problem, model, opts):
         res_a, res_l, v, G = foc_residuals(problem, model, alpha, lam)
         score = max(res_a, res_l)
         if score < best[0]:
-            best = (score, alpha.copy(), lam.copy(), (v, G))
+            best = (score, alpha.copy(), lam.copy(), (v, G, (res_a, res_l)))
         if score <= opts.tol:
             converged = True
-            evaluated = v, G
+            evaluated = v, G, (res_a, res_l)
             if score > 0.0:
                 got = _polish(problem, model, alpha, lam, opts.tol)
                 if got is not None and got[2] <= score:
-                    alpha, lam, _, point = got
-                    evaluated = point.v, point.G
+                    alpha, lam, _, evaluated = got
             break
         if k >= polish_at or res_a <= 10 * opts.tol:
             polish_at = min(2 * polish_at + 1, polish_at + 50)
             got = _polish(problem, model, alpha, lam, opts.tol)
             if got is not None:
-                alpha, lam, _, point = got
-                evaluated = point.v, point.G
+                alpha, lam, _, evaluated = got
                 converged = True
                 break
         vmax = float(v.max())
@@ -708,7 +719,7 @@ def _best_response_backend(problem, model, opts):
 
 
 # ``bench/tracer.py`` binds this name when it installs; the name goes with the
-# bench rework of ROADMAP item 4
+# bench rework of ROADMAP item 3
 _mirror_prox_backend = _best_response_backend
 
 
@@ -717,31 +728,39 @@ _mirror_prox_backend = _best_response_backend
 
 
 def _assemble(problem, model, alpha, lam, iters, converged, backend, box_source, extra=None, evaluated=None):
-    """The ``Solution`` at (alpha, lam); ``evaluated`` is ``(v, G)`` at lam
-    where the solve already has it, and is evaluated otherwise."""
-    v, G = evaluate(problem, model, lam) if evaluated is None else evaluated
-    res_a, res_l = _residuals(alpha, v, G)
+    """The ``Solution`` at (alpha, lam).
+
+    ``evaluated`` is ``(v, G, residuals)`` where the solve already has it:
+    the conjugate values and gradients at lam and the FOC residual pair of
+    alpha against them.  Without it they are evaluated here.  The rule's
+    rows are finite, non-negative and normalized by construction, so they
+    are not checked again.  The certificate is computed on the first read
+    of ``Solution.gap``, through the module's ``duality_certificate`` as
+    bound when the solve assembles, from the values at lam.
+    """
+    if evaluated is None:
+        v, G = evaluate(problem, model, lam)
+        res_a, res_l = _residuals(alpha, v, G)
+    else:
+        v, G, (res_a, res_l) = evaluated
     value = float(alpha @ v + lam.sum())
-    raw_rows = (alpha[None, :] * G.T).astype(float)
-    row_err = float(np.max(np.abs(raw_rows.sum(axis=1) - 1.0)))
+    raw_rows = alpha[None, :] * G.T
+    row_err = float(abs(raw_rows.sum(axis=1) - 1.0).max())
     rows = np.maximum(raw_rows, 0.0)
     sums = rows.sum(axis=1, keepdims=True)
+    diagnostics = {
+        "row_sum_error": row_err,
+        "alpha_floor": float(alpha.min()),
+    }
     # a state whose row has no finite positive mass, as where conjugate
     # gradients underflow or overflow at an unconverged overflow-scale
     # iterate, gets alpha as a stand-in row
     degenerate = ~(np.isfinite(sums[:, 0]) & (sums[:, 0] > 0.0))
     if degenerate.any():
         rows[degenerate], sums[degenerate] = alpha, alpha.sum()
-    rows = rows / sums
-    rule = ChoiceRule.build(problem, rows)
-    gap = duality_certificate(problem, model, alpha, lam, v)
-    diagnostics = {
-        "row_sum_error": row_err,
-        "alpha_floor": float(alpha.min()),
-    }
-    if degenerate.any():
         converged = False
         diagnostics["degenerate_rows"] = [problem.states[i] for i in np.flatnonzero(degenerate)]
+    rule = ChoiceRule._from_normalized(problem, rows / sums)
     if extra:
         diagnostics.update(extra)
     return Solution(
@@ -751,13 +770,13 @@ def _assemble(problem, model, alpha, lam, iters, converged, backend, box_source,
         lam=lam,
         rule=rule,
         value=value,
-        gap=gap,
         residual_alpha=res_a,
         residual_lambda=res_l,
         converged=converged,
         iterations=iters,
         backend=backend,
         box_source=box_source,
+        gap_source=partial(duality_certificate, problem, model, alpha, lam, v),
         diagnostics=diagnostics,
     )
 
@@ -779,7 +798,7 @@ def duality_certificate(problem, model, alpha, lam, values=None) -> float:
 
 
 def _check_shared_prior(problem: DecisionProblem, model: CostModel) -> None:
-    if model.prior.shape != problem.prior.shape or np.max(np.abs(model.prior - problem.prior)) > 1e-12:
+    if model.prior.shape != problem.prior.shape or abs(model.prior - problem.prior).max() > 1e-12:
         raise ValidationError("cost model and problem must share the prior")
 
 
@@ -997,13 +1016,13 @@ def solve_perceptual(
         lam=lam,
         rule=rule,
         value=value,
-        gap=rsol.gap,
         residual_alpha=res_a,
         residual_lambda=res_l,
         converged=rsol.converged,
         iterations=rsol.iterations,
         backend="perceptual_two_step",
         box_source=lambda: replace(rsol.box, reduced=True),
+        gap_source=lambda: rsol.gap,
         diagnostics=diagnostics,
     )
 

@@ -386,6 +386,16 @@ class TestMultitask:
         nested = multitask_experiment(1e-4, 1.0)
         assert nested.accuracies[2] < 0.75 < 0.99 < min(nested.accuracies[:2])
 
+    def test_the_default_cost_is_built_once_for_the_three_bets(self):
+        rep = multitask_experiment(0.1, 1.0)
+        assert rep.solutions[0].model is rep.solutions[1].model is rep.solutions[2].model
+        # a caller's builder is still called once per bet
+        built = []
+        rep = multitask_experiment(
+            None, None, model_builder=lambda p: built.append(p) or neighborhood_hw_cost(p.prior, [((0, 1, 2, 3), 0.1)])
+        )
+        assert [sol.problem for sol in rep.solutions] == built
+
 
 class TestIIA:
     def test_entropy_cost_satisfies_all_three(self):

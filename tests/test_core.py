@@ -90,6 +90,12 @@ class TestValidation:
         assert infoacq.SolverError is solver.SolverError is core.SolverError
         assert issubclass(core.SolverError, RuntimeError)
 
+    def test_payoff_prior_is_read_only_and_kept(self):
+        p = random_problem(np.random.default_rng(4), 3, 2)
+        assert p.payoff_prior is p.payoff_prior
+        np.testing.assert_array_equal(p.payoff_prior, p.payoffs * p.prior[None, :])
+        assert not p.payoff_prior.flags.writeable
+
     def test_small_negative_entries_clipped(self):
         s = Simplex.build(["x", "y"], [1.0 + 1e-15, -1e-15])
         assert s.weights[1] == 0.0
@@ -116,6 +122,20 @@ class TestRowValidation:
         for given in (rows, np.asfortranarray(rows)):
             assert ChoiceRule.build(p, given).rows.tobytes() == expected
             assert Kernel.build(p.states, p.action_names, given).rows.tobytes() == expected
+
+    @pytest.mark.parametrize("m", [2, 3, 9, 130])
+    def test_normalized_rows_take_the_rows_of_build(self, m):
+        # the solver's rows: non-negative, divided by their sums, and laid
+        # out as the transpose of the conjugate gradients
+        rng = np.random.default_rng(m)
+        p = random_problem(rng, 5, m)
+        raw = np.maximum(self._rows(rng, m, 5).T, 0.0)
+        rows = raw / raw.sum(axis=1, keepdims=True)
+        assert not rows.flags.c_contiguous
+        for given in (rows, np.ascontiguousarray(rows)):
+            fast = ChoiceRule._from_normalized(p, given)
+            assert fast.rows.tobytes() == ChoiceRule.build(p, given).rows.tobytes()
+            assert not fast.rows.flags.writeable
 
     @pytest.mark.parametrize(
         "bad, message",

@@ -615,6 +615,139 @@ class TestNeighborhoodClosedForm:
                 np.testing.assert_allclose(h.hess_fn(q), hess(q), rtol=0, atol=1e-13 * np.max(weight / q))
 
 
+def _eager_forms(prior, blocks):
+    """The neighborhood entropy's value, gradient, Hessian, gap and faces with
+    every table built up front, as a reference for the tables built on
+    first use."""
+    n = prior.size
+    member = np.zeros((len(blocks), n), dtype=bool)
+    for b, (idx, _) in enumerate(blocks):
+        member[b, list(idx)] = True
+    M = member.astype(float)
+    kap = np.array([k for _, k in blocks])
+    kap_states = kap @ M
+    logpi_b = np.where(member, np.log(prior)[None, :] - np.log(M @ prior)[:, None], 0.0)
+    diag = np.arange(n)
+
+    def value(p):
+        mass = M @ p
+        keep = member & (p > 0)[None, :] & (mass > 0)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = p * (np.log(p)[None, :] - np.log(mass)[:, None] - logpi_b)
+        return float(kap @ np.where(keep, terms, 0.0).sum(axis=1))
+
+    def grad(p):
+        mass = np.maximum(M @ p, 1e-300)
+        with np.errstate(over="ignore"):
+            cond = np.maximum(p[None, :] / mass[:, None], 1e-300)
+        return kap @ np.where(member, np.log(cond) - logpi_b, 0.0)
+
+    def hess(p):
+        p = np.maximum(p, 1e-300)
+        H = -(M.T * (kap / (M @ p))) @ M
+        H[diag, diag] += kap_states / p
+        return H
+
+    def surplus(x):
+        z = np.where(member, x[None, :] / kap[:, None] + logpi_b, -np.inf)
+        zmax = z.max(axis=1)
+        return kap * (zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1)))
+
+    def gap(x, p):
+        g = x - grad(np.maximum(p, 1e-300))
+        full = M @ p > 1e-12
+        supported = member[full].any(axis=0)
+        candidates = np.concatenate([g[supported], surplus(x)[~full]])
+        return float(candidates.max() - p[supported] @ g[supported])
+
+    def faces(x, p):
+        s = surplus(x)
+        winners = member[s >= s.max() - 1e-9].any(axis=0)
+        return [winners, winners | (p > 1e-10), winners | (p > 1e-4)]
+
+    return value, grad, hess, gap, faces
+
+
+class TestLazyNeighborhoodTables:
+    """The neighborhood entropy builds its tables on the first call of a map
+    that reads them, and validates its cover with the same messages."""
+
+    @pytest.mark.parametrize(
+        "hoods",
+        [
+            [((0, 1, 2, 3, 4), 0.3), ((0, 1), 0.8), ((2, 4), 0.5)],  # two levels
+            [((0, 1, 2, 3, 4), 0.3), ((0, 1, 2), 0.8), ((0, 1), 0.5), ((3, 4), 0.2)],  # three levels
+            [((0, 1), 0.7), ((1, 2, 3), 0.4), ((3, 4), 0.9), ((4, 0), 0.2)],  # overlapping
+        ],
+    )
+    def test_maps_equal_the_eager_ones_bit_for_bit(self, hoods):
+        rng = np.random.default_rng(71)
+        prior = rng.dirichlet(np.ones(5)) * 0.8 + 0.04
+        prior /= prior.sum()
+        h = neighborhood_hw_entropy(prior, hoods)
+        reference = _eager_forms(h.prior, costs._neighborhood_blocks(5, hoods))
+        lazy = (h.value, h.grad_fn, h.hess_fn, h.gap_fn, h.faces_fn)
+        points = list(rng.dirichlet(np.full(5, 0.5), size=4)) + [np.array([0.5, 0.5, 0.0, 0.0, 0.0])]
+        for p in points:
+            x = rng.normal(size=5)
+            assert lazy[0](p) == reference[0](p)
+            for mine, theirs in zip(lazy[1:3], reference[1:3]):
+                np.testing.assert_array_equal(mine(p), theirs(p))
+            assert lazy[3](x, p) == reference[3](x, p)
+            for mine, theirs in zip(lazy[4](x, p), reference[4](x, p)):
+                np.testing.assert_array_equal(mine, theirs)
+
+    def test_blocks_merge_repeats_in_order_of_first_place(self):
+        hoods = [((2, 0), 0.5), ((0, 1, 2), 0.25), ((np.int64(0), np.int64(2)), 0.25)]
+        assert costs._neighborhood_blocks(3, hoods) == [((0, 2), 0.75), ((0, 1, 2), 0.25)]
+
+    @pytest.mark.parametrize(
+        "hood, message",
+        [
+            (((0, True), 1.0), "neighborhood (0, True): states must be integer indices"),
+            (((np.int64(0), np.bool_(True)), 1.0), "neighborhood (np.int64(0), np.True_): states must be integer indices"),
+            (((0, 1.0), 1.0), "neighborhood (0, 1.0): states must be integer indices"),
+            (((0, 4), 1.0), "neighborhood (0, 4): states must lie in [0, 4)"),
+            (((np.int64(-1), np.int64(2)), 1.0), "neighborhood (np.int64(-1), np.int64(2)): states must lie in [0, 4)"),
+            (((1, 2, 1), 1.0), "neighborhood (1, 2, 1) repeats a state"),
+            (((0, 1), 0.0), "neighborhood weights must be finite and positive, got 0.0"),
+            (((0, 1), -1.0), "neighborhood weights must be finite and positive, got -1.0"),
+            (((0, 1), True), "neighborhood weights must be finite and positive, got True"),
+            ((0, 1), "a neighborhood is a (states, weight) pair, got (0, 1)"),
+            (((0, 1), 1.0, 2.0), "a neighborhood is a (states, weight) pair, got ((0, 1), 1.0, 2.0)"),
+            (3, "a neighborhood is a (states, weight) pair, got 3"),
+            (((), 1.0), "empty neighborhood"),
+        ],
+    )
+    def test_malformed_items_keep_their_messages(self, hood, message):
+        with pytest.raises(ValidationError) as err:
+            neighborhood_hw_entropy(np.full(4, 0.25), [((0, 1, 2, 3), 1.0), hood])
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "hoods, message",
+        [
+            ([((0, 1), 1.0), ((2,), 0.5)], "neighborhoods leave state(s) [3] uncovered"),
+            ([((np.int32(1),), 1.0)], "neighborhoods leave state(s) [0, 2, 3] uncovered"),
+            ([], "neighborhoods leave state(s) [0, 1, 2, 3] uncovered"),
+        ],
+    )
+    def test_uncovered_states_keep_their_message(self, hoods, message):
+        with pytest.raises(ValidationError) as err:
+            neighborhood_hw_entropy(np.full(4, 0.25), hoods)
+        assert str(err.value) == message
+
+    def test_the_cost_shares_the_entropys_cleaned_prior(self):
+        model = neighborhood_hw_cost([0.2, 0.3, 0.5], [((0, 1, 2), 0.5), ((0, 1), 0.4)])
+        assert model.prior is model.entropy.prior
+        np.testing.assert_array_equal(model.prior, costs.clean_weights([0.2, 0.3, 0.5]))
+        # a scaled model still cleans the prior it is handed, as it did when
+        # the model's prior was a second cleaning of the caller's
+        prior = np.random.default_rng(0).dirichlet(np.ones(5))
+        scaled = scale(neighborhood_hw_cost(prior, [((0, 1, 2, 3, 4), 0.5)]), 2.0)
+        assert scaled.prior.tobytes() == costs.clean_weights(costs.clean_weights(prior)).tobytes()
+
+
 class TestPrimalCost:
     def test_constant_rule_is_free(self):
         rng = np.random.default_rng(13)

@@ -1,9 +1,11 @@
 import functools
+import gc
 import math
 import sys
 import threading
 import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from infoacq.costs import (
     mutual_information_cost,
     neighborhood_hw_cost,
     neighborhood_hw_entropy,
+    nested_shannon_cost,
     nested_shannon_entropy,
     numeric_entropy,
     posterior_separable_cost,
@@ -843,13 +846,16 @@ class TestPolishFirst:
         return calls
 
     def test_converged_solve_minimizes_the_inner_problem_once(self, monkeypatch):
-        # the one inner minimization is the certificate's; the best response
-        # that ran before the polish made three more
+        # the one inner minimization is the certificate's, made on the first
+        # read of the gap; the best response that ran before the polish made
+        # three more
         p = random_problem(np.random.default_rng(8), 8, 8)
         calls = self._counting(monkeypatch, "_inner_minimize")
         sol = solve(p, posterior_separable_cost(p.prior, shannon_kl_entropy(p.prior)))
-        assert len(calls) == 1
+        assert len(calls) == 0
         assert sol.converged and sol.iterations == 1
+        sol.gap
+        assert len(calls) == 1
 
     def test_a_missed_first_polish_falls_back_to_the_best_response(self, monkeypatch):
         p = random_problem(np.random.default_rng(8), 8, 8)
@@ -1027,8 +1033,9 @@ class TestEvaluationsPerSolve:
     """The polish hands the point it evaluated last to the weight trim, the
     FOC score, ``_assemble`` and the certificate's upper bound, so a solve
     calls ``solver.evaluate`` only where it has no such point: the backend's
-    FOC residuals, the polish's start, and the certificate's own inner
-    minimization and lower bound."""
+    FOC residuals and the polish's start.  The certificate's own inner
+    minimization and lower bound evaluate on the first read of the gap.
+    Each count is a pair: the solve's calls, then the first read's."""
 
     def _count(self, monkeypatch):
         calls = []
@@ -1042,33 +1049,37 @@ class TestEvaluationsPerSolve:
             calls.clear()
             sol = solve(p, build(p.prior), opts)
             assert sol.converged
-            out.append(len(calls))
+            solved = len(calls)
+            sol.gap
+            out.append((solved, len(calls) - solved))
         return out
 
-    @pytest.mark.parametrize("family", ["mi", "pskl"])
-    def test_a_solve_that_starts_at_its_optimum(self, monkeypatch, family):
-        # one FOC check or KKT start, one inner residual or none, one lower
-        # bound; before, the tail evaluated each point again (7 calls)
+    @pytest.mark.parametrize("family, counts", [("mi", (2, 1)), ("pskl", (1, 2))])
+    def test_a_solve_that_starts_at_its_optimum(self, monkeypatch, family, counts):
+        # mutual information: one FOC check and the polish's start, then the
+        # lower bound; PS-KL: the KKT start, then one inner residual and the
+        # lower bound.  Before, the tail evaluated each point again (7 calls)
         calls = self._count(monkeypatch)
         problems = [guess_the_state(n, 1.3) for n in range(3, 8)]
         build = mutual_information_cost if family == "mi" else _ps_kl
-        assert self._counts(calls, problems, build) == [3] * 5
+        assert self._counts(calls, problems, build) == [counts] * 5
 
     def test_the_multitask_bets(self, monkeypatch):
         calls = self._count(monkeypatch)
         hoods = [((0, 1, 2, 3), 0.01), ((0, 1), 0.1), ((2, 3), 0.1)]
         build = functools.partial(neighborhood_hw_cost, neighborhoods=hoods)
-        assert self._counts(calls, multitask_problems(), build, SolveOptions(tol=1e-9)) == [3] * 3
+        assert self._counts(calls, multitask_problems(), build, SolveOptions(tol=1e-9)) == [(1, 2)] * 3
 
-    @pytest.mark.parametrize("family, count", [("mi", 5), ("chi2", 5), ("pskl", 3)])
-    def test_random_problems(self, monkeypatch, family, count):
-        # mutual information and chi2: three backend iterations, the polish's
-        # start and the lower bound (9 before); PS-KL polishes first (7 before)
+    @pytest.mark.parametrize("family, counts", [("mi", (4, 1)), ("chi2", (4, 1)), ("pskl", (1, 2))])
+    def test_random_problems(self, monkeypatch, family, counts):
+        # mutual information and chi2: three backend iterations and the
+        # polish's start, then the lower bound (9 before); PS-KL polishes
+        # first (7 before)
         calls = self._count(monkeypatch)
         rng = np.random.default_rng(5)
         problems = [random_problem(rng, 5, 5) for _ in range(6)]
         build = {"mi": mutual_information_cost, "chi2": chi2_cost, "pskl": _ps_kl}[family]
-        assert self._counts(calls, problems, build) == [count] * 6
+        assert self._counts(calls, problems, build) == [counts] * 6
 
     def test_the_polish_returns_the_point_of_its_result(self, monkeypatch):
         # the point must be the one at the iterate Newton returned, also where
@@ -1154,6 +1165,83 @@ class TestLazyBox:
         assert calls == []
         assert sol.box.reduced and sol.box_contains_multiplier is None
         assert red.box == multiplier_bounds(p, chi2_cost(p.prior))
+
+
+def _lazy_gap_models(p):
+    """One model of every family that ``solve`` runs through the best
+    response, on the prior of p."""
+    n = p.n_states
+    encoder = build_encoder(np.full((n, 2), 0.5) + np.linspace(-0.3, 0.3, n)[:, None] * [1, -1], p.prior)
+    kl = shannon_kl_entropy(p.prior)
+    return {
+        "mi": mutual_information_cost(p.prior),
+        "chi2": chi2_cost(p.prior),
+        "shifted_chi2": csiszar_cost(p.prior, shift_transform(chi2(1.0), 0.5)),
+        "pskl": _ps_kl(p.prior),
+        "nested": nested_shannon_cost(p.prior, encoder, 0.5, 1.0),
+        "two_level": neighborhood_hw_cost(p.prior, [(tuple(range(n)), 0.4), ((0, 1), 0.6)]),
+        "overlapping": neighborhood_hw_cost(p.prior, [((0, 1), 0.5), ((1, 2), 0.4), ((2, 0), 0.3)]),
+        "numeric": posterior_separable_cost(p.prior, numeric_entropy(p.prior, kl.value_fn, kl.grad_fn)),
+    }
+
+
+class TestLazyCertificate:
+    """No solve reads the certificate, so it is computed on the first read of
+    ``Solution.gap``."""
+
+    @staticmethod
+    def _record(calls, name, real, *args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    def _counting(self, monkeypatch):
+        calls = []
+        for name in ("evaluate", "_inner_minimize", "duality_certificate"):
+            real = getattr(solver, name)
+            monkeypatch.setattr(solver, name, functools.partial(self._record, calls, name, real))
+        return calls
+
+    @pytest.mark.parametrize("family", list(_lazy_gap_models(guess_the_state(3, 1.0))))
+    def test_first_read_gives_the_certificate_and_a_second_evaluates_nothing(self, monkeypatch, family):
+        p = guess_the_state(3, 1.3)
+        model = _lazy_gap_models(p)[family]
+        calls = self._counting(monkeypatch)
+        sol = solve(p, model)
+        assert sol.converged and "duality_certificate" not in calls
+        calls.clear()
+        gap = sol.gap
+        assert calls.count("duality_certificate") == 1
+        calls.clear()
+        assert sol.gap is gap and calls == []
+        assert gap == duality_certificate(p, model, sol.alpha, sol.lam)
+
+    def test_perceptual_route_reads_the_reduced_gap(self, monkeypatch):
+        p = guess_the_state(3, 1.0)
+        encoder = build_encoder(np.array([[0.8, 0.2], [0.5, 0.5], [0.1, 0.9]]), p.prior)
+        calls = self._counting(monkeypatch)
+        sol = solve_perceptual(p, chi2(1.0), encoder)
+        assert "duality_certificate" not in calls
+        reduced, _ = solver._reduced_problem(p, encoder)
+        rsol = solve_best_response(reduced, csiszar_cost(reduced.prior, chi2(1.0)))
+        assert sol.gap == rsol.gap
+
+    @pytest.mark.parametrize("family", ["mi", "pskl", "nested", "two_level"])
+    def test_an_unread_solution_is_freed_without_the_cyclic_collector(self, family):
+        # neither the gap's source nor the neighborhood tables may hold their
+        # owner.  The implicit-Hessian entropies are left out: their
+        # conj_hess_fn is a closure over the entropy itself
+        p = guess_the_state(3, 1.3)
+        model = _lazy_gap_models(p)[family]
+        sol = solve(p, model)
+        refs = [weakref.ref(model), weakref.ref(sol)]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del model, sol
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestCertificate:
