@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import divergence
-from ._rootfind import SIMPLEX_STEPS, descend, maximize_on_simplex, newton, stationary_point
+from ._rootfind import descend, newton, stationary_point
 from .core import ChoiceRule, SolverError, ValidationError, clean_weights, finite_positive
 from .transform import Transform, scale_transform, shannon, chi2
 
@@ -90,9 +90,11 @@ def build_encoder(rows, prior, attributes=None) -> Encoder:
 
 
 # numeric-conjugate results kept per entropy, least recently used going
-# first, and the stationarity gap that certifies one
+# first, the stationarity gap that certifies one, and the homotopy step
+# below which a walk has stalled
 MEMO_CAPACITY = 1024
 NUMERIC_TOL = 1e-9
+HOMOTOPY_MIN_STEP = 2.0**-20
 
 
 class _ConjugateMemo:
@@ -147,17 +149,15 @@ class Entropy:
     that forms the ``(n, n)`` weighted sum of the row Hessians from what the
     pass computed (None without a closed form).  ``conj_hess_fn(Y, w)`` is
     that weighted sum at any Y, so no family builds one matrix per row.
-    Without ``conj_fn`` the conjugate is computed row by
-    row by :func:`numeric_conjugate` to a stationarity gap of
-    ``NUMERIC_TOL`` within a fixed step cap, raising ``SolverError`` past
-    it; its results are kept per instance in an LRU memo of
-    ``MEMO_CAPACITY`` entries keyed on the query rounded at 1e-12.  A later
-    solve on the same instance reuses them and warm-starts from them, which
-    may move the last bits of its result, so byte-identical output assumes
-    a fresh model.
+    Without ``conj_fn`` the conjugate is computed row by row by
+    :func:`numeric_conjugate` to a stationarity gap of ``NUMERIC_TOL``,
+    raising ``SolverError`` where its homotopy stalls; its results are kept
+    per instance in an LRU memo of ``MEMO_CAPACITY`` entries keyed on the
+    query rounded at 1e-12.  A later solve on the same instance reuses them
+    and warm-starts from them, which may move the last bits of its result,
+    so byte-identical output assumes a fresh model.
     ``gap_fn`` replaces the plain stationarity gap where H is linear along
-    some directions, and ``faces_fn`` proposes support faces for the Newton
-    refinement.  ``hess_fn`` is the Hessian of H itself; it gives the
+    some directions.  ``hess_fn`` is the Hessian of H itself; it gives the
     numeric conjugate exact Newton steps, and an entropy with it but no
     closed-form conjugate gets ``conj_hess_fn`` from the implicit function
     theorem.
@@ -169,7 +169,6 @@ class Entropy:
     conj_fn: Callable[[np.ndarray], tuple] | None = None
     grad_fn: Callable[[np.ndarray], np.ndarray] | None = None
     gap_fn: Callable[[np.ndarray, np.ndarray], float] | None = None
-    faces_fn: Callable[[np.ndarray, np.ndarray], list] | None = None
     conj_hess_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     hess_fn: Callable[[np.ndarray], np.ndarray] | None = None
     _memo: _ConjugateMemo = field(default_factory=_ConjugateMemo, repr=False)
@@ -236,19 +235,27 @@ def numeric_conjugate(h: Entropy, x):
     Certified by the simplex stationarity gap max(g) - p.g of the gradient
     g = x - dH(p), or by ``h.gap_fn``, falling below ``NUMERIC_TOL``; the
     argmax equals the conjugate gradient.  Results are memoized in
-    ``h._memo`` (LRU, ``MEMO_CAPACITY`` entries).  The refinement is a
-    Newton solve of the stationarity system, ``x - dH(p)`` constant on a
-    face (``_rootfind.stationary_point``, exact Jacobians from ``hess_fn``),
-    tried on the whole simplex, on the support and on the faces of
-    ``faces_fn``.  On a miss whose prior is not already certified it starts
-    from the memoized argmax of the nearest stored query (sup norm modulo
-    constants).  When that fails, ``_rootfind.maximize_on_simplex`` ascends
-    from the prior with the same refinement, which also tries to finish a
-    point certified by the gap alone.  Whichever path reached it, the
-    argmax returned has a gap of at most ``NUMERIC_TOL``; that bounds its
-    error, which can exceed rounding (a gap of 1.8e-11 has been seen with
-    the argmax 3.8e-12 from the closed form).  Raises ``SolverError`` when
-    the ascent's step cap passes without a certificate.
+    ``h._memo`` (LRU, ``MEMO_CAPACITY`` entries).  Every point is a Newton
+    solve of the stationarity system, ``y - dH(p)`` constant on a face
+    (``_rootfind.stationary_point``, exact Jacobians from ``hess_fn``),
+    tried on the whole simplex and then on the support of its start.  A
+    miss starts from the memoized argmax of the nearest stored query (sup
+    norm modulo constants), and then from the prior.  When both fail, it
+    walks the homotopy ``y_t = x0 + t (x - x0)`` from ``x0 = dH(b)``, whose
+    argmax is the base ``b``, to t = 1 (Allgower & Georg, *Numerical
+    Continuation Methods*, 1990), each stage starting from the last
+    certified argmax; the step in t doubles after a certified stage and
+    halves after a failed one.  The base is ``(prior + e_k) / 2``, leaning
+    on the state k whose gradient ``x - dH(p)`` is largest at the prior.  A
+    path that leaves such a vertex for another (where H is nearly linear
+    between them, the argmax swings across faster than any step in t can
+    follow) stalls once the step falls below ``HOMOTOPY_MIN_STEP``; the
+    walk then restarts from the base of the state with the largest
+    gradient at the stalled point.  The argmax returned has a gap of at
+    most ``NUMERIC_TOL``; that bounds its error, which can exceed rounding
+    (a gap of 1.8e-11 has been seen with the argmax 3.8e-12 from the
+    closed form).  Raises ``SolverError`` when that state's base was
+    already walked.
     """
     x = np.asarray(x, dtype=float)
     key = np.round(x, 12).tobytes()
@@ -258,52 +265,57 @@ def numeric_conjugate(h: Entropy, x):
     if h.grad_fn is None:
         raise ValidationError(f"entropy {h.family!r} has no gradient for numeric conjugation")
 
-    def grad(p):
-        return x - np.asarray(h.grad_fn(np.maximum(p, 1e-300)), dtype=float)
+    def jac(q):
+        return -np.asarray(h.hess_fn(np.maximum(q, 1e-300)), dtype=float)
 
-    def jac(p):
-        return -np.asarray(h.hess_fn(np.maximum(p, 1e-300)), dtype=float)
+    def certified_point(y, p):
+        """The argmax at query y, by Newton from p, when it certifies; else None."""
 
-    def gap_at(p):
-        if h.gap_fn is not None:
-            return float(h.gap_fn(x, p))
-        g = grad(p)
-        return float(g.max() - p @ g)
+        def grad(q):
+            return y - np.asarray(h.grad_fn(np.maximum(q, 1e-300)), dtype=float)
 
-    def certifies(q):
-        return gap_at(q) <= NUMERIC_TOL
+        def certifies(q):
+            if h.gap_fn is not None:
+                return h.gap_fn(y, q) <= NUMERIC_TOL
+            g = grad(q)
+            return g.max() - q @ g <= NUMERIC_TOL
 
-    def try_polish(p):
-        faces = [None, p > 1e-10]
-        if h.faces_fn is not None:
-            faces.extend(h.faces_fn(x, p))
-        seen = set()
-        for face in faces:
-            key_f = None if face is None else face.tobytes()
-            if key_f in seen or (face is not None and not face.any()):
-                continue
-            seen.add(key_f)
-            if face is not None and face.all() and None in seen:
-                continue
-            refined = stationary_point(
-                grad, p, face, jac if h.hess_fn is not None else None, accept=certifies
-            )
-            if refined is not None and certifies(refined):
-                return refined
+        support = p > 1e-10
+        for face in (None,) if support.all() else (None, support):
+            q = stationary_point(grad, p, face, jac if h.hess_fn is not None else None, accept=certifies)
+            if q is not None and certifies(q):
+                return q
         return None
 
-    p = None
     start = h._memo.nearest_argmax(x)
-    if start is not None and gap_at(h.prior) > NUMERIC_TOL:
-        p = try_polish(start)
+    p = None if start is None else certified_point(x, start)
     if p is None:
-        p, certified = maximize_on_simplex(
-            lambda q: float(q @ x) - h.value(q), grad, gap_at, h.prior, tol=NUMERIC_TOL, refine=try_polish
-        )
-        if not certified:
+        p = certified_point(x, h.prior)
+    q, tried, t = h.prior, set(), 0.0
+    while p is None:
+        # a base b = (prior + e_k) / 2 is the argmax of the query dH(b); k
+        # is the state whose gradient is largest at the last point reached
+        g = x - np.asarray(h.grad_fn(np.maximum(q, 1e-300)), dtype=float)
+        k = int(np.argmax(g))
+        if k in tried:
             raise SolverError(
-                f"numeric conjugate did not reach gap {NUMERIC_TOL:.1e} within {SIMPLEX_STEPS} steps"
+                f"numeric conjugate did not reach gap {NUMERIC_TOL:.1e} "
+                f"at homotopy step {HOMOTOPY_MIN_STEP:.1e} past t = {t:.6g}"
             )
+        tried.add(k)
+        q = 0.5 * h.prior
+        q[k] += 0.5
+        x0 = np.asarray(h.grad_fn(q), dtype=float)
+        t, dt = 0.0, 1.0
+        while t < 1.0 and dt >= HOMOTOPY_MIN_STEP:
+            s = min(1.0, t + dt)
+            r = certified_point(x if s == 1.0 else x0 + s * (x - x0), q)
+            if r is not None:
+                q, t, dt = r, s, 2.0 * dt
+            else:
+                dt *= 0.5
+        if t == 1.0:
+            p = q
     out = (float(p @ x) - h.value(p), p)
     h._memo.put(key, out)
     return out
@@ -563,11 +575,11 @@ def neighborhood_hw_entropy(prior, neighborhoods) -> Entropy:
     the nested-logit closed forms of :func:`_nested_logit`.  Any other
     cover is conjugated numerically, with the closed-form Hessian of H
     driving the Newton steps and the implicit conjugate Hessian.  Either
-    way ``value_fn``, ``grad_fn``, ``hess_fn``, ``gap_fn`` and ``faces_fn``
-    are the neighborhood sums, computed through the block-membership
-    matrix.  Its tables are built the first time one of them is called:
-    only the multiplier box, the oracle and the numeric conjugate call
-    them, and a two-level cover's solve never does.
+    way ``value_fn``, ``grad_fn``, ``hess_fn`` and ``gap_fn`` are the
+    neighborhood sums, computed through the block-membership matrix.  Its
+    tables are built the first time one of them is called: only the
+    multiplier box, the oracle and the numeric conjugate call them, and a
+    two-level cover's solve never does.
     """
     prior = clean_weights(prior, "prior")
     n = prior.size
@@ -623,7 +635,10 @@ def neighborhood_hw_entropy(prior, neighborhoods) -> Entropy:
         within-block logit conditional, so the entry slope is the block's
         surplus rather than the clamped-gradient value; for states covered
         only by empty blocks the clamped gradient would overstate the slope
-        and never certify a vertex optimum.
+        and never certify a vertex optimum.  Where no mass is clamped, H is
+        differentiable at p and the plain gap bounds the suboptimality as
+        well; the smaller bound is returned, since blocks below the 1e-12
+        mass cut are priced as empty although their states may hold mass.
         """
         member, M = tables()[:2]
         g = x - grad(np.maximum(p, 1e-300))
@@ -631,13 +646,10 @@ def neighborhood_hw_entropy(prior, neighborhoods) -> Entropy:
         # states in a neighborhood with mass; every state with mass is one
         supported = member[full].any(axis=0)
         candidates = np.concatenate([g[supported], surplus(x)[~full]])
-        return float(candidates.max() - p[supported] @ g[supported])
-
-    def faces(x, p):
-        """Support guesses built from the block structure and entry values."""
-        s = surplus(x)
-        winners = tables()[0][s >= s.max() - 1e-9].any(axis=0)
-        return [winners, winners | (p > 1e-10), winners | (p > 1e-4)]
+        out = float(candidates.max() - p[supported] @ g[supported])
+        if p.min() >= 1e-300:
+            out = min(out, float(g.max() - p @ g))
+        return out
 
     nests = _two_level_nests(prior, blocks)
     conj, conj_hess = (None, None) if nests is None else _nested_logit(*nests)
@@ -648,7 +660,6 @@ def neighborhood_hw_entropy(prior, neighborhoods) -> Entropy:
         conj_fn=conj,
         grad_fn=grad,
         gap_fn=gap,
-        faces_fn=faces,
         conj_hess_fn=conj_hess,
         hess_fn=hess,
     )

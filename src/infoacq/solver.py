@@ -681,12 +681,24 @@ def _best_response_backend(problem, model, opts):
     polish_at = 3
     iters = 0
     converged = False
+    rescued = False
     for k in range(1, opts.max_iter + 1):
         iters = k
         res_a, res_l, v, G = foc_residuals(problem, model, alpha, lam)
         score = max(res_a, res_l)
         if score < best[0]:
             best = (score, alpha.copy(), lam.copy(), (v, G, (res_a, res_l)))
+        elif score > best[0] and not rescued:
+            # the first rise of the score: the unfloored step can send
+            # alpha from vertex to vertex until a weight underflows to 0
+            # and never returns, so polish once from the best iterate
+            # before it strands
+            rescued = True
+            got = _polish(problem, model, best[1], best[2], opts.tol)
+            if got is not None:
+                alpha, lam, _, evaluated = got
+                converged = True
+                break
         if score <= opts.tol:
             converged = True
             evaluated = v, G, (res_a, res_l)

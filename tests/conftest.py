@@ -2,7 +2,10 @@
 
 Property tests run under a derandomized Hypothesis profile: the examples
 are derived from each test's source, so the suite draws the same inputs on
-every run, and no example database is read or written.
+every run, and no example database is read or written.  Hypothesis also
+draws literal constants from the library's modules under ``src/`` (not from
+the test files), so adding or deleting a literal there can change the
+inputs a property test draws.
 """
 
 from dataclasses import replace

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from infoacq._rootfind import maximize_on_simplex, stationary_point
+from infoacq._rootfind import stationary_point
 from infoacq.catalog import random_kernel
 from infoacq.divergence import csiszar_spec, f_divergence, f_mean, posterior_separable_spec
 from infoacq.costs import shannon_kl_entropy
 from infoacq.transform import chi2, scale_transform, shannon, shift_transform, tabulated
+
+from simplex_ascent import maximize_on_simplex
 
 
 def _uniform_spec(transform, n=2):

@@ -28,8 +28,10 @@ from infoacq.oracle import (
 )
 from infoacq.io import load_problem
 from infoacq.solver import multiplier_bounds, solve
-from infoacq._rootfind import maximize_on_simplex, stationary_point
+from infoacq._rootfind import stationary_point
 from infoacq.transform import chi2, shannon, shift_transform
+
+from simplex_ascent import maximize_on_simplex
 
 
 class TestBruteForce:

@@ -124,3 +124,21 @@ def test_overflow_scale_payoffs_fail_typed_or_flagged(p):
             continue
         report = verify_focs(big, model, sol.alpha, sol.lam)
         assert max(report.residual_alpha, report.residual_lambda) <= opts.tol, family
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([10.0, 30.0, 100.0, 300.0, 800.0]))
+def test_large_payoff_best_responses_converge(seed, payoff_scale):
+    # at these payoff-to-kappa ratios the best response's steps can strand
+    # alpha at a vertex; the polish from its best iterate must still
+    # converge the solve well inside a small budget
+    rng = np.random.default_rng(seed)
+    n, m = (int(k) for k in rng.integers(2, 9, size=2))
+    p = random_problem(rng, n, m)
+    p = validate_problem(p.states, p.prior, list(zip(p.action_names, payoff_scale * p.payoffs)))
+    opts = SolveOptions(max_iter=200)
+    for family in ("chi2", "mutual_information"):
+        model = _COSTS[family](p.prior)
+        sol = solve(p, model, opts)
+        assert sol.converged, family
+        report = verify_focs(p, model, sol.alpha, sol.lam)
+        assert max(report.residual_alpha, report.residual_lambda) <= opts.tol, family

@@ -1,5 +1,5 @@
 """The array Brent roots, the damped Newton method, the convex descent and
-the simplex maximization of ``infoacq._rootfind``."""
+the simplex stationarity solve of ``infoacq._rootfind``."""
 
 import math
 import warnings
@@ -9,14 +9,12 @@ import pytest
 
 from infoacq import _rootfind, analysis, transform
 from infoacq._rootfind import (
-    SIMPLEX_STEPS,
     BracketError,
     bracketed_root,
     bracketed_roots,
     descend,
     expand_bracket,
     fd_jacobian,
-    maximize_on_simplex,
     newton,
     newton_step,
     stationary_point,
@@ -423,12 +421,9 @@ class TestDescend:
         np.testing.assert_array_equal(z, [5.0])
 
 
-# p.u + Shannon entropy of p: its maximizer over the simplex is softmax(u)
+# the stationarity gradient and gap of p.u + Shannon entropy of p, whose
+# maximizer over the simplex is softmax(u)
 def _entropy_objective(u):
-    def objective(p):
-        pos = p > 0
-        return float(p @ u - p[pos] @ np.log(p[pos]))
-
     def gradient(p):
         return u - np.log(np.maximum(p, 1e-300)) - 1.0
 
@@ -436,70 +431,15 @@ def _entropy_objective(u):
         g = gradient(p)
         return float(g.max() - p @ g)
 
-    return objective, gradient, gap
+    return gradient, gap
 
 
 class TestSimplexMaximization:
-    def test_ascent_alone_reaches_the_certificate(self):
-        u = np.array([0.3, -0.2, 1.1, 0.0])
-        objective, gradient, gap = _entropy_objective(u)
-        p, certified = maximize_on_simplex(
-            objective, gradient, gap, np.full(4, 0.25), tol=1e-10, refine=lambda p: None
-        )
-        assert certified and gap(p) <= 1e-10
-        np.testing.assert_allclose(p, np.exp(u) / np.exp(u).sum(), rtol=0, atol=1e-6)
-
-    def test_without_a_certificate_the_best_iterate_is_returned(self):
-        u = np.array([0.3, -0.2, 1.1, 0.0])
-        objective, gradient, gap = _entropy_objective(u)
-        steps, refined = [], []
-
-        def counting_gradient(p):
-            steps.append(1)
-            return gradient(p)
-
-        def refine(p):
-            refined.append(gap(p))
-            return None
-
-        # a negative tolerance cannot be met, so the ascent runs to its cap
-        p, certified = maximize_on_simplex(
-            objective, counting_gradient, gap, np.full(4, 0.25), tol=-1.0, refine=refine
-        )
-        assert not certified
-        assert len(steps) == SIMPLEX_STEPS
-        # before the first step, after steps 1, 2, 4, ..., 512, and from the best iterate
-        assert len(refined) == 12
-        assert gap(p) == min(refined)
-
-    def test_a_step_that_leaves_p_unchanged_ends_the_ascent(self):
-        # a linear objective sends the mass of action 1 to the 1e-300 floor,
-        # where a step leaves p bit-identical; the gap cannot be met, so only
-        # that stop ends the ascent before the step cap
-        u = np.array([0.0, -1.0])
-        steps = []
-
-        def gradient(p):
-            steps.append(1)
-            return u
-
-        p, certified = maximize_on_simplex(
-            lambda p: float(p @ u),
-            gradient,
-            lambda p: float(u.max() - p @ u),
-            np.full(2, 0.5),
-            tol=-1.0,
-            refine=lambda p: None,
-        )
-        assert not certified
-        np.testing.assert_array_equal(p, [1.0, 1e-300])
-        assert len(steps) < 40
-
     def test_underflowing_masses_leave_the_face(self):
         # the stationary masses of states 1 and 3 are e^-2000 and e^-1500:
         # Newton on the whole simplex cannot reach them, and ends far off
         u = np.array([0.0, -2000.0, -1.0, -1500.0])
-        _, gradient, gap = _entropy_objective(u)
+        gradient, gap = _entropy_objective(u)
         def jac(p):
             return -np.diag(1.0 / np.maximum(p, 1e-300))
 

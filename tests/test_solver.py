@@ -1,5 +1,6 @@
 import functools
 import gc
+import itertools
 import math
 import sys
 import threading
@@ -23,6 +24,7 @@ from infoacq.catalog import (
 )
 from infoacq.core import ValidationError, normalize_binary, validate_problem
 from infoacq.costs import (
+    PosteriorSeparableCost,
     build_encoder,
     chi2_cost,
     csiszar_cost,
@@ -796,6 +798,47 @@ class TestBestEffort:
         np.testing.assert_allclose(out.rule.rows[1], sol.alpha / sol.alpha.sum(), rtol=0, atol=1e-15)
 
 
+def _scaled_draw(seed, scale, shape=None):
+    """``random_problem`` with payoffs times ``scale``: n and m drawn from the
+    seed's generator in [2, 8] without ``shape``, else ``shape`` at the
+    property tests' prior floor of 0.1 / n."""
+    rng = np.random.default_rng(seed)
+    if shape is None:
+        n, m = (int(k) for k in rng.integers(2, 9, size=2))
+        p = random_problem(rng, n, m)
+    else:
+        n, m = shape
+        p = random_problem(rng, n, m, prior_floor=0.1 / n)
+    return validate_problem(p.states, p.prior, list(zip(p.action_names, scale * p.payoffs)))
+
+
+class TestBestResponseRescue:
+    # draws on which the best response's steps sent alpha from vertex to
+    # vertex until a weight underflowed to 0: each ran out its iteration
+    # budget unconverged (2,000 steps for the first, a property-test draw;
+    # 200,000 by default for the others), with residual_alpha 0.04 to 0.8
+    @pytest.mark.parametrize(
+        "family, seed, scale, shape",
+        [
+            ("mutual_information", 2, 10.0, (2, 2)),
+            ("mutual_information", 132, 10.0, None),
+            ("chi2", 102, 100.0, None),
+            ("chi2", 159, 100.0, None),
+        ],
+    )
+    def test_a_rising_residual_polishes_from_the_best_iterate(self, family, seed, scale, shape):
+        p = _scaled_draw(seed, scale, shape)
+        model = mutual_information_cost(p.prior) if family == "mutual_information" else chi2_cost(p.prior)
+        opts = SolveOptions(max_iter=200)
+        sol = solve(p, model, opts)
+        assert sol.converged and sol.iterations <= 3
+        report = verify_focs(p, model, sol.alpha, sol.lam)
+        assert max(report.residual_alpha, report.residual_lambda) <= opts.tol
+        if family == "mutual_information":
+            ref = solve_mutual_information(p)
+            assert abs(sol.value - ref.value) <= 1e-12 * abs(ref.value)
+
+
 class TestInnerMinimization:
     def test_overflow_scale_posterior_separable_best_response(self):
         # Newton's own steps stall where the softmax posteriors
@@ -1286,19 +1329,32 @@ class TestNeighborhoodSolves:
     the nested-logit closed form and with the numeric conjugate.
     """
 
-    def _assert_solved(self, sol):
+    def _assert_solved(self, sol, closed=None):
+        """Converged with small FOC residuals; given ``closed``, the closed
+        form's solution, a numeric twin's solution also matches it to 1e-12."""
         assert sol.converged
         rep = verify_focs(sol.problem, sol.model, sol.alpha, sol.lam)
         assert rep.within(1e-8)
+        if closed is not None and sol.model.entropy.conj_fn is None:
+            assert closed.model.entropy.conj_fn is not None
+            assert abs(sol.value - closed.value) <= 1e-12 * max(1.0, abs(closed.value))
+            np.testing.assert_allclose(sol.alpha, closed.alpha, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(sol.lam, closed.lam, rtol=0, atol=1e-12)
 
     # 0.2512... ran past 90 s before exact conjugates; 0.05 hangs with them
-    # unless the inner minimization keeps a start that already fits
-    @pytest.mark.parametrize("kappa", [0.25125073093634503, 0.05])
+    # unless the inner minimization keeps a start that already fits; at 0.02
+    # two numeric conjugates once took steps of a simplex ascent before
+    # Newton certified them.  The rest are the multitask tree's other
+    # weights in the numeric-conjugate benchmark workload
+    @pytest.mark.parametrize(
+        "kappa", [0.25125073093634503, 0.05, 0.02, 0.08, 0.1, 0.12, 0.15, 0.18, 0.2, 0.22, 0.25, 0.28, 0.3]
+    )
     def test_multitask_tree_at_a_former_hang(self, kappa, hw_cost):
         hoods = [((0, 1, 2, 3), kappa / 10), ((0, 1), kappa), ((2, 3), kappa)]
         rep = multitask_experiment(None, None, model_builder=lambda p: hw_cost(p.prior, hoods))
-        for sol in rep.solutions:
-            self._assert_solved(sol)
+        closed = multitask_experiment(None, None, model_builder=lambda p: neighborhood_hw_cost(p.prior, hoods))
+        for sol, exact in zip(rep.solutions, closed.solutions):
+            self._assert_solved(sol, exact)
 
     @pytest.mark.parametrize(
         "reward, hoods",
@@ -1309,7 +1365,27 @@ class TestNeighborhoodSolves:
     )
     def test_guess_the_state_at_former_hangs(self, reward, hoods, hw_cost):
         p = guess_the_state(3, reward)
-        self._assert_solved(solve(p, hw_cost(p.prior, hoods)))
+        self._assert_solved(solve(p, hw_cost(p.prior, hoods)), solve(p, neighborhood_hw_cost(p.prior, hoods)))
+
+    # the guess-3 grid of the numeric-conjugate benchmark workload, less the
+    # two former hangs above
+    @pytest.mark.parametrize(
+        "structure, reward, weights",
+        [
+            point
+            for point in itertools.product(
+                (((0, 1), (0, 1, 2)), ((1, 2), (0, 1, 2)), ((0, 2), (0, 1, 2))),
+                (0.5, 1.0, 1.5, 2.0),
+                ((0.8, 0.4), (1.2, 0.6), (0.6, 0.9)),
+            )
+            if point not in ((((1, 2), (0, 1, 2)), 0.5, (0.6, 0.9)), (((0, 2), (0, 1, 2)), 2.0, (0.8, 0.4)))
+        ],
+    )
+    def test_guess_the_state_twin_matches_the_closed_form(self, structure, reward, weights, numeric_twin):
+        p = guess_the_state(3, reward)
+        closed = neighborhood_hw_cost(p.prior, list(zip(structure, weights)))
+        twin = PosteriorSeparableCost(closed.prior, numeric_twin(closed.entropy), closed.family)
+        self._assert_solved(solve(p, twin), solve(p, closed))
 
     def test_numeric_conjugate_mass_is_exact_near_zero_multiplier(self, hw_cost):
         # the support face drops 8e-11 of mass that the certified argmax of
