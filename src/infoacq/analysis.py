@@ -47,7 +47,20 @@ def guess_state_accuracy(t: Transform, n: int, m: int, w: float) -> tuple[float,
 
 
 def _response_multipliers(t: Transform, gamma, w) -> np.ndarray:
+    """The multiplier l in [0, w] with gamma psi'(w - l) + (1 - gamma) psi'(-l) = 1,
+    at each entry of the broadcast ``gamma`` and ``w``.
+
+    chi2 and Shannon transforms, scaled ones included, take their closed
+    forms at their ``kappa``; any other takes one array of Brent roots.
+    """
     gamma, w = np.broadcast_arrays(gamma, w)
+    if t.family == "chi2":
+        k = t.kappa
+        # psi'(-l) = 1 - l/k is positive while l = gamma w <= k, and 0 past it
+        return np.where(gamma * w <= k, gamma * w, w + k - k / gamma)
+    if t.family == "shannon":
+        k = t.kappa
+        return k * np.logaddexp(np.log(gamma) + w / k, np.log1p(-gamma))
 
     def g(l):
         return gamma * t.psi_prime(w - l) + (1 - gamma) * t.psi_prime(-l) - 1.0

@@ -88,7 +88,7 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _sweep_rows(spec: dict, parallel: int):
+def _sweep_rows(spec: dict):
     if not isinstance(spec, dict):
         raise ValidationError("sweep spec: expected a JSON object")
     kind = spec.get("kind")
@@ -147,18 +147,10 @@ def _sweep_rows(spec: dict, parallel: int):
         eta = number("eta")
         zetas = numbers("zeta_grid")
 
-        def point(z):
-            rep = analysis.multitask_experiment(z, eta)
-            a1, a2, a3 = rep.accuracies
-            return {"zeta": z, "eta": eta, "accuracy1": a1, "accuracy2": a2, "accuracy3": a3}
-
-        if parallel and parallel > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=parallel) as pool:
-                rows = list(pool.map(point, zetas))
-        else:
-            rows = [point(z) for z in zetas]
+        rows = []
+        for z in zetas:
+            a1, a2, a3 = analysis.multitask_experiment(z, eta).accuracies
+            rows.append({"zeta": z, "eta": eta, "accuracy1": a1, "accuracy2": a2, "accuracy3": a3})
         return ["zeta", "eta", "accuracy1", "accuracy2", "accuracy3"], rows
     if kind == "epsilon_split":
         epsilons = {"epsilons": numbers("epsilons")} if "epsilons" in spec else {}
@@ -186,7 +178,7 @@ def _sweep_rows(spec: dict, parallel: int):
 
 def cmd_sweep(args) -> int:
     spec = io.load_json(args.spec)
-    header, rows = _sweep_rows(spec, args.parallel)
+    header, rows = _sweep_rows(spec)
     buf = _io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=header, lineterminator="\n")
     writer.writeheader()
@@ -225,7 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="tabulate an application curve as CSV")
     p_sweep.add_argument("--spec", required=True)
     p_sweep.add_argument("--out")
-    p_sweep.add_argument("--parallel", type=int, default=0)
+    p_sweep.add_argument(
+        "--parallel",
+        type=int,
+        default=0,
+        help="ignored: accepted so that existing scripts keep working; every sweep runs its points serially",
+    )
     return parser
 
 

@@ -7,6 +7,8 @@ every value round-trips exactly and re-serialization is byte-stable.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from typing import Any
 
 import numpy as np
@@ -81,8 +83,17 @@ def load_json(path: str) -> Any:
 
 
 def write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write ``text`` to the file at ``path``, replacing what it held.
+
+    The file is opened without ``O_TRUNC`` and, when it is a regular file,
+    cut to the new text's length after the write: truncating an existing
+    file before the write costs several times the write itself.  A pipe, a
+    terminal or ``/dev/stdout`` cannot be cut and takes the plain write.
+    """
+    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
         fh.write(text)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 # ---------------------------------------------------------------------------

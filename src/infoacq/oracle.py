@@ -12,8 +12,13 @@ information is ``kappa (sum_s pi_s sum_a r_a log r_a - sum_a p_a log p_a)``
 with the marginal ``p_a = sum_s pi_s P_sa``.  Under chi2 the f-mean is
 ``alpha_a ~ sqrt(c_a)`` with ``c_a = sum_s pi_s P_sa^2``, so the cost is
 ``kappa/2 ((sum_a sqrt(c_a))^2 - 1)``, the order-2 case of Sibson's
-alpha-mutual information (Sibson 1969; Verdu 2015).  Every other cost
-prices the explicit rules of a block in one call, ``model.primal_costs``.
+alpha-mutual information (Sibson 1969; Verdu 2015).  Under mutual
+information the marginal of action a in a block is the lead rows' sum plus
+``pi_last c/k`` for the last state's level c = 0..k, so it takes only k + 1
+values per lead row: the ``p log p`` terms are tabulated per lead row,
+action and level, one log each, and each rule reads its entries.  Every
+other cost prices the explicit rules of a block in one call,
+``model.primal_costs``.
 """
 
 from __future__ import annotations
@@ -64,6 +69,25 @@ def _lead_sum(table: np.ndarray, lead: np.ndarray) -> np.ndarray:
     return out
 
 
+def _at_levels(table: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """``table[..., level]`` with each rule's lead row and level paired.
+
+    ``table`` holds a row of levels per lead, its leading axes those of the
+    lead, and ``level`` the level of each rule, in the shape of ``last``; the
+    result has the broadcast shape of the two.  When the lead's axes end in
+    one axis of length 1 per axis of ``level``, as the walk's block of lead
+    rows ``(B, 1)`` against every last row does, every lead row meets every
+    level and one gather along the level axis takes them all.  Otherwise
+    each rule reads its own lead row of the flattened table.
+    """
+    lead = table.shape[:-1]
+    ends = len(lead) - level.ndim
+    if ends >= 0 and all(n == 1 for n in lead[ends:]):
+        return table.reshape(lead[:ends] + table.shape[-1:])[..., level]
+    at = np.arange(table[..., 0].size).reshape(lead)
+    return table.reshape(-1)[at * table.shape[-1] + level]
+
+
 class _LatticeTables:
     """Per-state tables over the lattice rows, and the rule values built from them.
 
@@ -72,6 +96,14 @@ class _LatticeTables:
     is ``pi_s r``; under chi2 ``weighted[s, r]`` is ``pi_s r**2``.  Sums over
     states and over actions run in index order, whatever the shape of the
     block, so a rule's value does not depend on the block that holds it.
+    Under mutual information the last state's ``weighted`` entries take at
+    most k + 1 values, ``levels``, and row r takes ``levels[level_of[a, r]]``
+    at action a: ``values`` takes ``p log p`` of each lead row's marginal at
+    every level, one log per lead row, action and level instead of one per
+    rule and action, and reads each rule's entries from that table.  The
+    entries are the ones the per-rule logs give, so the values keep every
+    bit.  chi2 keeps one square root per rule and action, since a table
+    read costs about what a root does.
     The tables serve the ``mutual_information`` and ``chi2`` cost families;
     every other model prices a block's explicit rules by ``primal_costs``.
     """
@@ -89,6 +121,8 @@ class _LatticeTables:
                 entropy = entropy + _xlogx(rows[:, a])
             self.separable = self.kappa * prior[:, None] * entropy
             self.weighted = prior[:, None, None] * rows
+            self.levels, level_of = np.unique(self.weighted[-1].ravel(), return_inverse=True)
+            self.level_of = level_of.reshape(rows.shape).T.copy()
         elif self.family == "chi2":
             self.weighted = prior[:, None, None] * rows**2
 
@@ -103,15 +137,26 @@ class _LatticeTables:
         if self.family is None:
             return payoff - self._explicit_costs(lead, last)
         lead_w = _lead_sum(self.weighted, lead)
-        total = 0.0
-        for a in range(self.rows.shape[1]):
-            stat = lead_w[..., a] + self.weighted[-1, last, a]
-            total = total + (_xlogx(stat) if self.family == "mutual_information" else np.sqrt(stat))
-        if self.family == "mutual_information":
-            cost = _lead_sum(self.separable, lead) + self.separable[-1, last] - self.kappa * total
-        else:
-            cost = 0.5 * self.kappa * (total * total - 1.0)
-        return payoff - cost
+        if self.family == "chi2":
+            total = 0.0
+            for a in range(self.rows.shape[1]):
+                total = total + np.sqrt(lead_w[..., a] + self.weighted[-1, last, a])
+            return payoff - 0.5 * self.kappa * (total * total - 1.0)
+        # one log per lead row, action and level, then one read per rule
+        tables = _xlogx(lead_w[..., None] + self.levels)
+        for a, level in enumerate(self.level_of):
+            term = _at_levels(tables[..., a, :], level[last])
+            # p log p is never -0.0, so the sum starts at the first term
+            # as it would at 0.0
+            if a == 0:
+                total = term
+            else:
+                total += term
+        total *= self.kappa
+        cost = _lead_sum(self.separable, lead) + self.separable[-1, last]
+        cost -= total
+        payoff -= cost
+        return payoff
 
     def _explicit_costs(self, lead: np.ndarray, last: np.ndarray) -> np.ndarray:
         shape = np.broadcast_shapes(lead.shape[:-1], last.shape)
@@ -143,10 +188,11 @@ def brute_force_solve(problem: DecisionProblem, model: CostModel, grid_step: flo
     block, never by ``R ** (n - 1)``.  Under mutual information and chi2 a
     block's values are lead sums of the per-state tables plus the last
     state's tables plus one closed-form term per action column: no rule is
-    gathered and no log is taken per state.  Other costs price the block's
-    explicit rules.  Intended for problems with at most three states and
-    actions; the number of rule evaluations is hard-capped at 1e8.  Raises
-    ``ValidationError`` when the model was built on another prior.
+    gathered, and under mutual information a log is taken per lead row and
+    level of the last state's row, not per rule.  Other costs price the
+    block's explicit rules.  Intended for problems with at most three states
+    and actions; the number of rule evaluations is hard-capped at 1e8.
+    Raises ``ValidationError`` when the model was built on another prior.
     """
     _check_shared_prior(problem, model)
     k = round(1.0 / grid_step)
@@ -176,8 +222,9 @@ def brute_force_solve(problem: DecisionProblem, model: CostModel, grid_step: flo
         # row-major (lead, last) is the order of itertools.product
         vals = tables.values(lead[:, None, :], every_row).ravel()
         finite = np.isfinite(vals)
-        skipped += int((~finite).sum())
-        top = float(np.max(np.where(finite, vals, -np.inf)))
+        n_infinite = vals.size - int(np.count_nonzero(finite))
+        skipped += n_infinite
+        top = float(np.max(vals[finite], initial=-np.inf) if n_infinite else np.max(vals))
         # a block whose best rule is below the ties so far adds none
         if top > -math.inf and top >= best_val - TIE_RTOL * abs(best_val):
             best_val = max(best_val, top)

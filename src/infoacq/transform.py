@@ -354,13 +354,26 @@ def risk_indices(t: Transform, x: float) -> tuple[float, float]:
 def psi_inverse(t: Transform, y):
     """Inverse of the increasing map psi, at a number or at each entry of an array.
 
-    Each bracket [-1, 1] doubles about its centre until ``psi - y`` changes
-    sign across it; Brent's method (``bracketed_roots``) then finds x within
-    ``1e-13 max(1, |x|)``.
+    chi2 and Shannon transforms, scaled ones included, take their closed
+    forms at their ``kappa``: ``2y / (1 + sqrt(1 + 2y/kappa))``, which does
+    not cancel near y = 0, and ``kappa log1p(y/kappa)``; a y outside the
+    range of psi, ``[-kappa/2, inf)`` and ``(-kappa, inf)``, raises
+    ``BracketError``.  For any other family each bracket [-1, 1] doubles
+    about its centre until ``psi - y`` changes sign across it; Brent's method
+    (``bracketed_roots``) then finds x within ``1e-13 max(1, |x|)``.
     """
     y = np.asarray(y, dtype=float)
-    f = lambda x: t.psi(x) - y
-    x = bracketed_roots(f, *expand_bracket(f, np.full(y.shape, -1.0), 1.0))
+    if t.family in ("chi2", "shannon"):
+        k = t.kappa
+        chi = t.family == "chi2"
+        outside = ~(y >= -k / 2) if chi else ~(y > -k)
+        if outside.any():
+            i = int(np.flatnonzero(outside)[0])
+            raise BracketError(f"y={y.flat[i]:.6g} in column {i} lies outside the range of psi")
+        x = 2.0 * y / (1.0 + np.sqrt(1.0 + 2.0 * y / k)) if chi else k * np.log1p(y / k)
+    else:
+        f = lambda x: t.psi(x) - y
+        x = bracketed_roots(f, *expand_bracket(f, np.full(y.shape, -1.0), 1.0))
     return x if x.ndim else float(x)
 
 

@@ -140,6 +140,33 @@ class TestResponseCurve:
             assert n * (1 - rho) >= low - 1e-9
 
 
+_CLOSED_FORM_TRANSFORMS = [
+    chi2(1.0),
+    chi2(0.3),
+    scale_transform(chi2(1.0), 1.7),
+    shannon(1.0),
+    shannon(0.4),
+    scale_transform(shannon(0.8), 2.0),
+]
+
+
+@pytest.mark.parametrize("t", _CLOSED_FORM_TRANSFORMS)
+def test_closed_form_multipliers_match_the_array_root(t):
+    # a scalar gamma over a reward grid, as response_curve asks, and
+    # gamma = 1/n per column, as _thresholds does; gamma w = kappa is where
+    # chi2 switches pieces.  Brent stops within 1e-14 max(1, |l|)
+    ns = np.arange(2, 12)
+    grid = np.linspace(0.05, 10.0, 60)
+    cases = [(gamma, np.append(grid, t.kappa / gamma)) for gamma in (0.05, 0.4, 0.95)]
+    cases += [(1.0 / ns, w) for w in (0.2, 1.0, 4.0)]
+    for gamma, w in cases:
+        gamma_b, w_b = np.broadcast_arrays(gamma, w)
+        g = lambda l: gamma_b * t.psi_prime(w_b - l) + (1 - gamma_b) * t.psi_prime(-l) - 1.0
+        ref = analysis.bracketed_roots(g, 0.0, w_b, xtol=1e-14)
+        l = analysis._response_multipliers(t, gamma, w)
+        assert np.all(np.abs(l - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+
+
 class TestInverseResponse:
     def test_logarithmic_example(self):
         w = inverse_response(shannon(1.0), math.e, 1 / math.e)

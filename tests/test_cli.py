@@ -6,6 +6,8 @@ import os
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -579,6 +581,29 @@ class TestFileFormats:
     def test_float_formatting_round_trips(self):
         for x in (0.1, 1 / 3, 1e-17, 123456.789012345678, 4.9e-324):
             assert float(io.format_float(x)) == x
+
+    def test_rewriting_a_longer_file_leaves_only_the_new_text(self, tmp_path):
+        # the output is cut to the new text after the write, not before it
+        path = tmp_path / "out.json"
+        io.write_text(str(path), "x" * 6000 + "\n")
+        io.write_text(str(path), "short\n")
+        assert path.read_bytes() == b"short\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_out_dev_stdout_through_a_pipe_gets_the_whole_document(self, tmp_path):
+        # a pipe cannot be cut, so it takes the plain write
+        args = ["oracle", "--problem", sample("guess3_problem.json"), "--cost", sample("mi_cost.json"), "--grid", "0.25"]
+        expected = tmp_path / "oracle.json"
+        assert main([*args, "--out", str(expected)]) == 0
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "infoacq.cli", *args, "--out", "/dev/stdout"],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE,
+            timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == expected.read_bytes()
 
     def test_unknown_option_keys_rejected(self, tmp_path):
         path = tmp_path / "o.json"

@@ -300,6 +300,60 @@ class TestPinnedOracles:
             brute_force_solve(_GUESS3, model, 0.2)
 
 
+class TestPerLeadTables:
+    # the values, rules and counts of the searches that took one log per rule
+    # and action; the per-lead (lead row, level) tables must keep every bit
+    @pytest.mark.parametrize(
+        "problem,family,grid,value,rule,evaluations",
+        [
+            (_GUESS3, "mutual_information", 0.1, 0.4516582505651251, [[6, 2, 2], [2, 6, 2], [2, 2, 6]], 287496),
+            (_GUESS3, "mutual_information", 0.05, 0.4521202193473616, [[11, 4, 5], [4, 11, 5], [4, 4, 12]], 12326391),
+            (_GUESS3, "chi2", 0.1, 0.4419083877439276, [[5, 2, 3], [2, 5, 3], [2, 2, 6]], 287496),
+            (_GUESS3, "chi2", 0.05, 0.4437190585308688, [[10, 5, 5], [4, 11, 5], [4, 4, 12]], 12326391),
+            (_RANDOM3, "mutual_information", 0.1, 0.1287835664122613, [[0, 10, 0]] * 3, 287496),
+            (_RANDOM3, "mutual_information", 0.05, 0.1287835664122613, [[0, 20, 0]] * 3, 12326391),
+            (_RANDOM3, "chi2", 0.1, 0.13109934829315578, [[0, 9, 1], [0, 10, 0], [0, 10, 0]], 287496),
+            (_RANDOM3, "chi2", 0.05, 0.13111264473882767, [[0, 17, 3], [0, 20, 0], [0, 20, 0]], 12326391),
+        ],
+    )
+    def test_searches_keep_their_value_rule_and_counts(self, problem, family, grid, value, rule, evaluations):
+        build = mutual_information_cost if family == "mutual_information" else chi2_cost
+        res = brute_force_solve(problem, build(problem.prior, 1.0), grid)
+        assert res.value == value
+        np.testing.assert_array_equal(res.rule.rows, np.array(rule) / round(1.0 / grid))
+        assert (res.evaluations, res.skipped_infinite) == (evaluations, 0)
+
+    def test_a_block_equals_one_log_per_rule(self):
+        # the walk's first block at grid 0.1: 303 lead rows against all 66
+        # rows of the last state, priced as the search did before the tables,
+        # one log per rule and action in index order
+        model = mutual_information_cost(_GUESS3.prior, 1.0)
+        rows = _lattice_rows(10, 3)
+        tables = _LatticeTables(_GUESS3, model, rows)
+        n_rows = rows.shape[0]
+        lead = np.stack(np.unravel_index(np.arange(oracle.BLOCK_VALUES // n_rows), (n_rows, n_rows)), axis=1)
+        last = np.arange(n_rows)
+        vals = tables.values(lead[:, None, :], last)
+
+        def lead_sum(table):
+            return (0.0 + table[0, lead[:, 0]] + table[1, lead[:, 1]])[:, None]
+
+        def xlogx(p):
+            return p * np.log(np.where(p > 0, p, 1.0))
+
+        lead_w = lead_sum(tables.weighted)
+        total = 0.0
+        for a in range(3):
+            total = total + xlogx(lead_w[..., a] + tables.weighted[-1, last, a])
+        cost = lead_sum(tables.separable) + tables.separable[-1, last] - model.transform.kappa * total
+        assert np.array_equal(vals, lead_sum(tables.gain) + tables.gain[-1, last] - cost)
+        # rules priced one lead row each, paired with their last rows, read
+        # the same bits
+        pick = np.random.default_rng(3).integers(0, vals.size, size=200)
+        i, j = np.unravel_index(pick, vals.shape)
+        assert np.array_equal(tables.values(lead[i], last[j]), vals[i, j])
+
+
 class TestVerifyFocs:
     def test_converged_solution_passes(self):
         rng = np.random.default_rng(2)

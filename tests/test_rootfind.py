@@ -104,9 +104,9 @@ class TestBracketedRoot:
         t = transform.chi2(1.0)
         analysis.response_curve(t, 0.4, np.linspace(0.25, 5.0, 12))
         analysis._thresholds(t, range(2, 8), 1.0)
-        # one call for the rewards, three for the thresholds (c_upper, the
-        # multiplier and psi_inverse)
-        assert len(evaluations) == 1 + 3
+        # chi2 takes its closed-form multipliers and psi inverse, so the one
+        # array call left is the thresholds' c_upper
+        assert len(evaluations) == 1
         assert max(evaluations) <= 15
 
 

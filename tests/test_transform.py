@@ -8,9 +8,11 @@ from scipy.integrate import quad
 from infoacq.catalog import guess_the_state
 from infoacq.costs import csiszar_cost
 from infoacq.solver import SolveOptions, solve
+from infoacq._rootfind import BracketError, bracketed_roots, expand_bracket
 from infoacq.transform import (
     chi2,
     conjugate_check,
+    psi_inverse,
     risk_indices,
     scale_transform,
     shannon,
@@ -153,6 +155,33 @@ class TestScaling:
         np.testing.assert_allclose(scaled.psi_prime(grid), direct.psi_prime(grid), atol=1e-12)
         s_grid = np.linspace(0.1, 3, 17)
         np.testing.assert_allclose(scaled.phi(s_grid), direct.phi(s_grid), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "t", [chi2(1.0), chi2(0.3), scale_transform(chi2(1.0), 1.7), shannon(0.4), scale_transform(shannon(0.8), 2.0)]
+)
+class TestPsiInverse:
+    @staticmethod
+    def _floor(t):
+        # psi is bounded below by -kappa/2 (attained) for chi2, by -kappa
+        # (not attained) for Shannon
+        return -t.kappa / 2 if t.family == "chi2" else -t.kappa
+
+    def test_closed_form_matches_the_array_root(self, t):
+        y = np.linspace(0.98 * self._floor(t), 5.0, 101)
+        f = lambda x: t.psi(x) - y
+        ref = bracketed_roots(f, *expand_bracket(f, np.full(y.shape, -1.0), 1.0))
+        assert np.all(np.abs(psi_inverse(t, y) - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+        # no cancellation near 0, where Brent stops at an absolute 1e-13
+        assert psi_inverse(t, 1e-300) == pytest.approx(1e-300, rel=1e-15)
+
+    def test_a_value_outside_the_range_of_psi_is_a_bracket_error(self, t):
+        floor = self._floor(t)
+        below = floor if t.family == "shannon" else floor - 1e-3
+        with pytest.raises(BracketError, match="column 1"):
+            psi_inverse(t, [0.0, below])
+        with pytest.raises(BracketError):
+            psi_inverse(t, float("nan"))
 
 
 class TestTabulated:
